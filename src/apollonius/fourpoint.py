@@ -4,43 +4,39 @@ Four ordered axis points admit a witness P (a point off their common
 line seeing the three segments under equal angles) exactly when a
 cross-ratio of the configuration is below 3: in the flat plane the
 cross-ratio of the heights themselves, in the half-plane model the same
-expression applied to the squared heights. The squared form drops out of
-the boundary-center reduction: the four geodesic arc centers through any
-off-axis P have abscissas affine in the squared heights, so their
-cross-ratio is independent of P.
+expression applied to the squared heights.
 
-Witness search is constructive. Euclidean witnesses come from
-intersecting the two circle loci analytically. Hyperbolic witnesses are
-found on the sampled locus of the upper triple (a, b, c) by locating a
-sign change of the second angle residual along the curve and bisecting.
+Both facts come from one map. The geodesic through P = x + iy and the
+axis point ih is the circle centred on the boundary at
+m = (|P|^2 - h^2)/(2x), and its radius vector at P is
+
+    P - m = (x^2 - y^2 + h^2)/(2x) + iy = (P^2 + h^2)/(2x).
+
+The hyperbolic angle between two such geodesics at P is the Euclidean
+angle between their radius vectors, and 2x > 0 is a common real factor,
+so it is the Euclidean angle at W = P^2 between the rays to the real
+points -h1^2 and -h2^2. The conformal square map therefore carries the
+hyperbolic problem for heights a > b > c > d to the flat problem for the
+collinear points -d^2 > -c^2 > -b^2 > -a^2, whose cross-ratio is the
+squared-height one (Beardon, The Geometry of Discrete Groups, 1983,
+ch. 7).
+
+Witnesses are constructive and closed-form. The flat witness intersects
+two circle loci analytically. The hyperbolic witness is the principal
+square root of the flat witness of the squared, negated heights: with
+that witness at (x_e, y_e) seeing points on the y-axis, W = y_e + i x_e
+and P = sqrt(W), which lies in the upper half-plane because x_e > 0.
 """
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .halfplane import (
-    AxisPoint,
-    GeometryError,
-    HPoint,
-    OrderingError,
-    axis_angle,
-    equal_angle_residual,
-)
-from .locus import (
-    HorizontalLine,
-    TripleConfig,
-    _solve_arrays,
-    coefficients,
-    euclidean_equal_angle_residual,
-    euclidean_locus,
-    solve_r2,
-    theta_grid,
-)
+from .halfplane import AxisPoint, GeometryError, HPoint, OrderingError, equal_angle_residual
+from .locus import HorizontalLine, euclidean_equal_angle_residual, euclidean_locus
 
 __all__ = [
     "Geometry",
@@ -62,9 +58,6 @@ EXISTENCE_THRESHOLD = 3.0
 EUCLID_WITNESS_TOL = 1e-10
 HYPER_WITNESS_TOL = 1e-8
 
-_BISECT_G_TOL = 1e-10
-_BISECT_THETA_TOL = 1e-13
-
 
 class Geometry(enum.Enum):
     EUCLIDEAN = "euclid"
@@ -72,7 +65,7 @@ class Geometry(enum.Enum):
 
 
 class WitnessSearchError(RuntimeError):
-    """A witness should exist but the curve search failed to locate it."""
+    """A witness should exist but none passing the angle oracle was constructed."""
 
 
 @dataclass(frozen=True)
@@ -142,13 +135,26 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
     """(b^2-c^2)(a^2-d^2) / ((a^2-b^2)(c^2-d^2)).
 
     Computed as the Euclidean cross-ratio of the squared heights, which
-    is the same expression and keeps the reduction exact in floats.
+    is the same expression and keeps the reduction exact in floats. The
+    heights are squared after _normalized, so the value is bit-identical
+    to squaring them directly wherever those squares are normal floats.
     """
     _require(cfg, Geometry.HYPERBOLIC)
+    unit, _ = _normalized(cfg)
     squares = FourConfig(
-        cfg.a * cfg.a, cfg.b * cfg.b, cfg.c * cfg.c, cfg.d * cfg.d, Geometry.EUCLIDEAN
+        unit.a * unit.a, unit.b * unit.b, unit.c * unit.c, unit.d * unit.d, Geometry.EUCLIDEAN
     )
     return cross_ratio_euclid(squares)
+
+
+def _normalized(cfg: FourConfig) -> tuple[FourConfig, int]:
+    """cfg divided by 2^k, the power of two that puts a in [0.5, 1), and k.
+
+    Dividing by a power of two is exact, keeps every square finite and
+    changes neither a cross-ratio nor a hyperbolic angle.
+    """
+    k = math.frexp(cfg.a)[1]
+    return cfg.scaled(math.ldexp(1.0, -k)), k
 
 
 def exists_euclid(cfg: FourConfig) -> bool:
@@ -244,184 +250,51 @@ def _polish_euclid(cfg: FourConfig, x: float, y: float) -> tuple[float, float]:
     return x, y
 
 
-def find_witness_hyper(cfg: FourConfig, initial_grid: int = 4096) -> Witness | None:
-    """Search the (a, b, c) locus for a point also equalizing the lower pair.
+def find_witness_hyper(cfg: FourConfig) -> Witness | None:
+    """Square root of the flat witness of the squared, negated heights.
 
-    Points sampled from the upper-triple locus already satisfy the first
-    angle equality; the residual g = angle(b p c) - angle(c p d) is
-    scanned along each root branch for a sign change and bisected in
-    theta. The grid is escalated and widened geometrically toward the
-    boundary before giving up; failure with a true existence predicate
-    is raised, never swallowed. The returned witness has x > 0 (its
-    mirror image is a witness too).
+    The square map (module docstring) turns the hyperbolic problem into
+    the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
+    its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
+    Heights are first divided by a power of two (_normalized), which is
+    exact and keeps the squares finite, and the oracle judges a copy
+    scaled by another power of two; scaling changes no hyperbolic angle.
+    A true existence predicate with no witness passing the oracle raises
+    WitnessSearchError. The returned witness has x > 0 (its mirror image
+    is a witness too).
     """
     _require(cfg, Geometry.HYPERBOLIC)
     if not exists_hyper(cfg):
         return None
-    abc = TripleConfig(cfg.a, cfg.b, cfg.c)
-    n = initial_grid
-    widen = False
-    for _ in range(4):
-        found = _scan_locus(abc, cfg, n, widen)
-        if found is not None:
-            witness = _refine_and_verify(abc, cfg, found)
-            if witness is not None:
-                return witness
-        n *= 4
-        widen = True
-    raise WitnessSearchError(
-        f"existence holds (cross-ratio {cross_ratio_hyper(cfg):.6g} < 3) but no "
-        f"sign change was found up to grid resolution {n // 4}"
-    )
-
-
-def _g_values(cfg: FourConfig, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return axis_angle(x, y, cfg.b, cfg.c) - axis_angle(x, y, cfg.c, cfg.d)
-
-
-def _scan_thetas(abc: TripleConfig, n: int, widen: bool) -> np.ndarray:
-    thetas = theta_grid(n)
-    if not widen:
-        return thetas
-    margin = thetas[0]
-    tail = margin * 0.5 ** np.arange(1, 61)
-    return np.sort(np.concatenate([tail, thetas, math.pi - tail]))
-
-
-def _scan_locus(abc, cfg, n, widen):
-    """One sweep: locate a bracketing sign change of g along a branch.
-
-    Returns (theta_lo, s_lo, theta_hi, s_hi, column) or a fold bracket
-    (theta, s_lo, theta, s_hi, -1), or None.
-    """
-    thetas = _scan_thetas(abc, n, widen)
-    roots, _ = _solve_arrays(abc, thetas)
-    radius_cap = 1e6 * cfg.a
-    fold_bracket = None
-    for col in (0, 1):
-        s = roots[:, col]
-        valid = ~np.isnan(s) & (s < radius_cap * radius_cap)
-        if not valid.any():
-            continue
-        idx = np.nonzero(valid)[0]
-        th = thetas[idx]
-        sv = s[idx]
-        r = np.sqrt(sv)
-        g = _g_values(cfg, r * np.cos(th), r * np.sin(th))
-        contiguous = np.diff(idx) == 1
-        change = (g[:-1] * g[1:] < 0.0) & contiguous
-        hits = np.nonzero(change)[0]
-        if hits.size:
-            j = hits[0]
-            return (th[j], sv[j], th[j + 1], sv[j + 1], col)
-        exact = np.nonzero(g == 0.0)[0]
-        if exact.size:
-            j = exact[0]
-            return (th[j], sv[j], th[j], sv[j], col)
-    # check the oval folds: both roots exist at the extreme grid angles and
-    # the branch connects across them
-    both = ~np.isnan(roots[:, 0]) & ~np.isnan(roots[:, 1])
-    if both.any():
-        ends = [np.nonzero(both)[0][0], np.nonzero(both)[0][-1]]
-        for i in ends:
-            th_i = thetas[i]
-            pair = roots[i]
-            r_pair = np.sqrt(pair)
-            g_pair = _g_values(cfg, r_pair * math.cos(th_i), r_pair * math.sin(th_i))
-            if g_pair[0] * g_pair[1] < 0.0:
-                fold_bracket = (th_i, pair[0], th_i, pair[1], -1)
-    return fold_bracket
-
-
-def _root_near(abc: TripleConfig, theta: float, s_hint: float) -> float | None:
-    candidates = solve_r2(abc, theta)
-    if not candidates:
-        return None
-    return min(candidates, key=lambda s: abs(s - s_hint))
-
-
-def _g_at(cfg: FourConfig, theta: float, s: float) -> float:
-    r = math.sqrt(s)
-    return float(_g_values(cfg, r * math.cos(theta), r * math.sin(theta)))
-
-
-def _refine_and_verify(abc, cfg, bracket) -> Witness | None:
-    th_lo, s_lo, th_hi, s_hi, col = bracket
-    if col == -1:
-        theta, s = _bisect_fold(abc, cfg, th_lo, s_lo, s_hi)
-    elif th_lo == th_hi:
-        theta, s = th_lo, s_lo
-    else:
-        theta, s = _bisect_theta(abc, cfg, th_lo, s_lo, th_hi, s_hi)
-    if theta is None:
-        return None
-    r = math.sqrt(s)
-    x, y = abs(r * math.cos(theta)), r * math.sin(theta)
-    p = HPoint(x, y)
-    res1 = equal_angle_residual(p, AxisPoint(cfg.a), AxisPoint(cfg.b), AxisPoint(cfg.c)).value
-    res2 = equal_angle_residual(p, AxisPoint(cfg.b), AxisPoint(cfg.c), AxisPoint(cfg.d)).value
+    unit, k = _normalized(cfg)
+    a2, b2, c2, d2 = (h * h for h in (unit.a, unit.b, unit.c, unit.d))
+    try:
+        flat = find_witness_euclid(FourConfig(-d2, -c2, -b2, -a2, Geometry.EUCLIDEAN))
+    except GeometryError as exc:  # the Witness residual bound, which both geometries share
+        raise _search_error(cfg, f"the flat witness of the squared heights failed: {exc}") from exc
+    if flat is None:
+        raise _search_error(cfg, "the flat problem of the squared heights returned no witness")
+    root = cmath.sqrt(complex(flat.y, flat.x))
+    x, y = abs(root.real), root.imag
+    if y <= 0.0:
+        raise _search_error(cfg, "the mapped witness lies on the boundary axis")
+    # the oracle judges the copy that puts |P| in [0.5, 1): its absolute
+    # floors (halfplane._scale) then act as relative ones, as they do at
+    # the input's own scale whenever the witness is not tiny
+    scale = math.ldexp(1.0, -math.frexp(abs(root))[1])
+    p = HPoint(x * scale, y * scale)
+    a, b, c, d = (AxisPoint(h * scale) for h in (unit.a, unit.b, unit.c, unit.d))
+    res1 = equal_angle_residual(p, a, b, c).value
+    res2 = equal_angle_residual(p, b, c, d).value
     if max(abs(res1), abs(res2)) > HYPER_WITNESS_TOL:
-        return None  # caller escalates the grid
-    return Witness(x, y, (res1, res2))
+        raise _search_error(cfg, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
+    return Witness(math.ldexp(x, k), math.ldexp(y, k), (res1, res2))
 
 
-def _bisect_theta(abc, cfg, th_lo, s_lo, th_hi, s_hi):
-    g_lo = _g_at(cfg, th_lo, s_lo)
-    g_hi = _g_at(cfg, th_hi, s_hi)
-    for _ in range(200):
-        if abs(g_lo) <= _BISECT_G_TOL:
-            return th_lo, s_lo
-        if abs(g_hi) <= _BISECT_G_TOL:
-            return th_hi, s_hi
-        if th_hi - th_lo <= _BISECT_THETA_TOL:
-            return (th_lo, s_lo) if abs(g_lo) < abs(g_hi) else (th_hi, s_hi)
-        th_mid = 0.5 * (th_lo + th_hi)
-        s_mid = _root_near(abc, th_mid, 0.5 * (s_lo + s_hi))
-        if s_mid is None:
-            return None, None  # branch vanished mid-interval: fold artifact
-        g_mid = _g_at(cfg, th_mid, s_mid)
-        if g_lo * g_mid <= 0.0:
-            th_hi, s_hi, g_hi = th_mid, s_mid, g_mid
-        else:
-            th_lo, s_lo, g_lo = th_mid, s_mid, g_mid
-    return (th_lo, s_lo) if abs(g_lo) < abs(g_hi) else (th_hi, s_hi)
-
-
-def _bisect_fold(abc, cfg, theta0, s_lo, s_hi):
-    """Bisect across an oval fold, parameterized by s between the two roots.
-
-    On the curve, cos(2 theta) = (alpha s^2 - gamma)/(2 beta s), which is
-    well defined near a fold; the theta branch (left or right of pi/2) is
-    fixed by the fold's side.
-    """
-    q = coefficients(abc)
-    left = theta0 < math.pi / 2
-
-    def theta_of(s: float) -> float:
-        v = (q.alpha * s * s - q.gamma) / (2.0 * q.beta * s)
-        v = max(-1.0, min(1.0, v))
-        t = 0.5 * math.acos(v)
-        return t if left else math.pi - t
-
-    g_lo = _g_at(cfg, theta_of(s_lo), s_lo)
-    g_hi = _g_at(cfg, theta_of(s_hi), s_hi)
-    if g_lo * g_hi > 0.0:
-        return None, None
-    for _ in range(200):
-        if abs(g_lo) <= _BISECT_G_TOL:
-            return theta_of(s_lo), s_lo
-        if abs(g_hi) <= _BISECT_G_TOL:
-            return theta_of(s_hi), s_hi
-        if abs(s_hi - s_lo) <= 1e-15 * max(abs(s_lo), abs(s_hi)):
-            break
-        s_mid = 0.5 * (s_lo + s_hi)
-        g_mid = _g_at(cfg, theta_of(s_mid), s_mid)
-        if g_lo * g_mid <= 0.0:
-            s_hi, g_hi = s_mid, g_mid
-        else:
-            s_lo, g_lo = s_mid, g_mid
-    s = s_lo if abs(g_lo) < abs(g_hi) else s_hi
-    return theta_of(s), s
+def _search_error(cfg: FourConfig, cause: str) -> WitnessSearchError:
+    return WitnessSearchError(
+        f"existence holds (cross-ratio {cross_ratio_hyper(cfg):.6g} < 3) but {cause}"
+    )
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:

@@ -310,13 +310,19 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
 
     Heights may be nonpositive here (the flat-plane statement needs only
     the ordering), which the four-point intersection relies on.
+
+    The circle meets the axis at b and at b + 2uv/(u + v), with u = a - b
+    and v = c - b. Working in these offsets from b keeps full relative
+    precision when the three heights nearly coincide, and the line test
+    is relative to the heights' magnitude so the locus of a scaled triple
+    is the scaled locus at every scale.
     """
     _check_descending(a, b, c)
-    scale = max(1.0, abs(a), abs(c))
-    if abs(b - 0.5 * (a + c)) <= 1e-12 * scale:
+    if abs(b - 0.5 * (a + c)) <= 1e-12 * max(abs(a), abs(c)):
         return HorizontalLine(height=0.5 * (a + c))
-    y_d = (2.0 * a * c - b * c - a * b) / (a + c - 2.0 * b)
-    return AxisCircle(center_y=0.5 * (b + y_d), radius=0.5 * abs(b - y_d))
+    u, v = a - b, c - b
+    half_chord = u * v / (u + v)
+    return AxisCircle(center_y=b + half_chord, radius=abs(half_chord))
 
 
 def _check_descending(a: float, b: float, c: float) -> None:

@@ -37,6 +37,7 @@ by exactly one ratio; calibrate_ratio finds it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -164,12 +165,18 @@ def _estimate(successes: int, n: int, seed: int) -> ProbEstimate:
     return ProbEstimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / n), n=n, seed=seed)
 
 
+def _worker_count(threads: int, chunks: int, cpus: int) -> int:
+    """Pool size for a sharded count: threads beyond the chunks of work or the CPUs only cost."""
+    return max(1, min(threads, chunks, cpus))
+
+
 def _count_sharded(block_fn, n, seed, threads, extra) -> int:
     if n < 1:
         raise GeometryError(f"need at least one sample, got n={n!r}")
-    if threads <= 1:
+    workers = _worker_count(threads, -(-n // _CHUNK), os.cpu_count() or 1)
+    if workers == 1:
         return sum(block_fn(seed, lo, min(lo + _CHUNK, n), *extra) for lo in range(0, n, _CHUNK))
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
+    bounds = np.linspace(0, n, workers + 1, dtype=int)
 
     def shard(k):
         return sum(
@@ -177,8 +184,8 @@ def _count_sharded(block_fn, n, seed, threads, extra) -> int:
             for lo in range(bounds[k], bounds[k + 1], _CHUNK)
         )
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(shard, range(threads)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(shard, range(workers)))
 
 
 def _ordered_uniforms(seed: int, lo: int, hi: int):

@@ -176,3 +176,12 @@ def test_fourpoint_without_witness_flag_skips_search(tmp_path):
     text = out.read_text()
     assert '"witness": null' in text
     assert '"exists": true' in text
+
+
+def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
+    import apollonius.fourpoint as fp
+
+    monkeypatch.setattr(fp, "find_witness_euclid", lambda cfg: None)
+    argv = ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"]
+    assert run(argv) == 3
+    assert "cross-ratio" in capsys.readouterr().err

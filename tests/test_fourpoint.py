@@ -93,8 +93,16 @@ class TestCrossRatioHyper:
         base = cross_ratio_hyper(cfg)
         for lam in (0.25, 3.0, 1e3):
             assert cross_ratio_hyper(cfg.scaled(lam)) == pytest.approx(base, rel=1e-12)
-        # powers of two scale the squares exactly
-        assert cross_ratio_hyper(cfg.scaled(4.0)) == base
+        # powers of two scale the squares exactly, also where squaring the
+        # scaled heights directly would overflow or underflow
+        for k in (2, 500, 1000, -500, -1000):
+            assert cross_ratio_hyper(cfg.scaled(2.0**k)) == base
+
+    def test_heights_whose_squares_overflow(self):
+        cfg = hyper(1e160, 1e159, 1e158, 1e157)
+        assert cross_ratio_hyper(cfg) == pytest.approx(100 + 1 + 1 / 100, rel=1e-12)
+        assert not exists_hyper(cfg)
+        assert exists_hyper(hyper(10e160, 6e160, 5e160, 1e160))
 
 
 class TestExistence:
@@ -204,17 +212,54 @@ class TestFindWitnessHyper:
         with pytest.raises(GeometryError):
             Witness(1.0, 1.0, (1e-3, 0.0))
 
-    def test_search_failure_is_raised_not_swallowed(self, monkeypatch):
+    def test_missing_flat_witness_is_raised_not_swallowed(self, monkeypatch):
         import apollonius.fourpoint as fp
 
-        monkeypatch.setattr(fp, "_scan_locus", lambda *args: None)
+        monkeypatch.setattr(fp, "find_witness_euclid", lambda cfg: None)
         with pytest.raises(WitnessSearchError, match="cross-ratio"):
             find_witness_hyper(hyper(10, 6, 5, 1))
+
+    @pytest.mark.parametrize(
+        "heights",
+        [
+            # cross-ratio 2.07e-5, heights spanning 1e9
+            (7561250845457.369, 26337281.46913603, 26337009.31360804, 6202.018550019891),
+            # log(b/c) = 3e-4, b^2 placed 1e-8 below the boundary
+            (1.2339707537668945, 0.6359836122736069, 0.635791331155316, 0.6357272047696744),
+            # the witness sits 1e-13 of a from the line, below halfplane's absolute
+            # vertical-geodesic floor unless the oracle is run at the witness's scale
+            (36084826298.39752, 0.08318553155074583, 0.07584993393935308, 0.00608080723222641),
+        ],
+        ids=["tiny-cross-ratio", "near-coincident-middle-pair", "witness-far-below-a"],
+    )
+    def test_hard_configs_get_oracle_verified_witness(self, heights):
+        cfg = hyper(*heights)
+        assert exists_hyper(cfg)
+        w = find_witness_hyper(cfg)
+        assert w is not None and w.x > 0 and w.y > 0
+        p = HPoint(w.x, w.y)
+        a, b, c, d = (AxisPoint(h) for h in heights)
+        assert abs(equal_angle_residual(p, a, b, c).value) <= HYPER_WITNESS_TOL
+        assert abs(equal_angle_residual(p, b, c, d).value) <= HYPER_WITNESS_TOL
+
+    def test_unreachable_witness_is_a_search_failure(self):
+        # b, c, d within 1e-10: the exact witness sits 3e-11 off their line,
+        # and no float point near it has oracle residuals below 1.3e-7
+        with pytest.raises(WitnessSearchError, match="cross-ratio"):
+            find_witness_hyper(hyper(1.2840254166877414, 1.000000000095, 1.000000000025, 1.0))
+
+    def test_power_of_two_scaling_scales_the_witness_exactly(self):
+        base = find_witness_hyper(hyper(10, 6, 5, 1))
+        for k in (-600, 530):
+            # heights near 1e160 square past the float range; near 1e-180 to zero
+            w = find_witness_hyper(hyper(10, 6, 5, 1).scaled(2.0**k))
+            assert (w.x, w.y) == (math.ldexp(base.x, k), math.ldexp(base.y, k))
+            assert w.residuals == base.residuals
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-6, 1e-9])
     def test_near_boundary_witness_approaches_axis(self, delta):
         # as the cross-ratio creeps up to 3 the witness escapes toward the
-        # boundary axis; the geometric widening of the search grid keeps up
+        # boundary axis
         R, c = 4.0, 2.0
         S, C = R * R, c * c
         b_hi = ((4 * S - 1) * C - 3 * S) / (S + 3 * C - 4)

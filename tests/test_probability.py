@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from apollonius import probability
 from apollonius.fourpoint import Geometry, exists_euclid, exists_hyper
 from apollonius.halfplane import GeometryError
 from apollonius.probability import (
@@ -159,12 +160,21 @@ class TestEstimators:
         two = estimate_pe(50_000, 7)
         assert one == two
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # small chunks, so these sample counts really are split among threads
+        monkeypatch.setattr(probability, "_CHUNK", 1 << 12)
         for threads in (2, 3, 8):
             assert estimate_pe(100_000, 11, threads=threads) == estimate_pe(100_000, 11)
             assert estimate_ph(60_000, 11, HyperProbSetup(2.0), threads=threads) == estimate_ph(
                 60_000, 11, HyperProbSetup(2.0)
             )
+
+    def test_worker_count_capped_by_chunks_and_cpus(self):
+        assert probability._worker_count(1, 100, 8) == 1
+        assert probability._worker_count(3, 100, 8) == 3
+        assert probability._worker_count(10**9, 100, 8) == 8
+        assert probability._worker_count(10**9, 3, 8) == 3
+        assert probability._worker_count(4, 1, 8) == 1
 
     def test_frozen_regression_values(self):
         assert estimate_pe(10_000, 123).mean == 0.4336

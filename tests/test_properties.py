@@ -3,9 +3,17 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from apollonius.fourpoint import FourConfig, Geometry, cross_ratio_euclid, cross_ratio_hyper
+from apollonius.fourpoint import (
+    HYPER_WITNESS_TOL,
+    FourConfig,
+    Geometry,
+    cross_ratio_euclid,
+    cross_ratio_hyper,
+    exists_hyper,
+    find_witness_hyper,
+)
 from apollonius.halfplane import (
     Arc,
     AxisPoint,
@@ -56,6 +64,29 @@ def four_heights(draw):
     b = c + gaps[1]
     a = b + gaps[2]
     return a, b, c, d
+
+
+@st.composite
+def log_uniform_heights(draw):
+    # log(a/d) up to 30, the interior heights log-uniform in between
+    log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
+    spread = draw(st.floats(min_value=0.1, max_value=30.0))
+    u, v = sorted((draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))), reverse=True)
+    return tuple(math.exp(log_d + spread * t) for t in (1.0, u, v, 0.0))
+
+
+@st.composite
+def near_boundary_heights(draw):
+    # b^2 placed 1e-12 to 1e-9 (relative) below the squared-height boundary
+    # B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness exists
+    log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
+    spread = draw(st.floats(min_value=0.1, max_value=30.0))
+    position = draw(st.floats(min_value=0.0, max_value=1.0))
+    gap = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-9.0))
+    a, c, d = (math.exp(log_d + spread * t) for t in (1.0, position, 0.0))
+    A, C, D = a * a, c * c, d * d
+    boundary = (3.0 * A * (C - D) + C * (A - D)) / ((A - D) + 3.0 * (C - D))
+    return a, math.sqrt(boundary * (1.0 - gap)), c, d
 
 
 class TestGeodesicProperties:
@@ -209,3 +240,22 @@ class TestCrossRatioProperties:
     def test_cross_ratio_positive(self, heights):
         cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
         assert cross_ratio_euclid(cfg) > 0
+
+
+class TestWitnessProperties:
+    @given(st.one_of(log_uniform_heights(), near_boundary_heights()))
+    @settings(max_examples=100, deadline=None)
+    def test_witness_returned_exactly_when_it_exists(self, heights):
+        a, b, c, d = heights
+        # heights closer than this put the witness about as close to them,
+        # where one float step of the point already moves the angles by
+        # ~eps/gap: at log gaps of 1e-10 no float point is within 1e-8
+        assume(min(math.log(x / y) for x, y in zip(heights, heights[1:])) >= 1e-6)
+        cfg = FourConfig(a, b, c, d, Geometry.HYPERBOLIC)
+        witness = find_witness_hyper(cfg)
+        assert (witness is not None) == exists_hyper(cfg)
+        if witness is not None:
+            p = HPoint(witness.x, witness.y)
+            upper = equal_angle_residual(p, AxisPoint(a), AxisPoint(b), AxisPoint(c)).value
+            lower = equal_angle_residual(p, AxisPoint(b), AxisPoint(c), AxisPoint(d)).value
+            assert max(abs(upper), abs(lower)) <= HYPER_WITNESS_TOL
