@@ -10,13 +10,15 @@ Subcommands map one-to-one onto library operations:
     dioph         integer family generation as CSV
 
 Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
-failure, 1 internal error.
+failure, 1 internal error. With APOLLONIUS_DEBUG=1 in the environment an
+internal error propagates with its traceback instead.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import diophantine as dio
@@ -44,6 +46,10 @@ from .locus import (
 )
 from .serialize import render_json
 from .svg import render_svg
+
+
+# ratios searched by prob ph --calibrate
+_CALIBRATION_BRACKET = (1.01, 1000.0)
 
 
 class ValidationError(Exception):
@@ -144,16 +150,21 @@ def _cmd_prob(args) -> int:
         raise ValidationError(f"--ratio must exceed 1, got {args.ratio}")
     setup = prob.HyperProbSetup(args.ratio)
     if args.calibrate is not None:
-        found = prob.calibrate_ratio(args.calibrate, bracket=(1.01, 1000.0))
+        found = prob.calibrate_ratio(args.calibrate, bracket=_CALIBRATION_BRACKET)
         record = {
             "kind": "ph-calibration",
             "target": args.calibrate,
-            "bracket": [1.01, 1000.0],
+            "bracket": list(_CALIBRATION_BRACKET),
             "ratio": found,
         }
         _write(render_json(record), args.output)
         if found is None:
-            sys.stderr.write("calibration target not bracketed on (1.01, 1000)\n")
+            lo, hi = _CALIBRATION_BRACKET
+            p_lo, p_hi = (prob.ph_quadrature(prob.HyperProbSetup(r), qtol) for r in (lo, hi))
+            sys.stderr.write(
+                f"calibration target {args.calibrate!r} not bracketed on ({lo!r}, {hi!r}): "
+                f"P_h({lo!r}) = {p_lo!r}, P_h({hi!r}) = {p_hi!r}\n"
+            )
             return 3
         return 0
     estimate = prob.estimate_ph(args.n, args.seed, setup, threads=args.threads)
@@ -316,7 +327,9 @@ def run(argv=None) -> int:
     except WitnessSearchError as exc:
         sys.stderr.write(f"search failure: {exc}\n")
         return 3
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        if os.environ.get("APOLLONIUS_DEBUG") == "1":
+            raise
         sys.stderr.write(f"internal error: {exc}\n")
         return 1
 

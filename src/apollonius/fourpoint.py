@@ -257,8 +257,9 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
     its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
     Heights are first divided by a power of two (_normalized), which is
-    exact and keeps the squares finite, and the oracle judges a copy
-    scaled by another power of two; scaling changes no hyperbolic angle.
+    exact and keeps the squares finite; the oracle judges that copy,
+    since scaling changes no hyperbolic angle and the oracle's tests are
+    relative.
     A true existence predicate with no witness passing the oracle raises
     WitnessSearchError. The returned witness has x > 0 (its mirror image
     is a witness too).
@@ -278,12 +279,8 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     x, y = abs(root.real), root.imag
     if y <= 0.0:
         raise _search_error(cfg, "the mapped witness lies on the boundary axis")
-    # the oracle judges the copy that puts |P| in [0.5, 1): its absolute
-    # floors (halfplane._scale) then act as relative ones, as they do at
-    # the input's own scale whenever the witness is not tiny
-    scale = math.ldexp(1.0, -math.frexp(abs(root))[1])
-    p = HPoint(x * scale, y * scale)
-    a, b, c, d = (AxisPoint(h * scale) for h in (unit.a, unit.b, unit.c, unit.d))
+    p = HPoint(x, y)
+    a, b, c, d = (AxisPoint(h) for h in (unit.a, unit.b, unit.c, unit.d))
     res1 = equal_angle_residual(p, a, b, c).value
     res2 = equal_angle_residual(p, b, c, d).value
     if max(abs(res1), abs(res2)) > HYPER_WITNESS_TOL:

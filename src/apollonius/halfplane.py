@@ -42,8 +42,9 @@ __all__ = [
     "axis_angle",
 ]
 
-# Abscissa gap below which the connecting geodesic is treated as vertical;
-# the arc center diverges as the abscissas coincide.
+# Abscissa gap, relative to the larger abscissa, at or below which the
+# connecting geodesic is treated as vertical; the arc center diverges as
+# the abscissas coincide.
 VERTICAL_EPS = 1e-12
 
 # Relative tolerance for "P lies on G" checks.
@@ -71,7 +72,9 @@ class OrderingError(GeometryError):
 
 
 def _scale(*values: float) -> float:
-    return max(1.0, *(abs(v) for v in values))
+    # no absolute floor: every test that uses it must hold alike for a
+    # configuration and its copy scaled by any power of two
+    return max(abs(v) for v in values)
 
 
 def _check_finite(name: str, value: float) -> None:
@@ -146,7 +149,7 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     """
     if p.x == q.x and p.y == q.y:
         raise DegenerateInputError(f"cannot draw a geodesic through coincident points {p}")
-    if abs(p.x - q.x) < VERTICAL_EPS * _scale(p.x, q.x):
+    if abs(p.x - q.x) <= VERTICAL_EPS * _scale(p.x, q.x):  # <=: p.x == q.x == 0 is vertical too
         return VerticalRay(x0=p.x)
     center = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
     radius = math.hypot(p.x - center, p.y)
@@ -162,7 +165,7 @@ def _contains(g: Geodesic, p: HPoint) -> bool:
     if isinstance(g, VerticalRay):
         return abs(p.x - g.x0) <= ON_CURVE_RTOL * _scale(p.x, g.x0)
     d = math.hypot(p.x - g.center, p.y)
-    return abs(d - g.radius) <= ON_CURVE_RTOL * _scale(g.radius)
+    return abs(d - g.radius) <= ON_CURVE_RTOL * g.radius
 
 
 def tangent_direction(g: Geodesic, p: HPoint) -> tuple[float, float]:

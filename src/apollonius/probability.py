@@ -36,14 +36,13 @@ by exactly one ratio; calibrate_ratio finds it.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .fourpoint import FourConfig, Geometry
 from .halfplane import GeometryError
@@ -66,6 +65,19 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 19
+
+# Gauss-Legendre rules double in size from _GAUSS_MIN_NODES until two
+# successive rules agree; past _GAUSS_MAX_NODES the integral is reported
+# as unresolved rather than returned
+_GAUSS_MIN_NODES = 16
+_GAUSS_MAX_NODES = 512
+
+# cap on regula falsi steps; the Illinois rule converges in about a dozen
+_ROOT_MAX_STEPS = 100
+
+# quadrature and calibration work in extended precision so that the
+# float64 results are correctly rounded (x87 80-bit where numpy has it)
+_LD = np.longdouble
 
 
 @dataclass(frozen=True)
@@ -267,16 +279,70 @@ def hyper_indicator_stream(n: int, seed: int, ratio: float, scale: float = 1.0) 
     )
 
 
-def pe_quadrature(tol: float) -> float:
-    """Euclidean probability by adaptive quadrature of the success band."""
-    if tol <= 0:
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n(x) and P_n'(x) by the three-term recurrence."""
+    p_prev, p = np.ones_like(x), x
+    for j in range(2, n + 1):
+        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    return p, n * (x * p - p_prev) / (x * x - 1)
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule on (0, 1), n even.
+
+    Newton's method on the Legendre recurrence, in long double, from
+    Tricomi's asymptotic nodes; three steps take them below long-double
+    resolution. numpy.polynomial.legendre.leggauss gives the same rule,
+    but only in float64, which leaves the sums a few ulp off, and its
+    eigenvalue solve costs 16 ms at 128 nodes and over 100 ms at 512.
+    """
+    k = np.arange(1, n // 2 + 1, dtype=_LD)
+    x = (1 - _LD(n - 1) / (8 * _LD(n) ** 3)) * np.cos(_LD(np.pi) * (4 * k - 1) / (4 * n + 2))
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    _, dp = _legendre(n, x)
+    w = 1 / ((1 - x * x) * dp * dp)  # half the [-1, 1] weight 2 / ((1 - x^2) P_n'^2)
+    nodes = np.concatenate([1 - x, 1 + x[::-1]]) / 2
+    weights = np.concatenate([w, w[::-1]])
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _gauss_integral(band, tol: float) -> np.longdouble:
+    """Integral of band over (0, 1) by Gauss-Legendre rules of doubling size.
+
+    band maps a long-double node array to integrand values. A value
+    counts only once two successive rules agree to tol; the larger rule's
+    value is returned. Agreement finer than the long-double spacing of
+    the value is rounding luck, so it never counts. Raises GeometryError
+    naming tol when no two rules up to _GAUSS_MAX_NODES nodes agree.
+    """
+    if not tol > 0:
         raise GeometryError(f"tol must be positive, got {tol!r}")
+    previous = None
+    n = _GAUSS_MIN_NODES
+    while n <= _GAUSS_MAX_NODES:
+        nodes, weights = _gauss_legendre(n)
+        value = np.dot(weights, band(nodes))
+        if previous is not None and max(abs(value - previous), np.spacing(value)) <= tol:
+            return value
+        previous = value
+        n *= 2
+    raise GeometryError(
+        f"Gauss-Legendre rules up to {_GAUSS_MAX_NODES} nodes do not agree to tol={tol!r}"
+    )
 
-    def band(c: float) -> float:
-        return 2.0 * max(0.0, 4.0 * c / (1.0 + 3.0 * c) - c)
 
-    value, _ = quad(band, 0.0, 1.0, epsabs=0.5 * tol, epsrel=1e-13, limit=200)
-    return value
+def pe_quadrature(tol: float) -> float:
+    """Euclidean probability by Gauss-Legendre quadrature of the success band.
+
+    The band 2 (4c/(1 + 3c) - c) = 6c(1 - c)/(1 + 3c) is integrated over
+    (0, 1) by rules of 16, 32, ... nodes until two successive rules agree
+    to tol (GeometryError if none up to 512 do).
+    """
+    return float(_gauss_integral(lambda c: 6 * c * (1 - c) / (1 + 3 * c), tol))
 
 
 def ph_quadrature(setup: HyperProbSetup, tol: float) -> float:
@@ -289,23 +355,26 @@ def ph_quadrature(setup: HyperProbSetup, tol: float) -> float:
 
         u*(v) - v = log1p(3 (C-1)(S-C) / (C (S + 3C - 4))) / (2L)
 
-    with C - 1 = expm1(2Lv), which stays fully conditioned as the ratio
-    approaches 1 (where B* - C underflows against C itself).
+    with C - 1 = expm1(2Lv), S - 1 = (R - 1)(R + 1), S - C = (S - 1) -
+    (C - 1) and S + 3C - 4 = (S - 1) + 3 (C - 1), which stays fully
+    conditioned as the ratio approaches 1 (where B* - C underflows
+    against C itself). It is integrated like pe_quadrature: Gauss-Legendre
+    rules of doubling size until two successive ones agree to tol.
     """
-    if tol <= 0:
-        raise GeometryError(f"tol must be positive, got {tol!r}")
-    S = setup.ratio * setup.ratio
-    L = math.log(setup.ratio)
-    S1 = S - 1.0
+    return float(_ph_integral(setup.ratio, tol))
 
-    def band(v: float) -> float:
-        em = math.expm1(2.0 * L * v)  # C - 1
-        C = 1.0 + em
-        t = 3.0 * em * (S - C) / (C * (S1 + 3.0 * em))  # (B* - C)/C
-        return math.log1p(t) / L  # 2 (u*(v) - v), the -v already folded in
 
-    value, _ = quad(band, 0.0, 1.0, epsabs=0.5 * tol, epsrel=1e-13, limit=200)
-    return value
+def _ph_integral(ratio: float, tol: float) -> np.longdouble:
+    r = _LD(ratio)
+    s1 = (r - 1) * (r + 1)
+    length = np.log(r)
+
+    def band(v):
+        em = np.expm1(2 * length * v)  # C - 1
+        t = 3 * em * (s1 - em) / ((1 + em) * (s1 + 3 * em))  # (B* - C)/C
+        return np.log1p(t) / length  # 2 (u*(v) - v), the -v already folded in
+
+    return _gauss_integral(band, tol)
 
 
 def calibrate_ratio(
@@ -315,15 +384,18 @@ def calibrate_ratio(
 
     Returns None when the bracket endpoints do not straddle the target
     (the probability is monotone decreasing in the ratio, so a straddle
-    is also necessary for a root to exist inside).
+    is also necessary for a root to exist inside). Otherwise the root is
+    solved to the last bit of the ratio, on long-double probabilities,
+    by regula falsi with the Illinois rule.
     """
     lo, hi = bracket
     HyperProbSetup(lo)
     HyperProbSetup(hi)
     qtol = min(1e-10, tol / 10.0)
+    goal = _LD(target)
 
-    def f(ratio: float) -> float:
-        return ph_quadrature(HyperProbSetup(ratio), qtol) - target
+    def f(ratio: float) -> np.longdouble:
+        return _ph_integral(ratio, qtol) - goal
 
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
@@ -332,5 +404,28 @@ def calibrate_ratio(
         return hi
     if (f_lo > 0.0) == (f_hi > 0.0):
         return None
-    root = brentq(f, lo, hi, xtol=1e-12, rtol=8.9e-16)
-    return float(root)
+    return _illinois(f, lo, hi, f_lo, f_hi)
+
+
+def _illinois(f, a: float, b: float, fa, fb) -> float:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Regula falsi keeps the newest point b and an end a of opposite sign;
+    when a survives a step its value is halved (the Illinois rule), so
+    both ends close in superlinearly. Stops when the secant point rounds
+    onto an end, which happens once a and b are adjacent doubles, or f
+    vanishes. (Dowell and Jarratt, BIT 11, 1971.)
+    """
+    for _ in range(_ROOT_MAX_STEPS):
+        x = float((a * fb - b * fa) / (fb - fa))
+        if not min(a, b) < x < max(a, b):
+            return x
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if (fx > 0.0) == (fb > 0.0):
+            fa = fa / 2
+        else:
+            a, fa = b, fb
+        b, fb = x, fx
+    raise GeometryError(f"root solve did not converge in {_ROOT_MAX_STEPS} steps")

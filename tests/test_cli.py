@@ -1,11 +1,16 @@
 """End-to-end CLI tests against committed golden files."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import apollonius
 from apollonius.cli import run
 from apollonius.locus import TripleConfig, sample_curve
+from apollonius.probability import HyperProbSetup, ph_quadrature
 from apollonius.svg import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,15 +105,28 @@ class TestValidation:
         assert run(["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "4", "--json"]) == 2
         assert "--json" in capsys.readouterr().err
 
-    def test_no_straddle_calibration_exits_3(self, tmp_path):
+    def test_no_straddle_calibration_exits_3(self, tmp_path, capsys):
         out = tmp_path / "cal.json"
         assert run(["prob", "ph", "--calibrate", "1.5", "-n", "1", "-o", str(out)]) == 3
         assert '"ratio": null' in out.read_text()
+        ends = [ph_quadrature(HyperProbSetup(r), 1e-10) for r in (1.01, 1000.0)]
+        assert capsys.readouterr().err == (
+            "calibration target 1.5 not bracketed on (1.01, 1000.0): "
+            f"P_h(1.01) = {ends[0]!r}, P_h(1000.0) = {ends[1]!r}\n"
+        )
 
-    def test_unwritable_output_exits_1(self, capsys):
+    def test_unwritable_output_exits_1(self, capsys, monkeypatch):
+        monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)
         rc = run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent_dir/x.json"])
         assert rc == 1
         assert "internal error" in capsys.readouterr().err
+
+    def test_debug_mode_reraises_internal_error(self, monkeypatch):
+        monkeypatch.setenv("APOLLONIUS_DEBUG", "1")
+        with pytest.raises(FileNotFoundError):
+            run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent_dir/x.json"])
+        # validation errors keep their exit code in debug mode
+        assert run(["classify", "-a", "4", "-b", "2", "-c", "-1"]) == 2
 
 
 class TestDeterminism:
@@ -185,3 +203,12 @@ def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
     argv = ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"]
     assert run(argv) == 3
     assert "cross-ratio" in capsys.readouterr().err
+
+
+def test_import_loads_no_scipy():
+    # the package depends on numpy alone; scipy's import used to be most of a CLI run
+    code = "import sys, apollonius.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    src = str(Path(apollonius.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

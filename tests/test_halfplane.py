@@ -58,6 +58,16 @@ class TestGeodesicThrough:
         g = geodesic_through(HPoint(0.5, 1), HPoint(0.5, 3))
         assert g == VerticalRay(x0=0.5)
 
+    def test_both_abscissas_zero_give_vertical_ray(self):
+        assert geodesic_through(HPoint(0.0, 1.0), HPoint(0.0, 3.0)) == VerticalRay(x0=0.0)
+
+    def test_vertical_test_is_relative(self):
+        # abscissas 2^-45 apart are an arc at every scale, as at scale 1
+        for k in (-45, 0, 45):
+            s = math.ldexp(1.0, k)
+            g = geodesic_through(HPoint(3 * s, s), HPoint(4 * s, 2 * s))
+            assert g == Arc(center=5.0 * s, radius=math.hypot(2.0, 1.0) * s)
+
     def test_symmetric_pair(self):
         g = geodesic_through(HPoint(-1, 1), HPoint(1, 1))
         assert isinstance(g, Arc)
@@ -195,6 +205,19 @@ class TestEqualAngleResidual:
             left = equal_angle_residual(HPoint(-x, y), a, b, c).value
             right = equal_angle_residual(HPoint(x, y), a, b, c).value
             assert left == right  # bitwise: mirroring negates centers exactly
+
+    def test_scale_invariant_at_the_hyperbolic_witness(self):
+        # the (10, 6, 5, 1) witness; an absolute floor in the oracle's
+        # vertical test read (-pi, pi) here at 2^-40
+        x, y = 1.0792433161247985, 5.4730721524183039
+        readings = set()
+        for k in (-40, 0, 40):
+            s = math.ldexp(1.0, k)
+            p = HPoint(x * s, y * s)
+            a, b, c, d = (AxisPoint(h * s) for h in (10.0, 6.0, 5.0, 1.0))
+            readings.add((equal_angle_residual(p, a, b, c).value, equal_angle_residual(p, b, c, d).value))
+        assert len(readings) == 1
+        assert max(map(abs, readings.pop())) <= 1e-15
 
     def test_center_order_reversal(self):
         # heights a > b > c map to centers a' < b' < c' for x > 0

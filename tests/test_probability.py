@@ -28,6 +28,21 @@ from apollonius.rng import SampleStream
 PE_VALUE = 0.4344050123378750055
 PH_PRINTED_VALUE = 0.4201514931601543251
 
+# P_h(R) at the double nearest each R, from mpmath at 45 digits: the 1-D
+# reduction integrated by tanh-sinh on eight equal subintervals of (0, 1),
+# which agreed with mpmath's Gauss-Legendre to 1e-47
+PH_MPMATH = {
+    1.0001: 0.4344050120917386591920513,
+    2.0: 0.4229943807202507007578024,
+    1e3: 0.1701127585403225411589583,
+    1e8: 0.070957970307183361838813,
+    1e12: 0.04826076434008044053269779,
+}
+
+# the ratio at which P_h equals ph_reference_constant() as a double,
+# from mpmath.findroot on the same 45-digit integral
+CALIBRATED_RATIO = 2.17765040422971741
+
 
 class FakeStream:
     """Deterministic draw source for sampling-logic tests."""
@@ -90,6 +105,27 @@ class TestQuadratures:
     def test_tolerance_validated(self):
         with pytest.raises(GeometryError):
             pe_quadrature(0.0)
+
+    @pytest.mark.parametrize("ratio", sorted(PH_MPMATH))
+    def test_ph_matches_mpmath_to_the_last_bit(self, ratio):
+        exact = PH_MPMATH[ratio]
+        assert abs(ph_quadrature(HyperProbSetup(ratio), 1e-12) - exact) <= 0.5 * math.ulp(exact)
+
+    def test_pe_matches_closed_form_to_the_last_bit(self):
+        assert abs(pe_quadrature(1e-10) - PE_VALUE) <= 0.5 * math.ulp(PE_VALUE)
+
+    @pytest.mark.parametrize(
+        "integrate",
+        [
+            pe_quadrature,
+            lambda tol: ph_quadrature(HyperProbSetup(2.0), tol),
+            lambda tol: ph_quadrature(HyperProbSetup(1e12), tol),
+        ],
+        ids=["pe", "ph-2", "ph-1e12"],
+    )
+    def test_unreachable_tolerance_is_named(self, integrate):
+        with pytest.raises(GeometryError, match="do not agree to tol=1e-30"):
+            integrate(1e-30)
 
 
 class TestSamplers:
@@ -240,6 +276,14 @@ class TestCalibration:
 
     def test_impossible_target(self):
         assert calibrate_ratio(1.5, (1.01, 1000.0)) is None
+
+    def test_reference_ratio_to_the_last_bits(self):
+        found = calibrate_ratio(ph_reference_constant(), (1.01, 1000.0))
+        assert abs(found - CALIBRATED_RATIO) <= 2 * math.ulp(CALIBRATED_RATIO)
+
+    def test_reversed_bracket(self):
+        forward = calibrate_ratio(ph_reference_constant(), (1.01, 1000.0))
+        assert calibrate_ratio(ph_reference_constant(), (1000.0, 1.01)) == forward
 
     def test_found_ratio_hits_target(self):
         target = ph_reference_constant()
