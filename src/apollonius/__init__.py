@@ -43,7 +43,6 @@ from .halfplane import (
     OnAxisError,
     OrderingError,
     VerticalRay,
-    axis_angle,
     axis_center,
     equal_angle_residual,
     geodesic_through,

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 __all__ = [
     "GeometryError",
     "DegenerateInputError",
@@ -39,7 +37,6 @@ __all__ = [
     "equal_angle_residual",
     "hyp_distance",
     "axis_center",
-    "axis_angle",
 ]
 
 # Abscissa gap, relative to the larger abscissa, at or below which the
@@ -228,8 +225,13 @@ def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) ->
         raise OrderingError(f"heights must satisfy a > b > c, got {a.h}, {b.h}, {c.h}")
     if p.x == 0.0:
         raise OnAxisError("the equal-angle locus excludes points on the y-axis")
-    first = hyp_angle(p, HPoint(0.0, a.h), HPoint(0.0, b.h))
-    second = hyp_angle(p, HPoint(0.0, b.h), HPoint(0.0, c.h))
+    # divide everything by the power of two of the largest magnitude: exact,
+    # angle-preserving, and the geodesics' squared coordinates stay normal
+    k = -math.frexp(max(abs(p.x), p.y, a.h))[1]
+    p = HPoint(math.ldexp(p.x, k), math.ldexp(p.y, k))
+    qb = HPoint(0.0, math.ldexp(b.h, k))
+    first = hyp_angle(p, HPoint(0.0, math.ldexp(a.h, k)), qb)
+    second = hyp_angle(p, qb, HPoint(0.0, math.ldexp(c.h, k)))
     return AngleResidual(first - second)
 
 
@@ -237,23 +239,3 @@ def hyp_distance(p: HPoint, q: HPoint) -> float:
     """Hyperbolic distance arccosh(1 + |pq|^2 / (2 p.y q.y))."""
     d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
     return math.acosh(1.0 + d2 / (2.0 * p.y * q.y))
-
-
-def axis_angle(x, y, h1, h2):
-    """Angle at (x, y) between the geodesics toward axis points (0, h1), (0, h2).
-
-    Vectorized boundary-center reduction: works elementwise on numpy
-    arrays as well as on scalars. Requires x != 0. Agrees with hyp_angle
-    to rounding error; exists so bulk consumers (curve sampling checks,
-    witness search) avoid per-point object construction.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    r2 = x * x + y * y
-    m1 = (r2 - h1 * h1) / (2.0 * x)
-    m2 = (r2 - h2 * h2) / (2.0 * x)
-    v1x, v2x = x - m1, x - m2
-    cross = v1x * y - y * v2x
-    dot = v1x * v2x + y * y
-    out = np.arctan2(np.abs(cross), dot)
-    return float(out) if out.ndim == 0 else out

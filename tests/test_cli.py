@@ -91,6 +91,11 @@ class TestValidation:
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
+    def test_ratio_one_ulp_above_one_exits_2(self, capsys):
+        # no two doubles lie strictly inside (1, ratio), so sampling never stopped
+        assert run(["prob", "ph", "--ratio", "1.0000000000000002", "-n", "10"]) == 2
+        assert "1.0000000000000002" in capsys.readouterr().err
+
     def test_unknown_arguments_exit_2(self):
         assert run(["classify", "-a", "4", "-b", "2"]) == 2
 

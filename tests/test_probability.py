@@ -1,6 +1,7 @@
 """Closed forms, quadrature oracles, Monte Carlo estimators, calibration."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ class TestSamplers:
         cfg = sample_config_hyper(FakeStream([1.0 - 2**-53, 0.5]), setup)
         assert cfg.b < 2.0
 
+    @pytest.mark.parametrize("ratio", [1 + 2**-52, 1 + 2**-51])
+    def test_ratio_without_two_interior_doubles_rejected(self, ratio):
+        # fewer than two doubles strictly inside (1, ratio): the interior
+        # heights can never be distinct, so sampling would never return
+        with pytest.raises(GeometryError, match=re.escape(repr(ratio))):
+            HyperProbSetup(ratio)
+
+    def test_ratio_with_two_interior_doubles_samples(self):
+        setup = HyperProbSetup(1 + 3 * 2**-52)
+        assert estimate_ph(64, 1, setup).n == 64
+        cfg = sample_config_hyper(SampleStream(1, 0), setup)
+        assert 1.0 < cfg.c < cfg.b < setup.ratio
+
     def test_order_statistics_mean(self):
         # E[max(U, V)] = 2/3; three-sigma band at one million draws
         n = 1_000_000
@@ -205,6 +219,18 @@ class TestEstimators:
                 60_000, 11, HyperProbSetup(2.0)
             )
 
+    @pytest.mark.parametrize("chunk", [1 << 12, 1 << 16, 1 << 19])
+    def test_chunk_size_and_threads_do_not_change_results(self, monkeypatch, chunk):
+        n, seed, setup = 140_000, 13, HyperProbSetup(2.0)
+        pe, ph = estimate_pe(n, seed), estimate_ph(n, seed, setup)
+        euclid, hyper = euclid_indicator_stream(n, seed), hyper_indicator_stream(n, seed, 2.0)
+        monkeypatch.setattr(probability, "_CHUNK", chunk)
+        for threads in (1, 2, 3):
+            assert estimate_pe(n, seed, threads=threads) == pe
+            assert estimate_ph(n, seed, setup, threads=threads) == ph
+        assert (euclid_indicator_stream(n, seed) == euclid).all()
+        assert (hyper_indicator_stream(n, seed, 2.0) == hyper).all()
+
     def test_worker_count_capped_by_chunks_and_cpus(self):
         assert probability._worker_count(1, 100, 8) == 1
         assert probability._worker_count(3, 100, 8) == 3
@@ -241,6 +267,26 @@ class TestEstimators:
             cfg_h = sample_config_hyper(SampleStream(seed, i), setup)
             assert vector_e[i] == exists_euclid(cfg_e)
             assert vector_h[i] == exists_hyper(cfg_h)
+
+    def test_collapsed_exp_redraw_matches_scalar_sampling_path(self, monkeypatch):
+        # 16 ulps above 1: exp maps many distinct draws onto
+        # the same height or onto an endpoint, and those samples take the
+        # scalar redraw inside the vectorized kernel
+        n, seed = 3_000, 17
+        setup = HyperProbSetup(1 + 16 * 2**-52)
+        redraws = []
+        scalar_sampler = probability.sample_config_hyper
+
+        def counted(stream, s):
+            redraws.append(stream.index)
+            return scalar_sampler(stream, s)
+
+        monkeypatch.setattr(probability, "sample_config_hyper", counted)
+        vector = hyper_indicator_stream(n, seed, setup.ratio)
+        monkeypatch.undo()
+        assert len(redraws) > n // 10
+        for i in range(n):
+            assert vector[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(GeometryError):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from apollonius.rng import SampleStream, sample_uniform, uniform_block
+from apollonius.probability import _CHUNK
+from apollonius.rng import PairBuffers, SampleStream, sample_uniform, uniform_block, uniform_pair
 
 
 def test_pure_function_of_key():
@@ -35,6 +36,42 @@ def test_huge_seed_and_index():
     block = uniform_block(seed, 10**7, 10**7 + 3, 0)
     scalar = [sample_uniform(seed, 10**7 + i, 0) for i in range(3)]
     assert (block == np.array(scalar)).all()
+
+
+def _pair_matches_scalar(seed, lo, hi):
+    first, second = uniform_pair(seed, lo, hi)
+    assert first.dtype == second.dtype == np.float64
+    assert (first == np.array([sample_uniform(seed, i, 0) for i in range(lo, hi)])).all()
+    assert (second == np.array([sample_uniform(seed, i, 1) for i in range(lo, hi)])).all()
+
+
+def test_pair_matches_scalar_across_a_chunk_boundary():
+    _pair_matches_scalar(7, _CHUNK - 5, _CHUNK + 5)
+
+
+def test_pair_matches_scalar_at_the_largest_seed():
+    _pair_matches_scalar(2**64 - 1, 0, 6)
+
+
+def test_pair_matches_scalar_at_a_large_index():
+    _pair_matches_scalar(3, 10**12, 10**12 + 6)
+
+
+def test_pair_matches_block_and_splits_cleanly():
+    lo, mid, hi = 1000, 1000 + 4099, 1000 + 9000
+    whole = uniform_pair(11, lo, hi)
+    halves = uniform_pair(11, lo, mid), uniform_pair(11, mid, hi)
+    for draw in (0, 1):
+        assert (whole[draw] == uniform_block(11, lo, hi, draw)).all()
+        assert (whole[draw] == np.concatenate([h[draw] for h in halves])).all()
+
+
+def test_pair_in_reused_buffers_matches_fresh():
+    buffers = PairBuffers(4096)
+    for lo, hi in ((0, 4096), (10**9, 10**9 + 37), (77, 4000)):
+        reused = uniform_pair(5, lo, hi, buffers)
+        fresh = uniform_pair(5, lo, hi)
+        assert all((r == f).all() for r, f in zip(reused, fresh))
 
 
 def test_stream_advances_draws():
