@@ -11,6 +11,7 @@ from pathlib import Path
 
 from apollonius import (
     AxisPoint,
+    HPoint,
     TripleConfig,
     classify,
     coefficients,
@@ -39,12 +40,15 @@ print("-" * 74)
 for b in MIDDLES:
     cfg = TripleConfig(A, b, C)
     regime = classify(cfg)
-    samples = sample_curve(cfg, 512)
+    curve = sample_curve(cfg, 512)
     axis = (AxisPoint(A), AxisPoint(b), AxisPoint(C))
-    worst = max(abs(equal_angle_residual(s.point, *axis).value) for s in samples)
+    worst = max(
+        abs(equal_angle_residual(HPoint(x, y), *axis).value)
+        for x, y in zip(curve.x.tolist(), curve.y.tolist())
+    )
     name = out_dir / f"locus_b_{b:.4g}.svg"
-    name.write_text(render_svg(samples))
-    print(f"{b:>10.4f}  {regime.value:<30} {len(samples):>7}  {worst:>20.3e}")
+    name.write_text(render_svg(curve))
+    print(f"{b:>10.4f}  {regime.value:<30} {len(curve):>7}  {worst:>20.3e}")
 
 q = coefficients(TripleConfig(A, Q, C))
 print()

@@ -52,7 +52,7 @@ from .halfplane import (
 )
 from .locus import (
     AxisCircle,
-    CurveSample,
+    Curve,
     EuclideanLocus,
     HorizontalLine,
     LocusClass,

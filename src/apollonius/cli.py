@@ -84,10 +84,17 @@ def _cmd_sample(args) -> int:
     cfg = _positive_desc_triple(args)
     if args.n < 2:
         raise ValidationError(f"-n must be at least 2, got {args.n}")
-    samples = sample_curve(cfg, args.n)
+    curve = sample_curve(cfg, args.n)
+    if not len(curve):
+        sys.stderr.write(
+            f"search failure: the {args.n}-angle sweep found no point on the locus of "
+            f"({cfg.a!r}, {cfg.b!r}, {cfg.c!r}); an odd -n samples theta = pi/2, "
+            f"where r = b always lies on the locus\n"
+        )
+        return 3
     if args.svg is not None:
-        _write(render_svg(samples), args.svg)
-    _write(samples_to_csv(samples), args.output)
+        _write(render_svg(curve), args.svg)
+    _write(samples_to_csv(curve), args.output)
     return 0
 
 

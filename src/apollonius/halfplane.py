@@ -142,13 +142,17 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
 
     Near-equal abscissas (within VERTICAL_EPS relative) give a vertical
     ray; otherwise the perpendicular-bisector construction places the
-    arc center at (q.x^2 + q.y^2 - p.x^2 - p.y^2) / (2 (q.x - p.x)).
+    arc center at (q.x^2 + q.y^2 - p.x^2 - p.y^2) / (2 (q.x - p.x)). A
+    center beyond the float range also gives a vertical ray: that arc is
+    straight to double precision wherever it meets the points.
     """
     if p.x == q.x and p.y == q.y:
         raise DegenerateInputError(f"cannot draw a geodesic through coincident points {p}")
     if abs(p.x - q.x) <= VERTICAL_EPS * _scale(p.x, q.x):  # <=: p.x == q.x == 0 is vertical too
         return VerticalRay(x0=p.x)
     center = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
+    if not math.isfinite(center):
+        return VerticalRay(x0=p.x)
     radius = math.hypot(p.x - center, p.y)
     return Arc(center=center, radius=radius)
 

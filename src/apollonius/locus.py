@@ -16,9 +16,11 @@ mean H = (2 a^2 c^2 / (a^2 + c^2))^(1/2), with H < G < Q. The boundary
 cases degenerate to half of a hyperbola, a semicircle and half of a
 lemniscate; the four open intervals give ovals (outside [H, Q] the
 angle-domain is disc-limited and every angle carries two radii) or
-boundary-to-boundary arcs. Whether the ovals enclose the point (0, b)
-is left undetermined here: the sampler discovers each regime's
-theta-domain empirically from root existence rather than asserting it.
+boundary-to-boundary arcs. At theta = pi/2 the radius r = b solves the
+quartic for every triple (both sides equal b^4 (2b^2 - a^2 - c^2)), so
+(0, b) lies on every locus. Away from it the sampler discovers each
+regime's theta-domain empirically from root existence rather than
+asserting it.
 
 The Euclidean counterpart (same equal-angle condition in the flat plane)
 is a horizontal line when b = (a + c)/2 and otherwise the circle with
@@ -36,17 +38,15 @@ import numpy as np
 
 from .halfplane import (
     GeometryError,
-    HPoint,
     OnAxisError,
     OrderingError,
 )
-from .serialize import fmt17
 
 __all__ = [
     "TripleConfig",
     "QuarticCoeffs",
     "LocusClass",
-    "CurveSample",
+    "Curve",
     "HorizontalLine",
     "AxisCircle",
     "EuclideanLocus",
@@ -114,13 +114,30 @@ class LocusClass(enum.Enum):
     BELOW_HARMONIC = "BelowHarmonic"
 
 
-@dataclass(frozen=True)
-class CurveSample:
-    """One locus point in polar and Cartesian form."""
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """Sampled locus points as columns, one row per point.
 
-    theta: float
-    r: float
-    point: HPoint
+    sample_curve sorts the rows by (theta, r). rank is the root's column
+    in the per-angle solve: 0 for the smaller radius or a lone root, 1
+    for the larger. Every point lies in the upper half-plane, with the
+    checks HPoint makes.
+    """
+
+    theta: np.ndarray
+    r: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    rank: np.ndarray
+
+    def __post_init__(self):
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise GeometryError("curve points must have finite x and y")
+        if not (self.y > 0.0).all():
+            raise GeometryError(f"curve points require y > 0, got y={float(self.y.min())!r}")
+
+    def __len__(self) -> int:
+        return len(self.theta)
 
 
 @dataclass(frozen=True)
@@ -285,24 +302,28 @@ def theta_grid(n: int) -> np.ndarray:
     return np.linspace(margin, math.pi - margin, n)
 
 
-def sample_curve(cfg: TripleConfig, n: int) -> list[CurveSample]:
-    """Locus points from an n-angle sweep, sorted by (theta, r).
+def sample_curve(cfg: TripleConfig, n: int) -> Curve:
+    """Locus points from an n-angle sweep, rows sorted by (theta, r).
 
     Angles where the curve does not exist contribute nothing, so the
-    result discovers the theta-domain empirically; it may be empty only
-    in degenerate limits (the seven regimes all have nonempty loci).
+    result discovers the theta-domain empirically. It can be empty: the
+    ovals of the AboveQuadratic regime (b near a) and of the BelowHarmonic
+    regime (b near c) narrow around theta = pi/2 and can fall between two
+    grid angles. An odd n samples theta = pi/2, where r = b always lies
+    on the locus.
     """
     thetas = theta_grid(n)
     roots, _ = _solve_arrays(cfg, thetas)
-    samples: list[CurveSample] = []
-    for i, theta in enumerate(thetas):
-        for k in range(2):
-            s = roots[i, k]
-            if not np.isnan(s):
-                r = math.sqrt(s)
-                point = HPoint(r * math.cos(theta), r * math.sin(theta))
-                samples.append(CurveSample(float(theta), r, point))
-    return samples
+    # row-major: per angle, column 0 before column 1, i.e. ascending r
+    rows, rank = np.nonzero(~np.isnan(roots))
+    theta = thetas[rows]
+    r = np.sqrt(roots[rows, rank])
+    # math.cos and math.sin, not numpy's: numpy may use its own vector
+    # routines on some CPUs, and the output bytes must not depend on that
+    angles = theta.tolist()
+    x = r * np.fromiter(map(math.cos, angles), float, len(angles))
+    y = r * np.fromiter(map(math.sin, angles), float, len(angles))
+    return Curve(theta, r, x, y, rank)
 
 
 def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
@@ -347,14 +368,10 @@ def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
     return math.atan2(abs(cross), dot)
 
 
-def samples_to_csv(samples: list[CurveSample]) -> str:
+def samples_to_csv(curve: Curve) -> str:
     """CSV serialization with header theta,r,x,y at 17 significant digits."""
-    lines = ["theta,r,x,y"]
-    for s in samples:
-        lines.append(
-            f"{fmt17(s.theta)},{fmt17(s.r)},{fmt17(s.point.x)},{fmt17(s.point.y)}"
-        )
-    return "\n".join(lines) + "\n"
+    table = np.column_stack((curve.theta, curve.r, curve.x, curve.y))
+    return "theta,r,x,y\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(curve)) % tuple(table.ravel().tolist())
 
 
 def classification_report(cfg: TripleConfig, eps: float = 1e-12) -> dict:

@@ -1,7 +1,8 @@
 """Text output helpers: fixed 17-significant-digit number formatting.
 
-Every float that reaches a CSV, JSON or SVG byte stream goes through
-fmt17, so outputs are round-trip safe and byte-identical across runs.
+Every float that reaches a CSV, JSON or SVG byte stream is printed as
+%.17g, through fmt17 or, for whole curves, one %-template of that
+format, so outputs are round-trip safe and byte-identical across runs.
 """
 
 from __future__ import annotations

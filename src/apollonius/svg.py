@@ -2,19 +2,21 @@
 
 Output is a plain polyline plot in mathematical coordinates (y up, done
 with a flip transform), with the boundary axis y = 0 drawn and the
-viewBox fitted to the samples with a 5% margin. Polylines break wherever
-consecutive samples jump more than ten times the median spacing, so
-hyperbola gaps and lemniscate nodes do not get bridged by chords. All
-numbers go through the 17-digit formatter; bytes are identical across
-runs for identical input.
+viewBox fitted to the samples with a 5% margin. Each root rank of the
+curve is one branch, and a branch breaks wherever consecutive samples
+jump more than ten times its median spacing, so hyperbola gaps and
+lemniscate nodes do not get bridged by chords. All numbers are printed
+as %.17g; bytes are identical across runs for identical input.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .halfplane import GeometryError
-from .locus import CurveSample
+from .locus import Curve
 from .serialize import fmt17
 
 __all__ = ["render_svg"]
@@ -22,44 +24,27 @@ __all__ = ["render_svg"]
 _JUMP_FACTOR = 10.0
 
 
-def _branches(samples: list[CurveSample]) -> list[list[CurveSample]]:
-    """Group samples into theta-branches by root rank at each angle."""
-    by_theta: dict[float, list[CurveSample]] = {}
-    for s in samples:
-        by_theta.setdefault(s.theta, []).append(s)
-    ranked: dict[int, list[CurveSample]] = {}
-    for theta in sorted(by_theta):
-        group = sorted(by_theta[theta], key=lambda s: s.r)
-        for rank, s in enumerate(group):
-            ranked.setdefault(rank, []).append(s)
-    return [ranked[rank] for rank in sorted(ranked)]
-
-
-def _split_on_jumps(branch: list[CurveSample]) -> list[list[CurveSample]]:
-    if len(branch) < 2:
-        return [branch]
-    gaps = [
-        math.hypot(q.point.x - p.point.x, q.point.y - p.point.y)
-        for p, q in zip(branch, branch[1:])
-    ]
+def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
+    """Index ranges [start, stop) of a branch's pieces between jumps."""
+    if len(xs) < 2:
+        return [(0, len(xs))]
+    # math.hypot, not np.hypot, whose rounding differs on some pairs; and
+    # the upper middle gap, not np.median's mean of the two middle ones
+    gaps = list(map(math.hypot, np.diff(xs).tolist(), np.diff(ys).tolist()))
     median = sorted(gaps)[len(gaps) // 2]
-    cutoff = _JUMP_FACTOR * median
-    pieces: list[list[CurveSample]] = [[branch[0]]]
-    for gap, sample in zip(gaps, branch[1:]):
-        if median > 0.0 and gap > cutoff:
-            pieces.append([])
-        pieces[-1].append(sample)
-    return pieces
+    if not median > 0.0:
+        return [(0, len(xs))]
+    cuts = (np.flatnonzero(np.array(gaps) > _JUMP_FACTOR * median) + 1).tolist()
+    bounds = [0, *cuts, len(xs)]
+    return list(zip(bounds, bounds[1:]))
 
 
-def render_svg(samples: list[CurveSample], viewport: tuple[int, int] = (800, 600)) -> str:
+def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
     """SVG document text for the sampled curve."""
-    if not samples:
-        raise GeometryError("cannot render an empty sample list")
-    xs = [s.point.x for s in samples]
-    ys = [s.point.y for s in samples]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(0.0, min(ys)), max(ys)
+    if not len(curve):
+        raise GeometryError("cannot render an empty curve")
+    x_lo, x_hi = float(curve.x.min()), float(curve.x.max())
+    y_lo, y_hi = min(0.0, float(curve.y.min())), float(curve.y.max())
     pad_x = 0.05 * (x_hi - x_lo) or 0.05
     pad_y = 0.05 * (y_hi - y_lo) or 0.05
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
@@ -75,11 +60,16 @@ def render_svg(samples: list[CurveSample], viewport: tuple[int, int] = (800, 600
         f'<line x1="{fmt17(x_lo)}" y1="0" x2="{fmt17(x_hi)}" y2="0" '
         f'stroke="#888888" stroke-width="{fmt17(stroke)}"/>',
     ]
-    for branch in _branches(samples):
-        for piece in _split_on_jumps(branch):
-            if len(piece) < 2:
+    # a range, not np.unique: numpy's sort would map more of its library
+    # into memory than the whole curve takes
+    for rank in range(int(curve.rank.max()) + 1):
+        on_branch = curve.rank == rank
+        xs, ys = curve.x[on_branch], curve.y[on_branch]
+        for start, stop in _split_on_jumps(xs, ys):
+            if stop - start < 2:
                 continue
-            points = " ".join(f"{fmt17(s.point.x)},{fmt17(s.point.y)}" for s in piece)
+            coords = np.column_stack((xs[start:stop], ys[start:stop])).ravel().tolist()
+            points = " ".join(["%.17g,%.17g"] * (stop - start)) % tuple(coords)
             lines.append(
                 f'<polyline fill="none" stroke="#1f4e9c" '
                 f'stroke-width="{fmt17(stroke)}" points="{points}"/>'

@@ -27,7 +27,7 @@ from apollonius.fourpoint import (
     exists_hyper,
     find_witness_hyper,
 )
-from apollonius.halfplane import AxisPoint, GeometryError, equal_angle_residual
+from apollonius.halfplane import AxisPoint, GeometryError, HPoint, equal_angle_residual
 from apollonius.locus import AxisCircle, LocusClass, TripleConfig, classify, euclidean_locus, sample_curve
 from apollonius.probability import (
     HyperProbSetup,
@@ -67,27 +67,29 @@ def test_criterion_1_oracle_equivalence():
     configs.append(TripleConfig(4.0, 2.0, 1.0))
     for cfg in configs:
         a, b, c = AxisPoint(cfg.a), AxisPoint(cfg.b), AxisPoint(cfg.c)
-        samples = sample_curve(cfg, 256)
-        assert samples, cfg
-        for sample in samples:
-            residual = equal_angle_residual(sample.point, a, b, c).value
-            assert abs(residual) <= 1e-9, (cfg, sample.theta, residual)
+        curve = sample_curve(cfg, 256)
+        assert len(curve), cfg
+        for theta, x, y in zip(curve.theta.tolist(), curve.x.tolist(), curve.y.tolist()):
+            residual = equal_angle_residual(HPoint(x, y), a, b, c).value
+            assert abs(residual) <= 1e-9, (cfg, theta, residual)
     assert time.perf_counter() - started < 5.0
 
 
 @criterion(2, "boundary regimes satisfy their polar identities")
 def test_criterion_2_special_case_identities():
     for cfg in (TripleConfig(35.0, math.sqrt(175.0), 5.0), TripleConfig(4.0, 2.0, 1.0)):
-        for s in sample_curve(cfg, 256):
-            assert abs(s.r - cfg.b) <= 1e-12 * cfg.b
+        for r in sample_curve(cfg, 256).r.tolist():
+            assert abs(r - cfg.b) <= 1e-12 * cfg.b
 
     cfg = TripleConfig(35.0, 25.0, 5.0)
-    for s in sample_curve(cfg, 256):
-        assert abs(s.r**2 * math.cos(2 * s.theta) + cfg.b**2) <= 1e-9 * s.r**2
+    curve = sample_curve(cfg, 256)
+    for r, theta in zip(curve.r.tolist(), curve.theta.tolist()):
+        assert abs(r**2 * math.cos(2 * theta) + cfg.b**2) <= 1e-9 * r**2
 
     cfg = TripleConfig(35.0, 7.0, 5.0)
-    for s in sample_curve(cfg, 256):
-        assert abs(s.r**2 + cfg.b**2 * math.cos(2 * s.theta)) <= 1e-9 * cfg.b**2
+    curve = sample_curve(cfg, 256)
+    for r, theta in zip(curve.r.tolist(), curve.theta.tolist()):
+        assert abs(r**2 + cfg.b**2 * math.cos(2 * theta)) <= 1e-9 * cfg.b**2
 
 
 @criterion(3, "Euclidean baseline circle and its 2:1 distance ratio")

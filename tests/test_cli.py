@@ -5,11 +5,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import apollonius
 from apollonius.cli import run
-from apollonius.locus import TripleConfig, sample_curve
+from apollonius.locus import Curve, TripleConfig, sample_curve
 from apollonius.probability import HyperProbSetup, ph_quadrature
 from apollonius.svg import render_svg
 
@@ -120,6 +121,24 @@ class TestValidation:
             f"P_h(1.01) = {ends[0]!r}, P_h(1000.0) = {ends[1]!r}\n"
         )
 
+    @pytest.mark.parametrize("with_svg", [False, True], ids=["csv", "svg"])
+    def test_empty_sweep_exits_3_and_writes_nothing(self, with_svg, tmp_path, capsys):
+        # an AboveQuadratic oval narrower than the grid spacing around pi/2
+        triple = ["-a", "289.5518751638477", "-b", "289.1118833932628", "-c", "63.65994921183639"]
+        csv, svg = tmp_path / "out.csv", tmp_path / "out.svg"
+        argv = ["sample", *triple, "-n", "1024", "-o", str(csv)]
+        if with_svg:
+            argv += ["--svg", str(svg)]
+        assert run(argv) == 3
+        assert not csv.exists() and not svg.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("search failure: ")
+        assert "(289.5518751638477, 289.1118833932628, 63.65994921183639)" in err
+        assert "1024" in err and "odd -n" in err
+        # an odd grid samples theta = pi/2, which lies on the oval
+        assert run(["sample", *triple, "-n", "1023", "-o", str(csv)]) == 0
+        assert len(csv.read_text().splitlines()) == 3
+
     def test_unwritable_output_exits_1(self, capsys, monkeypatch):
         monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)
         rc = run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent_dir/x.json"])
@@ -150,42 +169,48 @@ class TestDeterminism:
         assert single.read_bytes() == pooled.read_bytes()
 
     def test_svg_reruns_bit_identical(self):
-        samples = sample_curve(TripleConfig(35, 30, 5), 48)
-        assert render_svg(samples) == render_svg(samples)
+        curve = sample_curve(TripleConfig(35, 30, 5), 48)
+        assert render_svg(curve) == render_svg(curve)
+
+
+def _rows(curve, index):
+    """The curve made of the given rows, in the given order."""
+    return Curve(*(column[index] for column in (curve.theta, curve.r, curve.x, curve.y, curve.rank)))
 
 
 class TestSvgStructure:
     def test_circle_is_single_polyline(self):
-        samples = sample_curve(TripleConfig(4, 2, 1), 64)
-        svg = render_svg(samples)
+        curve = sample_curve(TripleConfig(4, 2, 1), 64)
+        svg = render_svg(curve)
         assert svg.count("<polyline") == 1
         assert "<line" in svg  # boundary axis
 
     def test_oval_regime_has_two_branches(self):
-        samples = sample_curve(TripleConfig(35, 30, 5), 64)
-        svg = render_svg(samples)
+        curve = sample_curve(TripleConfig(35, 30, 5), 64)
+        svg = render_svg(curve)
         assert svg.count("<polyline") == 2
 
     def test_empty_samples_rejected(self):
         from apollonius.halfplane import GeometryError
 
+        curve = sample_curve(TripleConfig(4, 2, 1), 64)
         with pytest.raises(GeometryError):
-            render_svg([])
+            render_svg(_rows(curve, np.arange(0)))
 
     def test_jump_gap_splits_polyline(self):
         # synthetic branch with a hole: the two arcs must not be bridged
-        samples = sample_curve(TripleConfig(4, 2, 1), 64)
-        gappy = samples[:20] + samples[44:]
+        curve = sample_curve(TripleConfig(4, 2, 1), 64)
+        gappy = _rows(curve, np.r_[0:20, 44:64])
         svg = render_svg(gappy)
         assert svg.count("<polyline") == 2
 
     def test_viewbox_includes_axis_and_margin(self):
-        samples = sample_curve(TripleConfig(4, 2, 1), 64)
-        svg = render_svg(samples)
+        curve = sample_curve(TripleConfig(4, 2, 1), 64)
+        svg = render_svg(curve)
         viewbox = svg.split('viewBox="')[1].split('"')[0]
         x_lo, neg_y_hi, width, height = map(float, viewbox.split())
-        ys = [s.point.y for s in samples]
-        xs = [s.point.x for s in samples]
+        ys = curve.y.tolist()
+        xs = curve.x.tolist()
         assert -neg_y_hi >= max(ys)  # top edge above the data
         assert -neg_y_hi - height <= 0.0  # bottom edge at or below the axis
         assert x_lo <= min(xs) and x_lo + width >= max(xs)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from apollonius.halfplane import AxisPoint, GeometryError, OnAxisError, OrderingError, equal_angle_residual
+from apollonius.halfplane import AxisPoint, GeometryError, HPoint, OnAxisError, OrderingError, equal_angle_residual
 from apollonius.locus import (
     AxisCircle,
+    Curve,
     HorizontalLine,
     LocusClass,
     TripleConfig,
@@ -21,6 +22,7 @@ from apollonius.locus import (
     solve_r2,
     theta_grid,
 )
+from apollonius.svg import render_svg
 
 # the seven regimes at a=35, c=5, keyed by the middle height
 REGIME_CASES = [
@@ -169,30 +171,45 @@ class TestSolveR2:
                 assert t == pytest.approx(lam * lam * s, rel=1e-12)
 
 
+# ovals narrower than the grid spacing around pi/2: AboveQuadratic with
+# b near a (0.00305 rad wide against pi/1024), BelowHarmonic with b near c
+NARROW_OVALS = [
+    (TripleConfig(289.5518751638477, 289.1118833932628, 63.65994921183639), 1024),
+    (TripleConfig(0.4809855699200027, 0.16079956758193592, 0.15958737703644485), 64),
+]
+
+
 class TestSampleCurve:
     def test_circle_sample_count_and_radius(self):
-        samples = sample_curve(TripleConfig(4, 2, 1), 100)
-        assert len(samples) == 100
-        assert all(s.r == pytest.approx(2.0, abs=1e-13) for s in samples)
+        curve = sample_curve(TripleConfig(4, 2, 1), 100)
+        assert len(curve) == 100
+        assert all(r == pytest.approx(2.0, abs=1e-13) for r in curve.r.tolist())
 
     def test_hyperbola_window(self):
-        samples = sample_curve(TripleConfig(35, 25, 5), 100)
-        assert samples
-        assert all(math.pi / 4 < s.theta < 3 * math.pi / 4 for s in samples)
+        curve = sample_curve(TripleConfig(35, 25, 5), 100)
+        assert len(curve)
+        assert all(math.pi / 4 < t < 3 * math.pi / 4 for t in curve.theta.tolist())
 
     def test_sorted_by_theta_then_r(self):
-        samples = sample_curve(TripleConfig(35, 30, 5), 64)
-        keys = [(s.theta, s.r) for s in samples]
+        curve = sample_curve(TripleConfig(35, 30, 5), 64)
+        keys = list(zip(curve.theta.tolist(), curve.r.tolist()))
         assert keys == sorted(keys)
+
+    def test_rank_is_position_at_its_angle(self):
+        curve = sample_curve(TripleConfig(35, 30, 5), 64)
+        theta, rank = curve.theta.tolist(), curve.rank.tolist()
+        for i, (t, k) in enumerate(zip(theta, rank)):
+            assert k == (1 if i > 0 and theta[i - 1] == t else 0)
+        assert set(rank) == {0, 1}
 
     def test_scaling_moves_r_only(self):
         lam = 2.5
         base = sample_curve(TripleConfig(9, 4, 1.5), 50)
         scaled = sample_curve(TripleConfig(9, 4, 1.5).scaled(lam), 50)
         assert len(base) == len(scaled)
-        for s, t in zip(base, scaled):
-            assert t.theta == s.theta
-            assert t.r == pytest.approx(lam * s.r, rel=1e-12)
+        assert np.array_equal(scaled.theta, base.theta)
+        for s, t in zip(base.r.tolist(), scaled.r.tolist()):
+            assert t == pytest.approx(lam * s, rel=1e-12)
 
     def test_grid_margins(self):
         grid = theta_grid(8)
@@ -204,21 +221,22 @@ class TestSampleCurve:
     def test_points_satisfy_angle_oracle(self):
         cfg = TripleConfig(35, 10, 5)
         a, b, c = AxisPoint(35), AxisPoint(10), AxisPoint(5)
-        for s in sample_curve(cfg, 64):
-            assert abs(equal_angle_residual(s.point, a, b, c).value) <= 1e-9
+        curve = sample_curve(cfg, 64)
+        for x, y in zip(curve.x.tolist(), curve.y.tolist()):
+            assert abs(equal_angle_residual(HPoint(x, y), a, b, c).value) <= 1e-9
 
     def test_off_curve_points_fail_oracle(self):
         cfg = TripleConfig(35, 10, 5)
         a, b, c = AxisPoint(35), AxisPoint(10), AxisPoint(5)
-        for s in sample_curve(cfg, 16):
+        curve = sample_curve(cfg, 16)
+        for x, y in zip(curve.x.tolist(), curve.y.tolist()):
             for factor in (0.95, 1.05):
-                off = s.point
-                bumped = type(off)(off.x * factor, off.y * factor)
+                bumped = HPoint(x * factor, y * factor)
                 assert abs(equal_angle_residual(bumped, a, b, c).value) > 1e-9
 
     def test_csv_serialization(self):
-        samples = sample_curve(TripleConfig(4, 2, 1), 4)
-        text = samples_to_csv(samples)
+        curve = sample_curve(TripleConfig(4, 2, 1), 4)
+        text = samples_to_csv(curve)
         lines = text.strip().split("\n")
         assert lines[0] == "theta,r,x,y"
         assert len(lines) == 5
@@ -229,10 +247,36 @@ class TestSampleCurve:
     def test_samples_meet_eval_invariant(self, b):
         cfg = TripleConfig(35.0, b, 5.0)
         q = coefficients(cfg)
-        for s in sample_curve(cfg, 128):
-            bound = 1e-9 * max(abs(q.alpha) * s.r**4, abs(q.gamma), 1.0)
-            assert abs(eval_quartic(cfg, s.r, s.theta)) <= bound
-            assert s.point.y > 0.0
+        curve = sample_curve(cfg, 128)
+        for r, theta, y in zip(curve.r.tolist(), curve.theta.tolist(), curve.y.tolist()):
+            bound = 1e-9 * max(abs(q.alpha) * r**4, abs(q.gamma), 1.0)
+            assert abs(eval_quartic(cfg, r, theta)) <= bound
+            assert y > 0.0
+
+    @pytest.mark.parametrize("cfg,n", NARROW_OVALS, ids=["above-quadratic", "below-harmonic"])
+    def test_narrow_oval_missed_by_even_grid(self, cfg, n):
+        # both grid angles nearest pi/2 fall outside the oval; an odd grid
+        # samples pi/2 itself, where r = b lies on every locus
+        empty = sample_curve(cfg, n)
+        assert len(empty) == 0
+        assert samples_to_csv(empty) == "theta,r,x,y\n"
+        with pytest.raises(GeometryError):
+            render_svg(empty)
+        for odd in (n - 1, n + 1):
+            curve = sample_curve(cfg, odd)
+            assert len(curve) == 2
+            assert curve.theta[0] == curve.theta[1] == pytest.approx(math.pi / 2, rel=1e-15)
+            assert any(r == pytest.approx(cfg.b, rel=1e-12) for r in curve.r.tolist())
+
+    @pytest.mark.parametrize(
+        "x,y",
+        [([1.0, math.inf], [1.0, 1.0]), ([1.0, 1.0], [1.0, math.nan]), ([1.0, 1.0], [1.0, 0.0]), ([1.0], [-2.0])],
+    )
+    def test_curve_rejects_points_off_the_half_plane(self, x, y):
+        # the checks HPoint makes per point, over the columns
+        n = len(x)
+        with pytest.raises(GeometryError):
+            Curve(np.ones(n), np.ones(n), np.array(x), np.array(y), np.zeros(n, dtype=np.intp))
 
 
 class TestEuclideanLocus:

@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from apollonius.fourpoint import (
     HYPER_WITNESS_TOL,
@@ -24,7 +24,10 @@ from apollonius.halfplane import (
     hyp_angle,
     hyp_distance,
 )
-from apollonius.locus import TripleConfig, coefficients, eval_quartic, sample_curve, solve_r2
+from apollonius.locus import TripleConfig, coefficients, eval_quartic, sample_curve, samples_to_csv, solve_r2
+from apollonius.svg import render_svg
+
+import _object_path as object_path
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -54,6 +57,39 @@ def triples(draw):
     b = c * (1.0 + draw(st.floats(min_value=0.1, max_value=2.0)))
     a = b * (1.0 + draw(st.floats(min_value=0.1, max_value=2.0)))
     return TripleConfig(a, b, c)
+
+
+@st.composite
+def regime_triples(draw):
+    # b in any of the seven regimes of (a, c): an open interval between
+    # two means, or a mean itself
+    c = draw(st.floats(min_value=0.05, max_value=10.0))
+    a = c * math.exp(draw(st.floats(min_value=1e-3, max_value=4.0)))
+    q = math.sqrt(0.5 * (a * a + c * c))
+    g = math.sqrt(a * c)
+    h = a * c * math.sqrt(2.0 / (a * a + c * c))
+    f = draw(st.floats(min_value=0.01, max_value=0.99))
+    middles = (q + (a - q) * f, q, g + (q - g) * f, g, h + (g - h) * f, h, c + (h - c) * f)
+    b = middles[draw(st.integers(min_value=0, max_value=6))]
+    assume(a > b > c)
+    return a, b, c
+
+
+@st.composite
+def near_coincident_triples(draw):
+    c = draw(st.floats(min_value=0.05, max_value=10.0))
+    b = c * (1.0 + draw(st.floats(min_value=1e-9, max_value=1e-3)))
+    a = b * (1.0 + draw(st.floats(min_value=1e-9, max_value=1e-3)))
+    assume(a > b > c)
+    return a, b, c
+
+
+@st.composite
+def curve_triples(draw):
+    # scaling by a power of two is exact, so it moves only the exponents
+    heights = draw(st.one_of(regime_triples(), near_coincident_triples()))
+    scale = 2.0 ** draw(st.integers(min_value=-40, max_value=40))
+    return TripleConfig(*(scale * h for h in heights))
 
 
 @st.composite
@@ -91,6 +127,8 @@ def near_boundary_heights(draw):
 
 class TestGeodesicProperties:
     @given(distinct_hpoint_pairs())
+    # abscissas a subnormal apart: the arc center overflows
+    @example((HPoint(0.0, 1.0), HPoint(2.225073858507203e-309, 2.0)))
     def test_endpoints_on_curve(self, pair):
         p, q = pair
         g = geodesic_through(p, q)
@@ -165,8 +203,9 @@ class TestResidualProperties:
     @settings(max_examples=40)
     def test_samples_satisfy_oracle(self, cfg):
         a, b, c = AxisPoint(cfg.a), AxisPoint(cfg.b), AxisPoint(cfg.c)
-        for sample in sample_curve(cfg, 24):
-            assert abs(equal_angle_residual(sample.point, a, b, c).value) <= 1e-9
+        curve = sample_curve(cfg, 24)
+        for x, y in zip(curve.x.tolist(), curve.y.tolist()):
+            assert abs(equal_angle_residual(HPoint(x, y), a, b, c).value) <= 1e-9
 
     @pytest.mark.parametrize("heights", [(1.02, 1.01, 1.0), (1.0002, 1.0001, 1.0)])
     def test_oracle_survives_nearly_equal_heights(self, heights):
@@ -175,10 +214,10 @@ class TestResidualProperties:
         # oracle equivalence stays far inside 1e-9 even here
         cfg = TripleConfig(*heights)
         a, b, c = AxisPoint(cfg.a), AxisPoint(cfg.b), AxisPoint(cfg.c)
-        samples = sample_curve(cfg, 64)
-        assert samples
-        for sample in samples:
-            assert abs(equal_angle_residual(sample.point, a, b, c).value) <= 1e-11
+        curve = sample_curve(cfg, 64)
+        assert len(curve)
+        for x, y in zip(curve.x.tolist(), curve.y.tolist()):
+            assert abs(equal_angle_residual(HPoint(x, y), a, b, c).value) <= 1e-11
 
 
 class TestQuarticProperties:
@@ -208,6 +247,19 @@ class TestQuarticProperties:
         a2, b2, c2 = cfg.a**2, cfg.b**2, cfg.c**2
         scale = 2 * b2**3 + 2 * b2 * a2 * c2 + b2 * b2 * (a2 + c2)
         assert abs(residual) <= 1e-14 * max(scale, 1.0)
+
+
+class TestCurveColumns:
+    @pytest.mark.parametrize("parity", [0, 1], ids=["even", "odd"])
+    @given(curve_triples(), st.integers(min_value=1, max_value=200))
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_object_path(self, parity, cfg, half):
+        n = 2 * half + parity
+        samples, curve = object_path.sample_curve(cfg, n), sample_curve(cfg, n)
+        assert len(curve) == len(samples)
+        assert samples_to_csv(curve) == object_path.samples_to_csv(samples)
+        if samples:
+            assert render_svg(curve) == object_path.render_svg(samples)
 
 
 class TestCrossRatioProperties:
