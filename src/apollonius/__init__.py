@@ -10,6 +10,8 @@ quadrature, and generates the integer height triples that realize the
 boundary shapes exactly.
 """
 
+from importlib import import_module as _import_module
+
 from .diophantine import (
     FamilyKind,
     IntTriple,
@@ -68,20 +70,46 @@ from .locus import (
     solve_r2,
     theta_grid,
 )
-from .probability import (
-    HyperProbSetup,
-    ProbEstimate,
-    calibrate_ratio,
-    estimate_pe,
-    estimate_ph,
-    pe_closed_form,
-    pe_quadrature,
-    ph_reference_constant,
-    ph_quadrature,
-    sample_config_euclid,
-    sample_config_hyper,
-)
-from .rng import SampleStream
-from .svg import render_svg
+# Names whose modules import numpy resolve on first use (PEP 562), so
+# that the subcommands computing without numpy start without it. The
+# submodules that no eager import binds resolve the same way.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "HyperProbSetup",
+            "ProbEstimate",
+            "calibrate_ratio",
+            "estimate_pe",
+            "estimate_ph",
+            "pe_closed_form",
+            "pe_quadrature",
+            "ph_reference_constant",
+            "ph_quadrature",
+            "sample_config_euclid",
+            "sample_config_hyper",
+        ),
+        "probability",
+    ),
+    "SampleStream": "rng",
+    "render_svg": "svg",
+}
+_LAZY_MODULES = ("probability", "rng", "serialize", "svg")
+
+__all__ = sorted({n for n in globals() if not n.startswith("_")} | {*_LAZY, *_LAZY_MODULES})
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+    elif name in _LAZY_MODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

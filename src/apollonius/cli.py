@@ -12,6 +12,9 @@ Subcommands map one-to-one onto library operations:
 Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
 failure, 1 internal error. With APOLLONIUS_DEBUG=1 in the environment an
 internal error propagates with its traceback instead.
+
+Only sample and prob load numpy; their handlers import the modules that
+use it, so the other subcommands start without it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import os
 import sys
 
 from . import diophantine as dio
-from . import probability as prob
 from .fourpoint import (
     FourConfig,
     Geometry,
@@ -45,7 +47,6 @@ from .locus import (
     samples_to_csv,
 )
 from .serialize import render_json
-from .svg import render_svg
 
 
 # ratios searched by prob ph --calibrate
@@ -93,6 +94,8 @@ def _cmd_sample(args) -> int:
         )
         return 3
     if args.svg is not None:
+        from .svg import render_svg
+
         _write(render_svg(curve), args.svg)
     _write(samples_to_csv(curve), args.output)
     return 0
@@ -132,6 +135,8 @@ def _cmd_fourpoint(args) -> int:
 
 
 def _cmd_prob(args) -> int:
+    from . import probability as prob
+
     if args.n < 1:
         raise ValidationError(f"-n must be at least 1, got {args.n}")
     if args.threads < 1:

@@ -176,7 +176,8 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     the strict inequality at cross-ratio 3. A short Newton polish on the
     two angle residuals absorbs the precision the locus parameters lose
     when the middle heights nearly coincide (tiny circles computed from
-    large products).
+    large products). A point still over the Witness residual bound raises
+    WitnessSearchError.
     """
     _require(cfg, Geometry.EUCLIDEAN)
     if not exists_euclid(cfg):
@@ -189,6 +190,9 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     x, y = _polish_euclid(cfg, *xy)
     res1 = euclidean_equal_angle_residual((x, y), cfg.a, cfg.b, cfg.c)
     res2 = euclidean_equal_angle_residual((x, y), cfg.b, cfg.c, cfg.d)
+    worst = max(abs(res1), abs(res2))
+    if worst > HYPER_WITNESS_TOL:  # the bound Witness holds in both geometries
+        raise _search_error(cfg, f"the loci meet at residual {worst:.3e} > {HYPER_WITNESS_TOL}")
     return Witness(x, y, (res1, res2))
 
 
@@ -271,7 +275,7 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     a2, b2, c2, d2 = (h * h for h in (unit.a, unit.b, unit.c, unit.d))
     try:
         flat = find_witness_euclid(FourConfig(-d2, -c2, -b2, -a2, Geometry.EUCLIDEAN))
-    except GeometryError as exc:  # the Witness residual bound, which both geometries share
+    except WitnessSearchError as exc:
         raise _search_error(cfg, f"the flat witness of the squared heights failed: {exc}") from exc
     if flat is None:
         raise _search_error(cfg, "the flat problem of the squared heights returned no witness")
@@ -289,9 +293,9 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
 
 
 def _search_error(cfg: FourConfig, cause: str) -> WitnessSearchError:
-    return WitnessSearchError(
-        f"existence holds (cross-ratio {cross_ratio_hyper(cfg):.6g} < 3) but {cause}"
-    )
+    hyper = cfg.geometry is Geometry.HYPERBOLIC
+    cross_ratio = cross_ratio_hyper(cfg) if hyper else cross_ratio_euclid(cfg)
+    return WitnessSearchError(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but {cause}")
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:

@@ -25,6 +25,9 @@ asserting it.
 The Euclidean counterpart (same equal-angle condition in the flat plane)
 is a horizontal line when b = (a + c)/2 and otherwise the circle with
 diameter from (0, b) to (0, y_d), y_d = (2ac - bc - ab)/(a + c - 2b).
+
+numpy is imported inside the functions that sweep angle arrays, so that
+classify and the Euclidean locus run without loading it.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Union
-
-import numpy as np
 
 from .halfplane import (
     GeometryError,
@@ -131,6 +132,8 @@ class Curve:
     rank: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise GeometryError("curve points must have finite x and y")
         if not (self.y > 0.0).all():
@@ -252,6 +255,8 @@ def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
     """
     if not (0.0 < theta < math.pi):
         raise GeometryError(f"theta must lie in (0, pi), got {theta!r}")
+    import numpy as np
+
     roots, _ = _solve_arrays(cfg, np.array([theta]))
     return [float(s) for s in roots[0] if not np.isnan(s)]
 
@@ -263,6 +268,8 @@ def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> tuple[np.ndarray, np
     root does not exist, plus the cos(2 theta) array (reused by callers).
     Matches the scalar path bit for bit: same formulas, same order.
     """
+    import numpy as np
+
     q = coefficients(cfg)
     cos2t = np.cos(2.0 * thetas)
     n = thetas.shape[0]
@@ -298,6 +305,8 @@ def theta_grid(n: int) -> np.ndarray:
     """Uniform n-point angle grid on (0, pi) with a pi/(4n) endpoint margin."""
     if n < 2:
         raise GeometryError(f"need n >= 2 grid points, got {n!r}")
+    import numpy as np
+
     margin = math.pi / (4 * n)
     return np.linspace(margin, math.pi - margin, n)
 
@@ -312,6 +321,8 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     grid angles. An odd n samples theta = pi/2, where r = b always lies
     on the locus.
     """
+    import numpy as np
+
     thetas = theta_grid(n)
     roots, _ = _solve_arrays(cfg, thetas)
     # row-major: per angle, column 0 before column 1, i.e. ascending r
@@ -370,6 +381,8 @@ def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
 
 def samples_to_csv(curve: Curve) -> str:
     """CSV serialization with header theta,r,x,y at 17 significant digits."""
+    import numpy as np
+
     table = np.column_stack((curve.theta, curve.r, curve.x, curve.y))
     return "theta,r,x,y\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(curve)) % tuple(table.ravel().tolist())
 

@@ -1,14 +1,10 @@
 """End-to-end CLI tests against committed golden files."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-import apollonius
 from apollonius.cli import run
 from apollonius.locus import Curve, TripleConfig, sample_curve
 from apollonius.probability import HyperProbSetup, ph_quadrature
@@ -235,10 +231,10 @@ def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
     assert "cross-ratio" in capsys.readouterr().err
 
 
-def test_import_loads_no_scipy():
-    # the package depends on numpy alone; scipy's import used to be most of a CLI run
-    code = "import sys, apollonius.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    src = str(Path(apollonius.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout == "[]\n"
+def test_unresolvable_euclid_witness_exits_3(capsys):
+    # b - c = 1e-10: existence holds, but no float point meets the residual bound
+    argv = ["fourpoint", "--geometry", "euclid", "-a", "20", "-b", "10.0000000001", "-c", "10", "-d", "0"]
+    assert run(argv + ["--witness"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search failure: existence holds (cross-ratio 2e-11 < 3)")

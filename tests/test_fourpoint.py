@@ -153,6 +153,14 @@ class TestFindWitnessEuclid:
         assert w is not None
         assert max(abs(r) for r in w.residuals) <= EUCLID_WITNESS_TOL
 
+    def test_unresolvable_middle_pair_is_a_search_failure(self):
+        # b - c = 1e-10: the loci meet where the float residuals are 1.5e-5,
+        # over the Witness bound, so this is a search failure, not bad input
+        cfg = euclid(20.0, 10.0000000001, 10.0, 0.0)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"cross-ratio 2e-11 < 3.*residual 1\.5\d*e-05"):
+            find_witness_euclid(cfg)
+
     def test_random_sweep_residuals_meet_contract(self):
         worst = 0.0
         for index in range(800):
@@ -218,6 +226,19 @@ class TestFindWitnessHyper:
         monkeypatch.setattr(fp, "find_witness_euclid", lambda cfg: None)
         with pytest.raises(WitnessSearchError, match="cross-ratio"):
             find_witness_hyper(hyper(10, 6, 5, 1))
+
+    def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
+        import apollonius.fourpoint as fp
+
+        def failing(cfg):
+            raise WitnessSearchError("flat cause")
+
+        monkeypatch.setattr(fp, "find_witness_euclid", failing)
+        cross_ratio = cross_ratio_hyper(hyper(10, 6, 5, 1))
+        with pytest.raises(WitnessSearchError) as info:
+            find_witness_hyper(hyper(10, 6, 5, 1))
+        assert str(info.value).startswith(f"existence holds (cross-ratio {cross_ratio:.6g} < 3)")
+        assert str(info.value).endswith("squared heights failed: flat cause")
 
     @pytest.mark.parametrize(
         "heights",
