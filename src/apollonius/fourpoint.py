@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 from .halfplane import AxisPoint, GeometryError, HPoint, OrderingError, equal_angle_residual
-from .locus import HorizontalLine, euclidean_equal_angle_residual, euclidean_locus
+from .locus import HorizontalLine, _euclid_angle, euclidean_locus
 
 __all__ = [
     "Geometry",
@@ -88,10 +88,9 @@ class FourConfig:
         values = (self.a, self.b, self.c, self.d)
         if not all(math.isfinite(v) for v in values):
             raise GeometryError(f"heights must be finite, got {values}")
-        if not (self.a > self.b > self.c > self.d):
-            raise OrderingError(f"heights must satisfy a > b > c > d, got {values}")
-        if self.geometry is Geometry.HYPERBOLIC and self.d <= 0:
-            raise GeometryError(f"hyperbolic heights must be positive, got d={self.d!r}")
+        _check_ordered(*values)
+        if self.geometry is Geometry.HYPERBOLIC:
+            _check_positive(self.d)
 
     def scaled(self, factor: float) -> "FourConfig":
         return FourConfig(
@@ -104,6 +103,16 @@ class FourConfig:
         return FourConfig(
             self.a + offset, self.b + offset, self.c + offset, self.d + offset, self.geometry
         )
+
+
+def _check_ordered(a: float, b: float, c: float, d: float) -> None:
+    if not (a > b > c > d):
+        raise OrderingError(f"heights must satisfy a > b > c > d, got {(a, b, c, d)}")
+
+
+def _check_positive(d: float) -> None:
+    if d <= 0:
+        raise GeometryError(f"hyperbolic heights must be positive, got d={d!r}")
 
 
 @dataclass(frozen=True)
@@ -125,10 +134,14 @@ def _require(cfg: FourConfig, geometry: Geometry) -> None:
         raise GeometryError(f"operation expects a {geometry.value}-tagged config")
 
 
+def _cross_ratio(a: float, b: float, c: float, d: float) -> float:
+    return ((b - c) / (a - b)) / ((c - d) / (a - d))
+
+
 def cross_ratio_euclid(cfg: FourConfig) -> float:
     """((b-c)/(a-b)) / ((c-d)/(a-d)); always positive for ordered heights."""
     _require(cfg, Geometry.EUCLIDEAN)
-    return ((cfg.b - cfg.c) / (cfg.a - cfg.b)) / ((cfg.c - cfg.d) / (cfg.a - cfg.d))
+    return _cross_ratio(cfg.a, cfg.b, cfg.c, cfg.d)
 
 
 def cross_ratio_hyper(cfg: FourConfig) -> float:
@@ -140,21 +153,30 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
     to squaring them directly wherever those squares are normal floats.
     """
     _require(cfg, Geometry.HYPERBOLIC)
-    unit, _ = _normalized(cfg)
-    squares = FourConfig(
-        unit.a * unit.a, unit.b * unit.b, unit.c * unit.c, unit.d * unit.d, Geometry.EUCLIDEAN
-    )
-    return cross_ratio_euclid(squares)
+    return _cross_ratio(*_squared(*_normalized(cfg)[:4]))
 
 
-def _normalized(cfg: FourConfig) -> tuple[FourConfig, int]:
-    """cfg divided by 2^k, the power of two that puts a in [0.5, 1), and k.
+def _normalized(cfg: FourConfig) -> tuple[float, float, float, float, int]:
+    """cfg's heights divided by 2^k, the power of two that puts a in [0.5, 1), and k.
 
     Dividing by a power of two is exact, keeps every square finite and
-    changes neither a cross-ratio nor a hyperbolic angle.
+    changes neither a cross-ratio nor a hyperbolic angle. Heights far
+    below a can round into the subnormals, so the copy is checked as a
+    config is.
     """
     k = math.frexp(cfg.a)[1]
-    return cfg.scaled(math.ldexp(1.0, -k)), k
+    factor = math.ldexp(1.0, -k)
+    a, b, c, d = cfg.a * factor, cfg.b * factor, cfg.c * factor, cfg.d * factor
+    _check_ordered(a, b, c, d)
+    _check_positive(d)
+    return a, b, c, d, k
+
+
+def _squared(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
+    """The squared heights, checked still ordered (nearly equal tiny ones can collapse)."""
+    squares = (a * a, b * b, c * c, d * d)
+    _check_ordered(*squares)
+    return squares
 
 
 def exists_euclid(cfg: FourConfig) -> bool:
@@ -168,37 +190,41 @@ def exists_hyper(cfg: FourConfig) -> bool:
 
 
 def find_witness_euclid(cfg: FourConfig) -> Witness | None:
-    """Intersect the two Euclidean loci analytically.
+    """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
-    Both loci are centered on the y-axis, so circle-circle intersection
-    reduces to one linear equation for y. Parallel line loci and
-    tangency (which lands on the axis) yield no witness, consistent with
-    the strict inequality at cross-ratio 3. A short Newton polish on the
-    two angle residuals absorbs the precision the locus parameters lose
-    when the middle heights nearly coincide (tiny circles computed from
-    large products). A point still over the Witness residual bound raises
-    WitnessSearchError.
+    Both loci are circles centered on the y-axis (or a horizontal line),
+    so their intersection reduces to one linear equation for y. A short
+    Newton polish on the two angle residuals then absorbs the precision
+    the locus parameters lose when the middle heights nearly coincide.
+    The witness carries the residuals of the point the polish accepted,
+    each within EUCLID_WITNESS_TOL.
+
+    Where the cross-ratio is below 3 but no float point meets that bound,
+    WitnessSearchError names the cause: loci that meet tangentially on
+    the axis (or are parallel lines or concentric circles in floats), or
+    the residual of the best point, which reads nan where gaps between
+    heights past ~1e154 overflow the loci.
     """
     _require(cfg, Geometry.EUCLIDEAN)
-    if not exists_euclid(cfg):
-        return None
-    upper = euclidean_locus(cfg.a, cfg.b, cfg.c)
-    lower = euclidean_locus(cfg.b, cfg.c, cfg.d)
-    xy = _intersect_axis_loci(upper, lower)
-    if xy is None:
-        return None
-    x, y = _polish_euclid(cfg, *xy)
-    res1 = euclidean_equal_angle_residual((x, y), cfg.a, cfg.b, cfg.c)
-    res2 = euclidean_equal_angle_residual((x, y), cfg.b, cfg.c, cfg.d)
-    worst = max(abs(res1), abs(res2))
-    if worst > HYPER_WITNESS_TOL:  # the bound Witness holds in both geometries
-        raise _search_error(cfg, f"the loci meet at residual {worst:.3e} > {HYPER_WITNESS_TOL}")
-    return Witness(x, y, (res1, res2))
+    flat = _flat_witness(cfg.a, cfg.b, cfg.c, cfg.d, EUCLID_WITNESS_TOL)
+    return None if flat is None else Witness(*flat)
 
 
-def _intersect_axis_loci(upper, lower) -> tuple[float, float] | None:
+def _flat_witness(a: float, b: float, c: float, d: float, tol: float):
+    """(x, y, residuals) of the flat witness of ordered heights, or None if none exists.
+
+    The existence test, the two loci, their intersection and the polish,
+    on heights the caller has validated. Where existence holds but the
+    float loci do not cross off the axis, or the polished point has a
+    residual over tol, WitnessSearchError names the cause.
+    """
+    cross_ratio = _cross_ratio(a, b, c, d)
+    if not cross_ratio < EXISTENCE_THRESHOLD:
+        return None
+    upper = euclidean_locus(a, b, c)
+    lower = euclidean_locus(b, c, d)
     if isinstance(upper, HorizontalLine) and isinstance(lower, HorizontalLine):
-        return None  # parallel lines: the equally-spaced degenerate case
+        raise _search_error(cross_ratio, "the loci are parallel lines")
     if isinstance(upper, HorizontalLine):
         y = upper.height
         circle = lower
@@ -209,7 +235,7 @@ def _intersect_axis_loci(upper, lower) -> tuple[float, float] | None:
         k1, r1 = upper.center_y, upper.radius
         k2, r2 = lower.center_y, lower.radius
         if k1 == k2:
-            return None  # concentric circles cannot meet
+            raise _search_error(cross_ratio, f"the loci are concentric circles (center {k1:.3e})")
         # factored form: differencing the squares directly loses the whole
         # answer when both circles are small and nearly coincident
         y = 0.5 * (k1 + k2) + (r1 - r2) * (r1 + r2) / (2.0 * (k2 - k1))
@@ -217,28 +243,35 @@ def _intersect_axis_loci(upper, lower) -> tuple[float, float] | None:
     dy = y - circle.center_y
     x2 = (circle.radius - dy) * (circle.radius + dy)
     if x2 <= 0.0:
-        return None  # tangency sits on the axis, hence is not a witness
-    return math.sqrt(x2), y
-
-
-def _polish_euclid(cfg: FourConfig, x: float, y: float) -> tuple[float, float]:
-    """Newton-polish the intersection against the exact angle residuals."""
-
-    def residuals(px, py):
-        return (
-            euclidean_equal_angle_residual((px, py), cfg.a, cfg.b, cfg.c),
-            euclidean_equal_angle_residual((px, py), cfg.b, cfg.c, cfg.d),
+        raise _search_error(
+            cross_ratio,
+            f"the loci meet tangentially, on the axis (x^2 = {x2:.3e}; "
+            f"the cross-ratio is {EXISTENCE_THRESHOLD - cross_ratio:.3e} below 3)",
         )
+    x, y, res1, res2 = _polish_euclid(a, b, c, d, math.sqrt(x2), y)
+    worst = max(abs(res1), abs(res2))
+    if not worst <= tol:  # NaN too: gaps between heights past ~1e154 overflow the loci
+        raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {tol}")
+    return x, y, (res1, res2)
 
+
+def _residuals(a: float, b: float, c: float, d: float, x: float, y: float) -> tuple[float, float]:
+    """The two Euclidean angle residuals at (x, y); they share the middle angle."""
+    middle = _euclid_angle(x, y, b, c)
+    return _euclid_angle(x, y, a, b) - middle, middle - _euclid_angle(x, y, c, d)
+
+
+def _polish_euclid(a: float, b: float, c: float, d: float, x: float, y: float):
+    """Newton-polish (x, y) against the angle residuals; the point kept and its residuals."""
+    f1, f2 = _residuals(a, b, c, d, x, y)
     for _ in range(3):
-        f1, f2 = residuals(x, y)
         if max(abs(f1), abs(f2)) <= 1e-13:
             break
         h = 1e-7 * max(abs(x), abs(y), 1e-6)
-        d1x = (euclidean_equal_angle_residual((x + h, y), cfg.a, cfg.b, cfg.c) - f1) / h
-        d2x = (euclidean_equal_angle_residual((x + h, y), cfg.b, cfg.c, cfg.d) - f2) / h
-        d1y = (euclidean_equal_angle_residual((x, y + h), cfg.a, cfg.b, cfg.c) - f1) / h
-        d2y = (euclidean_equal_angle_residual((x, y + h), cfg.b, cfg.c, cfg.d) - f2) / h
+        g1, g2 = _residuals(a, b, c, d, x + h, y)
+        d1x, d2x = (g1 - f1) / h, (g2 - f2) / h
+        g1, g2 = _residuals(a, b, c, d, x, y + h)
+        d1y, d2y = (g1 - f1) / h, (g2 - f2) / h
         det = d1x * d2y - d1y * d2x
         if det == 0.0 or not math.isfinite(det):
             break
@@ -247,11 +280,11 @@ def _polish_euclid(cfg: FourConfig, x: float, y: float) -> tuple[float, float]:
         nx, ny = x - step_x, y - step_y
         if nx == 0.0:
             break  # polishing must not land on the axis
-        g1, g2 = residuals(nx, ny)
+        g1, g2 = _residuals(a, b, c, d, nx, ny)
         if max(abs(g1), abs(g2)) >= max(abs(f1), abs(f2)):
             break
-        x, y = nx, ny
-    return x, y
+        x, y, f1, f2 = nx, ny, g1, g2
+    return x, y, f1, f2
 
 
 def find_witness_hyper(cfg: FourConfig) -> Witness | None:
@@ -269,32 +302,33 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     is a witness too).
     """
     _require(cfg, Geometry.HYPERBOLIC)
-    if not exists_hyper(cfg):
+    a, b, c, d, k = _normalized(cfg)
+    a2, b2, c2, d2 = _squared(a, b, c, d)
+    cross_ratio = _cross_ratio(a2, b2, c2, d2)
+    if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
-    unit, k = _normalized(cfg)
-    a2, b2, c2, d2 = (h * h for h in (unit.a, unit.b, unit.c, unit.d))
     try:
-        flat = find_witness_euclid(FourConfig(-d2, -c2, -b2, -a2, Geometry.EUCLIDEAN))
+        # 1e-8, not the Euclidean contract: the hyperbolic oracle judges the mapped point
+        flat = _flat_witness(-d2, -c2, -b2, -a2, HYPER_WITNESS_TOL)
     except WitnessSearchError as exc:
-        raise _search_error(cfg, f"the flat witness of the squared heights failed: {exc}") from exc
+        raise _search_error(cross_ratio, f"the flat witness of the squared heights failed: {exc}") from exc
     if flat is None:
-        raise _search_error(cfg, "the flat problem of the squared heights returned no witness")
-    root = cmath.sqrt(complex(flat.y, flat.x))
+        raise _search_error(cross_ratio, "the flat problem of the squared heights returned no witness")
+    x_e, y_e, _ = flat
+    root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
-        raise _search_error(cfg, "the mapped witness lies on the boundary axis")
+        raise _search_error(cross_ratio, "the mapped witness lies on the boundary axis")
     p = HPoint(x, y)
-    a, b, c, d = (AxisPoint(h) for h in (unit.a, unit.b, unit.c, unit.d))
+    a, b, c, d = AxisPoint(a), AxisPoint(b), AxisPoint(c), AxisPoint(d)
     res1 = equal_angle_residual(p, a, b, c).value
     res2 = equal_angle_residual(p, b, c, d).value
     if max(abs(res1), abs(res2)) > HYPER_WITNESS_TOL:
-        raise _search_error(cfg, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
+        raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
     return Witness(math.ldexp(x, k), math.ldexp(y, k), (res1, res2))
 
 
-def _search_error(cfg: FourConfig, cause: str) -> WitnessSearchError:
-    hyper = cfg.geometry is Geometry.HYPERBOLIC
-    cross_ratio = cross_ratio_hyper(cfg) if hyper else cross_ratio_euclid(cfg)
+def _search_error(cross_ratio: float, cause: str) -> WitnessSearchError:
     return WitnessSearchError(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but {cause}")
 
 

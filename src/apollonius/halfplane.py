@@ -91,8 +91,12 @@ class HPoint:
         object.__setattr__(self, "y", float(self.y))
         _check_finite("x", self.x)
         _check_finite("y", self.y)
-        if self.y <= 0:
-            raise GeometryError(f"HPoint requires y > 0, got y={self.y!r}")
+        _check_upper(self.y)
+
+
+def _check_upper(y: float) -> None:
+    if y <= 0:
+        raise GeometryError(f"HPoint requires y > 0, got y={y!r}")
 
 
 @dataclass(frozen=True)
@@ -148,13 +152,19 @@ def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
     """
     if p.x == q.x and p.y == q.y:
         raise DegenerateInputError(f"cannot draw a geodesic through coincident points {p}")
-    if abs(p.x - q.x) <= VERTICAL_EPS * _scale(p.x, q.x):  # <=: p.x == q.x == 0 is vertical too
-        return VerticalRay(x0=p.x)
-    center = (q.x * q.x + q.y * q.y - p.x * p.x - p.y * p.y) / (2.0 * (q.x - p.x))
-    if not math.isfinite(center):
+    center = _arc_center(p.x, p.y, q.x, q.y)
+    if center is None:
         return VerticalRay(x0=p.x)
     radius = math.hypot(p.x - center, p.y)
     return Arc(center=center, radius=radius)
+
+
+def _arc_center(px: float, py: float, qx: float, qy: float) -> float | None:
+    """Center abscissa of the geodesic arc through two points, None for a vertical ray."""
+    if abs(px - qx) <= VERTICAL_EPS * max(abs(px), abs(qx)):  # <=: px == qx == 0 is vertical too
+        return None
+    center = (qx * qx + qy * qy - px * px - py * py) / (2.0 * (qx - px))
+    return center if math.isfinite(center) else None
 
 
 def axis_center(x: float, y: float, h: float) -> float:
@@ -184,15 +194,15 @@ def tangent_direction(g: Geodesic, p: HPoint) -> tuple[float, float]:
     return (tx / norm, ty / norm)
 
 
-def _oriented_tangent(p: HPoint, q: HPoint) -> tuple[float, float]:
+def _oriented_tangent(px: float, py: float, qx: float, qy: float) -> tuple[float, float]:
     """Unit tangent at p of the geodesic through p and q, pointing toward q."""
-    g = geodesic_through(p, q)
-    if isinstance(g, VerticalRay):
-        return (0.0, 1.0) if q.y > p.y else (0.0, -1.0)
-    tx, ty = -p.y, p.x - g.center
+    center = _arc_center(px, py, qx, qy)
+    if center is None:
+        return (0.0, 1.0) if qy > py else (0.0, -1.0)
+    tx, ty = -py, px - center
     # pick the sign whose chord dot product is positive; it cannot vanish
     # because both endpoints sit strictly above the axis
-    if tx * (q.x - p.x) + ty * (q.y - p.y) < 0.0:
+    if tx * (qx - px) + ty * (qy - py) < 0.0:
         tx, ty = -tx, -ty
     norm = math.hypot(tx, ty)
     return (tx / norm, ty / norm)
@@ -205,6 +215,13 @@ def _unsigned_angle(u: tuple[float, float], v: tuple[float, float]) -> float:
     return math.atan2(abs(cross), dot)
 
 
+def _check_angle_points(px: float, py: float, q1x: float, q1y: float, q2x: float, q2y: float) -> None:
+    if (px, py) == (q1x, q1y) or (px, py) == (q2x, q2y):
+        raise DegenerateInputError("angle vertex coincides with a target point")
+    if (q1x, q1y) == (q2x, q2y):
+        raise DegenerateInputError("angle target points coincide")
+
+
 def hyp_angle(p: HPoint, q1: HPoint, q2: HPoint) -> float:
     """Hyperbolic angle at p between the geodesic rays toward q1 and q2.
 
@@ -212,11 +229,9 @@ def hyp_angle(p: HPoint, q1: HPoint, q2: HPoint) -> float:
     is the unsigned ray angle in [0, pi]; opposite directions along one
     geodesic give pi.
     """
-    if (p.x, p.y) == (q1.x, q1.y) or (p.x, p.y) == (q2.x, q2.y):
-        raise DegenerateInputError("angle vertex coincides with a target point")
-    if (q1.x, q1.y) == (q2.x, q2.y):
-        raise DegenerateInputError("angle target points coincide")
-    return _unsigned_angle(_oriented_tangent(p, q1), _oriented_tangent(p, q2))
+    _check_angle_points(p.x, p.y, q1.x, q1.y, q2.x, q2.y)
+    toward_q1 = _oriented_tangent(p.x, p.y, q1.x, q1.y)
+    return _unsigned_angle(toward_q1, _oriented_tangent(p.x, p.y, q2.x, q2.y))
 
 
 def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) -> AngleResidual:
@@ -232,10 +247,18 @@ def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) ->
     # divide everything by the power of two of the largest magnitude: exact,
     # angle-preserving, and the geodesics' squared coordinates stay normal
     k = -math.frexp(max(abs(p.x), p.y, a.h))[1]
-    p = HPoint(math.ldexp(p.x, k), math.ldexp(p.y, k))
-    qb = HPoint(0.0, math.ldexp(b.h, k))
-    first = hyp_angle(p, HPoint(0.0, math.ldexp(a.h, k)), qb)
-    second = hyp_angle(p, qb, HPoint(0.0, math.ldexp(c.h, k)))
+    x, y = math.ldexp(p.x, k), math.ldexp(p.y, k)
+    ha, hb, hc = math.ldexp(a.h, k), math.ldexp(b.h, k), math.ldexp(c.h, k)
+    # values far below the largest can round to zero or merge: the checks
+    # of an HPoint and of hyp_angle, in the order the two angles meet them
+    _check_upper(y)
+    _check_upper(hb)
+    _check_angle_points(x, y, 0.0, ha, 0.0, hb)
+    _check_upper(hc)
+    _check_angle_points(x, y, 0.0, hb, 0.0, hc)
+    toward_b = _oriented_tangent(x, y, 0.0, hb)
+    first = _unsigned_angle(_oriented_tangent(x, y, 0.0, ha), toward_b)
+    second = _unsigned_angle(toward_b, _oriented_tangent(x, y, 0.0, hc))
     return AngleResidual(first - second)
 
 

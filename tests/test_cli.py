@@ -225,7 +225,7 @@ def test_fourpoint_without_witness_flag_skips_search(tmp_path):
 def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
     import apollonius.fourpoint as fp
 
-    monkeypatch.setattr(fp, "find_witness_euclid", lambda cfg: None)
+    monkeypatch.setattr(fp, "_flat_witness", lambda a, b, c, d, tol: None)
     argv = ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"]
     assert run(argv) == 3
     assert "cross-ratio" in capsys.readouterr().err
@@ -238,3 +238,27 @@ def test_unresolvable_euclid_witness_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("search failure: existence holds (cross-ratio 2e-11 < 3)")
+
+
+@pytest.mark.parametrize(
+    "heights, cause",
+    [
+        # cross-ratio 3 - 4.2e-16: a witness exists, but the float loci meet on the axis
+        (("1.0", "0.18352734933459244", "0.05320530938513346", "0.0"), "the loci meet tangentially, on the axis"),
+        # the best float point misses the Euclidean contract of 1e-10
+        (("62.18405961560278", "24.55849812734293", "24.558498082097245", "-36.229585738926005"),
+         "the loci meet at residual 1.438e-09 > 1e-10"),
+    ],
+    ids=["tangent-loci", "over-euclid-contract"],
+)
+def test_euclid_witness_failure_exits_3_naming_the_cause(heights, cause, capsys):
+    argv = ["fourpoint", "--geometry", "euclid"]
+    for flag, value in zip(("-a", "-b", "-c", "-d"), heights):
+        argv += [flag, value]
+    assert run(argv) == 0
+    assert '"exists": true' in capsys.readouterr().out
+    assert run(argv + ["--witness"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search failure: existence holds (cross-ratio ")
+    assert cause in captured.err

@@ -1,6 +1,7 @@
 """Cross-ratio existence tests and witness search, both geometries."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -161,6 +162,36 @@ class TestFindWitnessEuclid:
         with pytest.raises(WitnessSearchError, match=r"cross-ratio 2e-11 < 3.*residual 1\.5\d*e-05"):
             find_witness_euclid(cfg)
 
+    def test_tangent_loci_below_three_are_a_search_failure(self):
+        # the exact cross-ratio is 3 - 4.2e-16, so a witness exists, but the
+        # float circles meet at x^2 = 0, on the axis
+        heights = (1.0, 0.18352734933459244, 0.05320530938513346, 0.0)
+        a, b, c, d = map(Fraction, heights)
+        assert (b - c) * (a - d) < 3 * (a - b) * (c - d)
+        cfg = euclid(*heights)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"the loci meet tangentially, on the axis \(x\^2 = 0\.000e\+00"):
+            find_witness_euclid(cfg)
+
+    def test_witness_over_the_euclidean_contract_is_a_search_failure(self):
+        # the best float point has residual 1.44e-9: inside the shared 1e-8
+        # bound that Witness checks, outside the Euclidean contract
+        cfg = euclid(62.18405961560278, 24.55849812734293, 24.558498082097245, -36.229585738926005)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"residual 1\.438e-09 > 1e-10$"):
+            find_witness_euclid(cfg)
+
+    def test_overflowing_loci_are_a_search_failure(self):
+        # the gaps' product overflows the locus radii to inf, and their
+        # intersection to nan: a nan witness must not pass the contract
+        cfg = euclid(4, 2, 1, 0).scaled(2.0**512)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"residual nan > 1e-10$"):
+            find_witness_euclid(cfg)
+        assert find_witness_euclid(euclid(4, 2, 1, 0).scaled(2.0**510)).x == math.ldexp(
+            find_witness_euclid(euclid(4, 2, 1, 0)).x, 510
+        )
+
     def test_random_sweep_residuals_meet_contract(self):
         worst = 0.0
         for index in range(800):
@@ -223,17 +254,17 @@ class TestFindWitnessHyper:
     def test_missing_flat_witness_is_raised_not_swallowed(self, monkeypatch):
         import apollonius.fourpoint as fp
 
-        monkeypatch.setattr(fp, "find_witness_euclid", lambda cfg: None)
+        monkeypatch.setattr(fp, "_flat_witness", lambda a, b, c, d, tol: None)
         with pytest.raises(WitnessSearchError, match="cross-ratio"):
             find_witness_hyper(hyper(10, 6, 5, 1))
 
     def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
         import apollonius.fourpoint as fp
 
-        def failing(cfg):
+        def failing(a, b, c, d, tol):
             raise WitnessSearchError("flat cause")
 
-        monkeypatch.setattr(fp, "find_witness_euclid", failing)
+        monkeypatch.setattr(fp, "_flat_witness", failing)
         cross_ratio = cross_ratio_hyper(hyper(10, 6, 5, 1))
         with pytest.raises(WitnessSearchError) as info:
             find_witness_hyper(hyper(10, 6, 5, 1))

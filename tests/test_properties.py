@@ -6,15 +6,21 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from apollonius.fourpoint import (
+    EUCLID_WITNESS_TOL,
     HYPER_WITNESS_TOL,
     FourConfig,
     Geometry,
+    Witness,
+    WitnessSearchError,
     cross_ratio_euclid,
     cross_ratio_hyper,
+    exists_euclid,
     exists_hyper,
+    find_witness_euclid,
     find_witness_hyper,
 )
 from apollonius.halfplane import (
+    AngleResidual,
     Arc,
     AxisPoint,
     HPoint,
@@ -28,6 +34,7 @@ from apollonius.locus import TripleConfig, coefficients, eval_quartic, sample_cu
 from apollonius.svg import render_svg
 
 import _object_path as object_path
+import _witness_path as witness_path
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -112,17 +119,38 @@ def log_uniform_heights(draw):
 
 
 @st.composite
-def near_boundary_heights(draw):
-    # b^2 placed 1e-12 to 1e-9 (relative) below the squared-height boundary
-    # B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness exists
+def near_boundary_heights(draw, lowest=-12.0, highest=-9.0):
+    # b^2 placed 10^lowest to 10^highest (relative) below the squared-height
+    # boundary B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness exists
     log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
     spread = draw(st.floats(min_value=0.1, max_value=30.0))
     position = draw(st.floats(min_value=0.0, max_value=1.0))
-    gap = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-9.0))
+    gap = 10.0 ** draw(st.floats(min_value=lowest, max_value=highest))
     a, c, d = (math.exp(log_d + spread * t) for t in (1.0, position, 0.0))
     A, C, D = a * a, c * c, d * d
     boundary = (3.0 * A * (C - D) + C * (A - D)) / ((A - D) + 3.0 * (C - D))
     return a, math.sqrt(boundary * (1.0 - gap)), c, d
+
+
+@st.composite
+def middle_pair_heights(draw):
+    # log(b/c) from 1e-6 to 1e-2: the middle pair nearly coincides
+    log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
+    spread = draw(st.floats(min_value=0.1, max_value=30.0))
+    position = draw(st.floats(min_value=0.0, max_value=1.0))
+    a, c, d = (math.exp(log_d + spread * t) for t in (1.0, position, 0.0))
+    b = c * math.exp(10.0 ** draw(st.floats(min_value=-6.0, max_value=-2.0)))
+    assume(a > b > c > d)
+    return a, b, c, d
+
+
+@st.composite
+def witness_heights(draw):
+    heights = draw(st.one_of(log_uniform_heights(), near_boundary_heights(-12.0, -2.0), middle_pair_heights()))
+    scale = 2.0 ** draw(st.integers(min_value=-500, max_value=500))
+    a, b, c, d = (scale * h for h in heights)
+    assume(a > b > c > d)
+    return a, b, c, d
 
 
 class TestGeodesicProperties:
@@ -311,3 +339,87 @@ class TestWitnessProperties:
             upper = equal_angle_residual(p, AxisPoint(a), AxisPoint(b), AxisPoint(c)).value
             lower = equal_angle_residual(p, AxisPoint(b), AxisPoint(c), AxisPoint(d)).value
             assert max(abs(upper), abs(lower)) <= HYPER_WITNESS_TOL
+
+
+def _run(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # both paths must raise alike, whatever the error
+        return exc
+
+
+def _bits(result):
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    if isinstance(result, Witness):
+        return tuple(v.hex() for v in (result.x, result.y, *result.residuals))
+    if isinstance(result, AngleResidual):
+        return result.value.hex()
+    return result
+
+
+class TestWitnessBitIdentity:
+    """The float witness path returns the bits of the object path it replaced.
+
+    tests/_witness_path.py keeps that path. Two changes are deliberate:
+    where existence holds but the float loci do not cross off the axis,
+    the old Euclidean search returned None and now raises a named error
+    (which the hyperbolic search, wrapping its flat call, now quotes);
+    and a Euclidean witness is now held to 1e-10 instead of 1e-8, which a
+    nan residual (heights whose gaps overflow the loci) no longer passes.
+    """
+
+    @given(witness_heights())
+    # existence holds, but the loci meet tangentially at cross-ratio 3 - 4.2e-16
+    @example((1.0, 0.18352734933459244, 0.05320530938513346, 0.0))
+    # the best float point has residual 1.44e-9, between the two bounds
+    @example((62.18405961560278, 24.55849812734293, 24.558498082097245, -36.229585738926005))
+    @settings(max_examples=400, deadline=None)
+    def test_euclid_matches_object_path(self, heights):
+        cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
+        assert _bits(_run(cross_ratio_euclid, cfg)) == _bits(_run(witness_path.cross_ratio_euclid, cfg))
+        assert _run(exists_euclid, cfg) == _run(witness_path.exists_euclid, cfg)
+        old = _run(witness_path.find_witness_euclid, cfg)
+        new = _run(find_witness_euclid, cfg)
+        if _bits(new) == _bits(old):
+            return
+        assert isinstance(new, WitnessSearchError), (old, new)
+        if old is None:
+            assert exists_euclid(cfg) and " but the loci " in str(new)
+        elif isinstance(old, WitnessSearchError):
+            assert str(new) == str(old).replace(f"> {HYPER_WITNESS_TOL}", f"> {EUCLID_WITNESS_TOL}")
+        else:
+            worst = max(abs(r) for r in old.residuals)
+            assert not worst <= EUCLID_WITNESS_TOL  # nan where the loci overflowed
+            assert str(new).endswith(f"residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
+
+    @given(witness_heights())
+    @settings(max_examples=400, deadline=None)
+    def test_hyper_matches_object_path(self, heights):
+        cfg = FourConfig(*heights, Geometry.HYPERBOLIC)
+        assert _bits(_run(cross_ratio_hyper, cfg)) == _bits(_run(witness_path.cross_ratio_hyper, cfg))
+        assert _bits(_run(exists_hyper, cfg)) == _bits(_run(witness_path.exists_hyper, cfg))
+        old = _run(witness_path.find_witness_hyper, cfg)
+        new = _run(find_witness_hyper, cfg)
+        if _bits(new) == _bits(old):
+            return
+        prefix, _, cause = str(old).partition(" but ")
+        assert isinstance(old, WitnessSearchError) and cause == "the flat problem of the squared heights returned no witness"
+        assert isinstance(new, WitnessSearchError)
+        assert str(new).startswith(f"{prefix} but the flat witness of the squared heights failed: ")
+        assert " but the loci " in str(new) and "residual" not in str(new)
+
+    @given(
+        st.one_of(witness_heights(), st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=3, max_size=3)),
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.floats(min_value=5e-324, max_value=1e300),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_oracle_matches_object_path(self, heights, x, y):
+        # scaling by the largest magnitude can push the others to zero or
+        # merge them: the errors must be the old ones too
+        a, b, c = (AxisPoint(h) for h in sorted(heights, reverse=True)[:3])
+        p = HPoint(x, y)
+        new = _run(equal_angle_residual, p, a, b, c)
+        old = _run(witness_path.equal_angle_residual, p, a, b, c)
+        assert _bits(new) == _bits(old)
