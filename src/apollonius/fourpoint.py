@@ -21,11 +21,22 @@ collinear points -d^2 > -c^2 > -b^2 > -a^2, whose cross-ratio is the
 squared-height one (Beardon, The Geometry of Discrete Groups, 1983,
 ch. 7).
 
-Witnesses are constructive and closed-form. The flat witness intersects
-two circle loci analytically. The hyperbolic witness is the principal
-square root of the flat witness of the squared, negated heights: with
-that witness at (x_e, y_e) seeing points on the y-axis, W = y_e + i x_e
-and P = sqrt(W), which lies in the upper half-plane because x_e > 0.
+Witnesses are constructive and closed-form. In the flat plane PB
+bisects the angle APC exactly when |PA| : |PC| = (a - b) : (b - c)
+(angle-bisector theorem), so each equal-angle locus is an Apollonius
+circle, and eliminating x^2 + y^2 between the two circle equations
+leaves one linear equation in y. With the gaps u = a - b, v = b - c,
+w = c - d, the cross-ratio cr = v(u + v + w)/(uw) and D = v^2 - uw,
+the witness is
+
+    y = b + v(v + w)(u - v) / (2D),
+    x = v sqrt((v + w)(u + v)(3 - cr)uw) / (2|D|),
+
+real and off the axis exactly when cr < 3 (D = 0 forces cr >= 3). The
+hyperbolic witness is the principal square root of the flat witness of
+the squared, negated heights: with that witness at (x_e, y_e) seeing
+points on the y-axis, W = y_e + i x_e and P = sqrt(W), which lies in
+the upper half-plane because x_e > 0.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from .halfplane import AxisPoint, GeometryError, HPoint, OrderingError, equal_angle_residual
-from .locus import HorizontalLine, _euclid_angle, euclidean_locus
+from .locus import _euclid_angle
 
 __all__ = [
     "Geometry",
@@ -125,7 +136,7 @@ class Witness:
 
     def __post_init__(self):
         worst = max(abs(self.residuals[0]), abs(self.residuals[1]))
-        if worst > HYPER_WITNESS_TOL:
+        if not worst <= HYPER_WITNESS_TOL:
             raise GeometryError(f"witness residual {worst:.3e} exceeds {HYPER_WITNESS_TOL}")
 
 
@@ -139,9 +150,14 @@ def _cross_ratio(a: float, b: float, c: float, d: float) -> float:
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
-    """((b-c)/(a-b)) / ((c-d)/(a-d)); always positive for ordered heights."""
+    """((b-c)/(a-b)) / ((c-d)/(a-d)); always positive for ordered heights.
+
+    Computed on the heights after _normalized, as find_witness_euclid
+    does, so the gaps stay finite; the value is bit-identical to the raw
+    heights' wherever no height or gap leaves the normal floats.
+    """
     _require(cfg, Geometry.EUCLIDEAN)
-    return _cross_ratio(cfg.a, cfg.b, cfg.c, cfg.d)
+    return _cross_ratio(*_normalized(cfg)[:4])
 
 
 def cross_ratio_hyper(cfg: FourConfig) -> float:
@@ -157,18 +173,19 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
 
 
 def _normalized(cfg: FourConfig) -> tuple[float, float, float, float, int]:
-    """cfg's heights divided by 2^k, the power of two that puts a in [0.5, 1), and k.
+    """cfg's heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
 
-    Dividing by a power of two is exact, keeps every square finite and
-    changes neither a cross-ratio nor a hyperbolic angle. Heights far
-    below a can round into the subnormals, so the copy is checked as a
-    config is.
+    Dividing by a power of two is exact, keeps every gap and square
+    finite and changes neither a cross-ratio nor an angle. Heights far
+    below the largest can round into the subnormals, so the copy is
+    checked as a config is.
     """
-    k = math.frexp(cfg.a)[1]
+    k = math.frexp(max(abs(cfg.a), abs(cfg.d)))[1]
     factor = math.ldexp(1.0, -k)
     a, b, c, d = cfg.a * factor, cfg.b * factor, cfg.c * factor, cfg.d * factor
     _check_ordered(a, b, c, d)
-    _check_positive(d)
+    if cfg.geometry is Geometry.HYPERBOLIC:
+        _check_positive(d)
     return a, b, c, d, k
 
 
@@ -192,99 +209,52 @@ def exists_hyper(cfg: FourConfig) -> bool:
 def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
-    Both loci are circles centered on the y-axis (or a horizontal line),
-    so their intersection reduces to one linear equation for y. A short
-    Newton polish on the two angle residuals then absorbs the precision
-    the locus parameters lose when the middle heights nearly coincide.
-    The witness carries the residuals of the point the polish accepted,
-    each within EUCLID_WITNESS_TOL.
+    The heights are first divided by the power of two of the largest
+    magnitude (_normalized), which is exact and keeps every gap and
+    product of gaps finite; the witness of that copy, scaled back, is the
+    closed-form point of _flat_witness. It carries its two angle
+    residuals, each within EUCLID_WITNESS_TOL.
 
-    Where the cross-ratio is below 3 but no float point meets that bound,
-    WitnessSearchError names the cause: loci that meet tangentially on
-    the axis (or are parallel lines or concentric circles in floats), or
-    the residual of the best point, which reads nan where gaps between
-    heights past ~1e154 overflow the loci.
+    Where the cross-ratio is below 3 but the closed form does not give a
+    point within that bound, WitnessSearchError names the cause: the
+    residual of the point, or a divisor or coordinate that rounds to 0.
     """
     _require(cfg, Geometry.EUCLIDEAN)
-    flat = _flat_witness(cfg.a, cfg.b, cfg.c, cfg.d, EUCLID_WITNESS_TOL)
-    return None if flat is None else Witness(*flat)
-
-
-def _flat_witness(a: float, b: float, c: float, d: float, tol: float):
-    """(x, y, residuals) of the flat witness of ordered heights, or None if none exists.
-
-    The existence test, the two loci, their intersection and the polish,
-    on heights the caller has validated. Where existence holds but the
-    float loci do not cross off the axis, or the polished point has a
-    residual over tol, WitnessSearchError names the cause.
-    """
+    a, b, c, d, k = _normalized(cfg)
     cross_ratio = _cross_ratio(a, b, c, d)
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
-    upper = euclidean_locus(a, b, c)
-    lower = euclidean_locus(b, c, d)
-    if isinstance(upper, HorizontalLine) and isinstance(lower, HorizontalLine):
-        raise _search_error(cross_ratio, "the loci are parallel lines")
-    if isinstance(upper, HorizontalLine):
-        y = upper.height
-        circle = lower
-    elif isinstance(lower, HorizontalLine):
-        y = lower.height
-        circle = upper
-    else:
-        k1, r1 = upper.center_y, upper.radius
-        k2, r2 = lower.center_y, lower.radius
-        if k1 == k2:
-            raise _search_error(cross_ratio, f"the loci are concentric circles (center {k1:.3e})")
-        # factored form: differencing the squares directly loses the whole
-        # answer when both circles are small and nearly coincident
-        y = 0.5 * (k1 + k2) + (r1 - r2) * (r1 + r2) / (2.0 * (k2 - k1))
-        circle = upper
-    dy = y - circle.center_y
-    x2 = (circle.radius - dy) * (circle.radius + dy)
-    if x2 <= 0.0:
-        raise _search_error(
-            cross_ratio,
-            f"the loci meet tangentially, on the axis (x^2 = {x2:.3e}; "
-            f"the cross-ratio is {EXISTENCE_THRESHOLD - cross_ratio:.3e} below 3)",
-        )
-    x, y, res1, res2 = _polish_euclid(a, b, c, d, math.sqrt(x2), y)
-    worst = max(abs(res1), abs(res2))
-    if not worst <= tol:  # NaN too: gaps between heights past ~1e154 overflow the loci
-        raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {tol}")
-    return x, y, (res1, res2)
+    x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
+    residuals = _residuals(a, b, c, d, x, y)
+    worst = max(abs(residuals[0]), abs(residuals[1]))
+    if not worst <= EUCLID_WITNESS_TOL:
+        raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
+    return Witness(math.ldexp(x, k), math.ldexp(y, k), residuals)
+
+
+def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float) -> tuple[float, float]:
+    """(x, y) of the flat witness of heights a > b > c > d, from b and the gaps a-b, b-c, c-d.
+
+    cross_ratio is the caller's value of the cross-ratio, below 3, so the
+    square root's argument is positive. Where the divisor rounds to 0, or
+    x underflows to 0 (gaps more than ~1e154 apart), WitnessSearchError
+    names the cause.
+    """
+    bd, ac = bc + cd, ab + bc
+    divisor = 2.0 * (bc * bc - ab * cd)
+    if divisor == 0.0:
+        raise _search_error(cross_ratio, "the divisor (b-c)^2 - (a-b)(c-d) rounds to 0")
+    y = b + bc * bd * (ab - bc) / divisor
+    x = bc * math.sqrt(bd * ac * ((EXISTENCE_THRESHOLD - cross_ratio) * ab * cd)) / abs(divisor)
+    if x == 0.0:
+        raise _search_error(cross_ratio, "the closed form's x underflows to 0")
+    return x, y
 
 
 def _residuals(a: float, b: float, c: float, d: float, x: float, y: float) -> tuple[float, float]:
     """The two Euclidean angle residuals at (x, y); they share the middle angle."""
     middle = _euclid_angle(x, y, b, c)
     return _euclid_angle(x, y, a, b) - middle, middle - _euclid_angle(x, y, c, d)
-
-
-def _polish_euclid(a: float, b: float, c: float, d: float, x: float, y: float):
-    """Newton-polish (x, y) against the angle residuals; the point kept and its residuals."""
-    f1, f2 = _residuals(a, b, c, d, x, y)
-    for _ in range(3):
-        if max(abs(f1), abs(f2)) <= 1e-13:
-            break
-        h = 1e-7 * max(abs(x), abs(y), 1e-6)
-        g1, g2 = _residuals(a, b, c, d, x + h, y)
-        d1x, d2x = (g1 - f1) / h, (g2 - f2) / h
-        g1, g2 = _residuals(a, b, c, d, x, y + h)
-        d1y, d2y = (g1 - f1) / h, (g2 - f2) / h
-        det = d1x * d2y - d1y * d2x
-        if det == 0.0 or not math.isfinite(det):
-            break
-        step_x = (f1 * d2y - f2 * d1y) / det
-        step_y = (f2 * d1x - f1 * d2x) / det
-        nx, ny = x - step_x, y - step_y
-        if nx == 0.0:
-            break  # polishing must not land on the axis
-        g1, g2 = _residuals(a, b, c, d, nx, ny)
-        if max(abs(g1), abs(g2)) >= max(abs(f1), abs(f2)):
-            break
-        x, y, f1, f2 = nx, ny, g1, g2
-    return x, y, f1, f2
 
 
 def find_witness_hyper(cfg: FourConfig) -> Witness | None:
@@ -294,27 +264,21 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
     its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
     Heights are first divided by a power of two (_normalized), which is
-    exact and keeps the squares finite; the oracle judges that copy,
-    since scaling changes no hyperbolic angle and the oracle's tests are
-    relative.
+    exact and keeps the squares finite. The flat gaps are the products
+    (p - q)(p + q), which keep the gaps of close heights that squaring
+    them would lose. The half-plane oracle judges the point on the
+    normalized copy, since scaling changes no hyperbolic angle and the
+    oracle's tests are relative.
     A true existence predicate with no witness passing the oracle raises
     WitnessSearchError. The returned witness has x > 0 (its mirror image
     is a witness too).
     """
     _require(cfg, Geometry.HYPERBOLIC)
     a, b, c, d, k = _normalized(cfg)
-    a2, b2, c2, d2 = _squared(a, b, c, d)
-    cross_ratio = _cross_ratio(a2, b2, c2, d2)
+    cross_ratio = _cross_ratio(*_squared(a, b, c, d))
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
-    try:
-        # 1e-8, not the Euclidean contract: the hyperbolic oracle judges the mapped point
-        flat = _flat_witness(-d2, -c2, -b2, -a2, HYPER_WITNESS_TOL)
-    except WitnessSearchError as exc:
-        raise _search_error(cross_ratio, f"the flat witness of the squared heights failed: {exc}") from exc
-    if flat is None:
-        raise _search_error(cross_ratio, "the flat problem of the squared heights returned no witness")
-    x_e, y_e, _ = flat
+    x_e, y_e = _flat_witness(-c * c, (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b), cross_ratio)
     root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
@@ -323,7 +287,7 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     a, b, c, d = AxisPoint(a), AxisPoint(b), AxisPoint(c), AxisPoint(d)
     res1 = equal_angle_residual(p, a, b, c).value
     res2 = equal_angle_residual(p, b, c, d).value
-    if max(abs(res1), abs(res2)) > HYPER_WITNESS_TOL:
+    if not max(abs(res1), abs(res2)) <= HYPER_WITNESS_TOL:
         raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
     return Witness(math.ldexp(x, k), math.ldexp(y, k), (res1, res2))
 

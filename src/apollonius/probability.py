@@ -222,14 +222,9 @@ def _ordered_uniforms(seed: int, lo: int, hi: int, buffers: PairBuffers | None =
     bad = (u == v) | (u == 0.0) | (v == 0.0)
     for i in np.nonzero(bad)[0]:
         stream = SampleStream(seed, lo + int(i))
+        stream.next_float()  # skip the two rejected draws
         stream.next_float()
-        stream.next_float()
-        while True:
-            a = stream.next_float()
-            b = stream.next_float()
-            if a != b and a != 0.0 and b != 0.0:
-                u[i], v[i] = a, b
-                break
+        u[i], v[i] = _draw_ordered_pair(stream)
     upper = np.maximum(u, v)
     return upper, np.minimum(u, v, out=v)
 

@@ -1,15 +1,17 @@
-"""Reference copy of the object-based witness path, for bit comparison.
+"""Reference copy of the object-based witness path, for comparison.
 
 Before the witness path ran on plain floats, every call validated a
 FourConfig per stage (the scaled copy, the squares, the negated flat
 problem), tested existence again in each callee, built the two loci and
-judged points by building HPoints, geodesics and tangents per angle. This
-module keeps that code unchanged, so tests can require the float path to
-return the same bits and raise the same errors. Two behaviours are
-deliberately not the same: where existence holds but the float loci do
-not cross off the axis, this copy's find_witness_euclid returns None, and
-it accepts Euclidean witnesses up to the 1e-8 bound rather than 1e-10,
-nan residuals included.
+judged points by building HPoints, geodesics and tangents per angle. Its
+Euclidean witness intersected two float locus objects and polished the
+point with Newton steps. This module keeps that code unchanged. Tests
+require the cross-ratios, the existence tests and the half-plane oracle
+to return its bits, and the closed-form witness search to lose no
+witness that this copy finds within the contract. This copy's
+find_witness_euclid returns None where existence holds but the float
+loci do not cross off the axis, and accepts Euclidean witnesses up to
+the 1e-8 bound rather than 1e-10, nan residuals included.
 """
 
 from __future__ import annotations

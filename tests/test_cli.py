@@ -1,5 +1,6 @@
 """End-to-end CLI tests against committed golden files."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -225,7 +226,10 @@ def test_fourpoint_without_witness_flag_skips_search(tmp_path):
 def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
     import apollonius.fourpoint as fp
 
-    monkeypatch.setattr(fp, "_flat_witness", lambda a, b, c, d, tol: None)
+    def failing(b, ab, bc, cd, cross_ratio):
+        raise fp._search_error(cross_ratio, "flat cause")
+
+    monkeypatch.setattr(fp, "_flat_witness", failing)
     argv = ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"]
     assert run(argv) == 3
     assert "cross-ratio" in capsys.readouterr().err
@@ -240,16 +244,24 @@ def test_unresolvable_euclid_witness_exits_3(capsys):
     assert captured.err.startswith("search failure: existence holds (cross-ratio 2e-11 < 3)")
 
 
+def test_tangent_loci_witness_exits_0(capsys):
+    # cross-ratio 3 - 4.2e-16: float circle loci met on the axis here; the
+    # closed form gives a witness off it
+    argv = ["fourpoint", "--geometry", "euclid", "-a", "1.0", "-b", "0.18352734933459244",
+            "-c", "0.05320530938513346", "-d", "0.0", "--witness"]
+    assert run(argv) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert witness["x"] > 0
+
+
 @pytest.mark.parametrize(
     "heights, cause",
     [
-        # cross-ratio 3 - 4.2e-16: a witness exists, but the float loci meet on the axis
-        (("1.0", "0.18352734933459244", "0.05320530938513346", "0.0"), "the loci meet tangentially, on the axis"),
-        # the best float point misses the Euclidean contract of 1e-10
+        # the closed form's point misses the Euclidean contract of 1e-10
         (("62.18405961560278", "24.55849812734293", "24.558498082097245", "-36.229585738926005"),
-         "the loci meet at residual 1.438e-09 > 1e-10"),
+         "the loci meet at residual 1.984e-10 > 1e-10"),
     ],
-    ids=["tangent-loci", "over-euclid-contract"],
+    ids=["over-euclid-contract"],
 )
 def test_euclid_witness_failure_exits_3_naming_the_cause(heights, cause, capsys):
     argv = ["fourpoint", "--geometry", "euclid"]

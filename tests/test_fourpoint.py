@@ -69,6 +69,15 @@ class TestCrossRatioEuclid:
         for t in (-3.0, 0.5, 10.0):
             assert cross_ratio_euclid(cfg.shifted(t)) == pytest.approx(base, rel=1e-12)
 
+    def test_heights_whose_gaps_overflow(self):
+        # a - d overflows: the cross-ratio and the witness are taken on the
+        # heights divided by a power of two, so they scale exactly
+        cfg = euclid(1.7e308, 1e307, -1e307, -1.7e308)
+        small = cfg.scaled(2.0**-4)
+        assert cross_ratio_euclid(cfg) == cross_ratio_euclid(small) == 0.265625
+        w, base = find_witness_euclid(cfg), find_witness_euclid(small)
+        assert (w.x, w.y) == (math.ldexp(base.x, 4), math.ldexp(base.y, 4))
+
 
 class TestCrossRatioHyper:
     @pytest.mark.parametrize("q", [1.1, 2.0, 5.0])
@@ -147,50 +156,68 @@ class TestFindWitnessEuclid:
         assert w.y == pytest.approx(0.0, abs=1e-14)
 
     def test_nearly_equal_middle_heights(self):
-        # both loci are tiny circles built from large products; the factored
-        # intersection plus the residual polish keep full precision
+        # the middle gap is 7e-5 of the heights; the closed form takes it
+        # and the outer gaps as plain differences, so no precision is lost
         cfg = euclid(97.69371832121351, 13.90997359821749, 13.909904708056459, -41.78246606246812)
         w = find_witness_euclid(cfg)
         assert w is not None
         assert max(abs(r) for r in w.residuals) <= EUCLID_WITNESS_TOL
 
     def test_unresolvable_middle_pair_is_a_search_failure(self):
-        # b - c = 1e-10: the loci meet where the float residuals are 1.5e-5,
+        # b - c = 1e-10: the loci meet where the float residuals are 7.7e-6,
         # over the Witness bound, so this is a search failure, not bad input
         cfg = euclid(20.0, 10.0000000001, 10.0, 0.0)
         assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"cross-ratio 2e-11 < 3.*residual 1\.5\d*e-05"):
+        with pytest.raises(WitnessSearchError, match=r"cross-ratio 2e-11 < 3.*residual 7\.692e-06"):
             find_witness_euclid(cfg)
 
-    def test_tangent_loci_below_three_are_a_search_failure(self):
-        # the exact cross-ratio is 3 - 4.2e-16, so a witness exists, but the
-        # float circles meet at x^2 = 0, on the axis
+    def test_tangent_loci_below_three_get_a_witness(self):
+        # the exact cross-ratio is 3 - 4.2e-16, where float circle loci met
+        # at x^2 = 0, on the axis; the closed form's x is positive below 3
         heights = (1.0, 0.18352734933459244, 0.05320530938513346, 0.0)
         a, b, c, d = map(Fraction, heights)
         assert (b - c) * (a - d) < 3 * (a - b) * (c - d)
         cfg = euclid(*heights)
         assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"the loci meet tangentially, on the axis \(x\^2 = 0\.000e\+00"):
+        w = find_witness_euclid(cfg)
+        assert w.x > 0
+        assert max(abs(r) for r in w.residuals) <= EUCLID_WITNESS_TOL
+
+    def test_divisor_rounding_to_zero_is_a_search_failure(self):
+        # nearly equal gaps: the float cross-ratio reads below 3 (the exact
+        # one is above it), and (b-c)^2 - (a-b)(c-d) rounds to 0
+        heights = (0.75, 0.24999999999999806, -0.25000000000000194, -0.75)
+        cfg = euclid(*heights)
+        assert exists_euclid(cfg)
+        a, b, c, d = map(Fraction, heights)
+        assert (b - c) ** 2 != (a - b) * (c - d)
+        with pytest.raises(WitnessSearchError, match=r"the divisor .* rounds to 0$"):
+            find_witness_euclid(cfg)
+
+    def test_witness_below_the_float_range_is_a_search_failure(self):
+        # the witness sits near x = 1e-200, but the product of gaps under the
+        # square root, about 4e-400, underflows to 0: a named failure
+        cfg = euclid(1.0, 2e-200, 1e-200, 0.0)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"the closed form's x underflows to 0$"):
             find_witness_euclid(cfg)
 
     def test_witness_over_the_euclidean_contract_is_a_search_failure(self):
-        # the best float point has residual 1.44e-9: inside the shared 1e-8
-        # bound that Witness checks, outside the Euclidean contract
+        # the closed form's point has residual 1.98e-10: inside the shared
+        # 1e-8 bound that Witness checks, outside the Euclidean contract
         cfg = euclid(62.18405961560278, 24.55849812734293, 24.558498082097245, -36.229585738926005)
         assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"residual 1\.438e-09 > 1e-10$"):
+        with pytest.raises(WitnessSearchError, match=r"residual 1\.984e-10 > 1e-10$"):
             find_witness_euclid(cfg)
 
-    def test_overflowing_loci_are_a_search_failure(self):
-        # the gaps' product overflows the locus radii to inf, and their
-        # intersection to nan: a nan witness must not pass the contract
-        cfg = euclid(4, 2, 1, 0).scaled(2.0**512)
-        assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"residual nan > 1e-10$"):
-            find_witness_euclid(cfg)
-        assert find_witness_euclid(euclid(4, 2, 1, 0).scaled(2.0**510)).x == math.ldexp(
-            find_witness_euclid(euclid(4, 2, 1, 0)).x, 510
-        )
+    def test_power_of_two_scaling_scales_the_witness_exactly(self):
+        # heights past ~1e154 once overflowed the loci's products of gaps;
+        # the closed form works on heights scaled into [-1, 1)
+        base = find_witness_euclid(euclid(4, 2, 1, 0))
+        for k in (512, 600, -600):
+            w = find_witness_euclid(euclid(4, 2, 1, 0).scaled(2.0**k))
+            assert (w.x, w.y) == (math.ldexp(base.x, k), math.ldexp(base.y, k))
+            assert w.residuals == base.residuals
 
     def test_random_sweep_residuals_meet_contract(self):
         worst = 0.0
@@ -250,26 +277,29 @@ class TestFindWitnessHyper:
     def test_witness_type_enforces_residual_bound(self):
         with pytest.raises(GeometryError):
             Witness(1.0, 1.0, (1e-3, 0.0))
-
-    def test_missing_flat_witness_is_raised_not_swallowed(self, monkeypatch):
-        import apollonius.fourpoint as fp
-
-        monkeypatch.setattr(fp, "_flat_witness", lambda a, b, c, d, tol: None)
-        with pytest.raises(WitnessSearchError, match="cross-ratio"):
-            find_witness_hyper(hyper(10, 6, 5, 1))
+        with pytest.raises(GeometryError):
+            Witness(1.0, 1.0, (float("nan"), 0.0))
 
     def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
         import apollonius.fourpoint as fp
 
-        def failing(a, b, c, d, tol):
-            raise WitnessSearchError("flat cause")
+        def failing(b, ab, bc, cd, cross_ratio):
+            raise fp._search_error(cross_ratio, "flat cause")
 
         monkeypatch.setattr(fp, "_flat_witness", failing)
         cross_ratio = cross_ratio_hyper(hyper(10, 6, 5, 1))
         with pytest.raises(WitnessSearchError) as info:
             find_witness_hyper(hyper(10, 6, 5, 1))
-        assert str(info.value).startswith(f"existence holds (cross-ratio {cross_ratio:.6g} < 3)")
-        assert str(info.value).endswith("squared heights failed: flat cause")
+        assert str(info.value) == f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but flat cause"
+
+    def test_flat_point_off_the_locus_is_rejected_by_the_oracle(self, monkeypatch):
+        import apollonius.fourpoint as fp
+
+        # the hyperbolic path judges the mapped point with the half-plane
+        # oracle alone: a flat point off both loci must not pass
+        monkeypatch.setattr(fp, "_flat_witness", lambda b, ab, bc, cd, cross_ratio: (1.0, b))
+        with pytest.raises(WitnessSearchError, match=r"cross-ratio 0\.708984 < 3\) but the mapped witness has residuals"):
+            find_witness_hyper(hyper(10, 6, 5, 1))
 
     @pytest.mark.parametrize(
         "heights",

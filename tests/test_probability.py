@@ -288,6 +288,22 @@ class TestEstimators:
         for i in range(n):
             assert vector[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
 
+    def test_tie_and_zero_draws_are_redrawn_from_the_stream(self, monkeypatch):
+        # a tie and a zero never come out of the generator at these seeds, so
+        # the pair kernel is replaced by one that returns them
+        seed, lo = 5, 40
+
+        def tie_and_zero(seed, lo, hi, buffers=None):
+            return np.array([0.5, 0.0, 0.25]), np.array([0.5, 0.75, 0.125])
+
+        monkeypatch.setattr(probability, "uniform_pair", tie_and_zero)
+        upper, lower = probability._ordered_uniforms(seed, lo, lo + 3)
+        for i in (0, 1):
+            stream = SampleStream(seed, lo + i)
+            draws = [stream.next_float() for _ in range(4)][2:]
+            assert (upper[i], lower[i]) == (max(draws), min(draws))
+        assert (upper[2], lower[2]) == (0.25, 0.125)
+
     def test_invalid_counts_rejected(self):
         with pytest.raises(GeometryError):
             estimate_pe(0, 1)

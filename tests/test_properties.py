@@ -30,7 +30,15 @@ from apollonius.halfplane import (
     hyp_angle,
     hyp_distance,
 )
-from apollonius.locus import TripleConfig, coefficients, eval_quartic, sample_curve, samples_to_csv, solve_r2
+from apollonius.locus import (
+    TripleConfig,
+    coefficients,
+    euclidean_equal_angle_residual,
+    eval_quartic,
+    sample_curve,
+    samples_to_csv,
+    solve_r2,
+)
 from apollonius.svg import render_svg
 
 import _object_path as object_path
@@ -119,17 +127,19 @@ def log_uniform_heights(draw):
 
 
 @st.composite
-def near_boundary_heights(draw, lowest=-12.0, highest=-9.0):
+def near_boundary_heights(draw, lowest=-12.0, highest=-9.0, squared=True):
     # b^2 placed 10^lowest to 10^highest (relative) below the squared-height
-    # boundary B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness exists
+    # boundary B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness
+    # exists; with squared=False, b itself below the height boundary
     log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
     spread = draw(st.floats(min_value=0.1, max_value=30.0))
     position = draw(st.floats(min_value=0.0, max_value=1.0))
     gap = 10.0 ** draw(st.floats(min_value=lowest, max_value=highest))
     a, c, d = (math.exp(log_d + spread * t) for t in (1.0, position, 0.0))
-    A, C, D = a * a, c * c, d * d
+    A, C, D = (a * a, c * c, d * d) if squared else (a, c, d)
     boundary = (3.0 * A * (C - D) + C * (A - D)) / ((A - D) + 3.0 * (C - D))
-    return a, math.sqrt(boundary * (1.0 - gap)), c, d
+    b = boundary * (1.0 - gap)
+    return a, math.sqrt(b) if squared else b, c, d
 
 
 @st.composite
@@ -322,6 +332,12 @@ class TestCrossRatioProperties:
         assert cross_ratio_euclid(cfg) > 0
 
 
+def _min_gap(heights):
+    # the smallest gap between neighbours relative to the larger magnitude,
+    # below the log gap for positive heights
+    return min((x - y) / max(abs(x), abs(y)) for x, y in zip(heights, heights[1:]))
+
+
 class TestWitnessProperties:
     @given(st.one_of(log_uniform_heights(), near_boundary_heights()))
     @settings(max_examples=100, deadline=None)
@@ -339,6 +355,35 @@ class TestWitnessProperties:
             upper = equal_angle_residual(p, AxisPoint(a), AxisPoint(b), AxisPoint(c)).value
             lower = equal_angle_residual(p, AxisPoint(b), AxisPoint(c), AxisPoint(d)).value
             assert max(abs(upper), abs(lower)) <= HYPER_WITNESS_TOL
+
+    @given(near_boundary_heights(-16.0, -14.0))
+    @settings(max_examples=200, deadline=None)
+    def test_hyper_witness_just_below_the_threshold(self, heights):
+        a, b, c, d = heights
+        assume(a > b > c > d and _min_gap(heights) >= 1e-6)
+        cfg = FourConfig(a, b, c, d, Geometry.HYPERBOLIC)
+        assume(exists_hyper(cfg))
+        witness = find_witness_hyper(cfg)
+        p = HPoint(witness.x, witness.y)
+        upper = equal_angle_residual(p, AxisPoint(a), AxisPoint(b), AxisPoint(c)).value
+        lower = equal_angle_residual(p, AxisPoint(b), AxisPoint(c), AxisPoint(d)).value
+        assert max(abs(upper), abs(lower)) <= HYPER_WITNESS_TOL
+
+    @given(near_boundary_heights(-16.0, -14.0, squared=False))
+    # nearly equally spaced, 3.3e-16 below the threshold: the divisor is
+    # -1.4e-17 as (b-c)^2 - (a-b)(c-d) but rounds to 0 in the equal form
+    # (b-c)(a-c) - (a-b)(b-d)
+    @example((1.0, 0.6666666666666669, 0.33333333333333354, 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_euclid_witness_just_below_the_threshold(self, heights):
+        a, b, c, d = heights
+        assume(a > b > c > d and _min_gap(heights) >= 1e-6)
+        cfg = FourConfig(a, b, c, d, Geometry.EUCLIDEAN)
+        assume(exists_euclid(cfg))
+        witness = find_witness_euclid(cfg)
+        upper = euclidean_equal_angle_residual((witness.x, witness.y), a, b, c)
+        lower = euclidean_equal_angle_residual((witness.x, witness.y), b, c, d)
+        assert max(abs(upper), abs(lower)) <= EUCLID_WITNESS_TOL
 
 
 def _run(fn, *args):
@@ -359,20 +404,23 @@ def _bits(result):
 
 
 class TestWitnessBitIdentity:
-    """The float witness path returns the bits of the object path it replaced.
+    """The float witness path against the object path it replaced.
 
-    tests/_witness_path.py keeps that path. Two changes are deliberate:
-    where existence holds but the float loci do not cross off the axis,
-    the old Euclidean search returned None and now raises a named error
-    (which the hyperbolic search, wrapping its flat call, now quotes);
-    and a Euclidean witness is now held to 1e-10 instead of 1e-8, which a
-    nan residual (heights whose gaps overflow the loci) no longer passes.
+    tests/_witness_path.py keeps that path, whose Euclidean witness was a
+    float intersection of two locus objects polished by Newton steps. The
+    cross-ratios, the existence tests and the oracle return its bits. The
+    closed-form witness returns other bits, so the witness tests require
+    that no witness is lost: on heights whose neighbours differ by 1e-6
+    or more relative to the larger, wherever the old path returned a
+    witness within the contract, the new one returns a witness too.
+    Closer heights sit at the limit of what a float point resolves, where
+    either path may win.
     """
 
     @given(witness_heights())
-    # existence holds, but the loci meet tangentially at cross-ratio 3 - 4.2e-16
+    # the float circle loci met on the axis at cross-ratio 3 - 4.2e-16
     @example((1.0, 0.18352734933459244, 0.05320530938513346, 0.0))
-    # the best float point has residual 1.44e-9, between the two bounds
+    # the closed form's point has residual 1.98e-10, between the two bounds
     @example((62.18405961560278, 24.55849812734293, 24.558498082097245, -36.229585738926005))
     @settings(max_examples=400, deadline=None)
     def test_euclid_matches_object_path(self, heights):
@@ -381,17 +429,15 @@ class TestWitnessBitIdentity:
         assert _run(exists_euclid, cfg) == _run(witness_path.exists_euclid, cfg)
         old = _run(witness_path.find_witness_euclid, cfg)
         new = _run(find_witness_euclid, cfg)
-        if _bits(new) == _bits(old):
+        if not exists_euclid(cfg):
+            assert old is None and new is None
             return
-        assert isinstance(new, WitnessSearchError), (old, new)
-        if old is None:
-            assert exists_euclid(cfg) and " but the loci " in str(new)
-        elif isinstance(old, WitnessSearchError):
-            assert str(new) == str(old).replace(f"> {HYPER_WITNESS_TOL}", f"> {EUCLID_WITNESS_TOL}")
-        else:
-            worst = max(abs(r) for r in old.residuals)
-            assert not worst <= EUCLID_WITNESS_TOL  # nan where the loci overflowed
-            assert str(new).endswith(f"residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
+        assert isinstance(new, (Witness, WitnessSearchError)), new
+        if isinstance(new, Witness):
+            assert max(abs(r) for r in new.residuals) <= EUCLID_WITNESS_TOL
+        if _min_gap(heights) >= 1e-6 and isinstance(old, Witness):
+            if max(abs(r) for r in old.residuals) <= EUCLID_WITNESS_TOL:
+                assert isinstance(new, Witness), (old, new)
 
     @given(witness_heights())
     @settings(max_examples=400, deadline=None)
@@ -401,13 +447,12 @@ class TestWitnessBitIdentity:
         assert _bits(_run(exists_hyper, cfg)) == _bits(_run(witness_path.exists_hyper, cfg))
         old = _run(witness_path.find_witness_hyper, cfg)
         new = _run(find_witness_hyper, cfg)
-        if _bits(new) == _bits(old):
+        if not exists_hyper(cfg):
+            assert old is None and new is None
             return
-        prefix, _, cause = str(old).partition(" but ")
-        assert isinstance(old, WitnessSearchError) and cause == "the flat problem of the squared heights returned no witness"
-        assert isinstance(new, WitnessSearchError)
-        assert str(new).startswith(f"{prefix} but the flat witness of the squared heights failed: ")
-        assert " but the loci " in str(new) and "residual" not in str(new)
+        assert isinstance(new, (Witness, WitnessSearchError)), new
+        if _min_gap(heights) >= 1e-6 and isinstance(old, Witness):
+            assert isinstance(new, Witness), (old, new)
 
     @given(
         st.one_of(witness_heights(), st.lists(st.floats(min_value=5e-324, max_value=1e300), min_size=3, max_size=3)),
