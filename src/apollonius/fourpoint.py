@@ -44,9 +44,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
-from .halfplane import AxisPoint, GeometryError, HPoint, OrderingError, equal_angle_residual
+from .halfplane import GeometryError, OrderingError, _axis_residuals
 from .locus import _euclid_angle
 
 __all__ = [
@@ -79,7 +80,7 @@ class WitnessSearchError(RuntimeError):
     """A witness should exist but none passing the angle oracle was constructed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FourConfig:
     """Ordered heights a > b > c > d with a geometry tag.
 
@@ -93,15 +94,16 @@ class FourConfig:
     d: float
     geometry: Geometry
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        values = (self.a, self.b, self.c, self.d)
-        if not all(math.isfinite(v) for v in values):
-            raise GeometryError(f"heights must be finite, got {values}")
-        _check_ordered(*values)
-        if self.geometry is Geometry.HYPERBOLIC:
-            _check_positive(self.d)
+    def __init__(self, a: float, b: float, c: float, d: float, geometry: Geometry):
+        # converts, stores and validates in one pass; being frozen, the
+        # fields are stored past the dataclass's __setattr__
+        a, b, c, d = float(a), float(b), float(c), float(d)
+        self.__dict__.update(a=a, b=b, c=c, d=d, geometry=geometry)
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+            raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
+        _check_ordered(a, b, c, d)
+        if geometry is Geometry.HYPERBOLIC:
+            _check_positive(d)
 
     def scaled(self, factor: float) -> "FourConfig":
         return FourConfig(
@@ -236,16 +238,29 @@ def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float)
     """(x, y) of the flat witness of heights a > b > c > d, from b and the gaps a-b, b-c, c-d.
 
     cross_ratio is the caller's value of the cross-ratio, below 3, so the
-    square root's argument is positive. Where the divisor rounds to 0, or
-    x underflows to 0 (gaps more than ~1e154 apart), WitnessSearchError
-    names the cause.
+    square root's argument is positive. Where that product of four gaps
+    leaves the normal floats (gaps spanning ~1e100 or more), the gaps are
+    first multiplied by the power of two that brings it near 1, and x and
+    the offset of y from b are scaled back: exact, and unused wherever
+    the product is normal. Where the divisor rounds to 0, or x underflows
+    to 0 (a witness below the float range), WitnessSearchError names the
+    cause.
     """
     bd, ac = bc + cd, ab + bc
+    product = bd * ac * ((EXISTENCE_THRESHOLD - cross_ratio) * ab * cd)
+    if product < sys.float_info.min:
+        # the mean binary exponent of the four factors
+        k = (math.frexp(bd)[1] + math.frexp(ac)[1] + math.frexp(ab)[1] + math.frexp(cd)[1]) // 4
+        x, offset = _flat_witness(0.0, math.ldexp(ab, -k), math.ldexp(bc, -k), math.ldexp(cd, -k), cross_ratio)
+        x = math.ldexp(x, k)
+        if x == 0.0:
+            raise _search_error(cross_ratio, "the closed form's x underflows to 0")
+        return x, b + math.ldexp(offset, k)
     divisor = 2.0 * (bc * bc - ab * cd)
     if divisor == 0.0:
         raise _search_error(cross_ratio, "the divisor (b-c)^2 - (a-b)(c-d) rounds to 0")
     y = b + bc * bd * (ab - bc) / divisor
-    x = bc * math.sqrt(bd * ac * ((EXISTENCE_THRESHOLD - cross_ratio) * ab * cd)) / abs(divisor)
+    x = bc * math.sqrt(product) / abs(divisor)
     if x == 0.0:
         raise _search_error(cross_ratio, "the closed form's x underflows to 0")
     return x, y
@@ -266,9 +281,12 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     Heights are first divided by a power of two (_normalized), which is
     exact and keeps the squares finite. The flat gaps are the products
     (p - q)(p + q), which keep the gaps of close heights that squaring
-    them would lose. The half-plane oracle judges the point on the
-    normalized copy, since scaling changes no hyperbolic angle and the
-    oracle's tests are relative.
+    them would lose. The half-plane judge of equal_angle_residual
+    (halfplane._axis_residuals) takes the point on the normalized copy
+    and all four heights at once, since scaling changes no hyperbolic
+    angle: its residuals are those of equal_angle_residual for (a, b, c)
+    and (b, c, d) at the returned witness, bit for bit wherever the
+    scaled values stay normal floats.
     A true existence predicate with no witness passing the oracle raises
     WitnessSearchError. The returned witness has x > 0 (its mirror image
     is a witness too).
@@ -283,10 +301,7 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     x, y = abs(root.real), root.imag
     if y <= 0.0:
         raise _search_error(cross_ratio, "the mapped witness lies on the boundary axis")
-    p = HPoint(x, y)
-    a, b, c, d = AxisPoint(a), AxisPoint(b), AxisPoint(c), AxisPoint(d)
-    res1 = equal_angle_residual(p, a, b, c).value
-    res2 = equal_angle_residual(p, b, c, d).value
+    res1, res2 = _axis_residuals(x, y, (a, b, c, d))
     if not max(abs(res1), abs(res2)) <= HYPER_WITNESS_TOL:
         raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
     return Witness(math.ldexp(x, k), math.ldexp(y, k), (res1, res2))

@@ -8,9 +8,14 @@ P = (x, y) and an axis point (0, h) is the circle centered at
     ((x^2 + y^2 - h^2) / (2x), 0),
 
 and the hyperbolic angle between two geodesics at P equals the
-Euclidean angle between the corresponding radius vectors. Everything
-downstream (locus sampling, witness search) is checked against the
-angle predicate defined here.
+Euclidean angle between the corresponding radius vectors. Multiplied
+by 2x, the radius vector is (x^2 - y^2 + h^2, 2xy), the complex number
+P^2 + h^2, so the angle at P between the geodesics to two axis points
+is the angle between two such vectors, with no center, no division and
+no unit vectors: atan2(|cross|, dot) needs none. The equal-angle
+residual built on this, equal_angle_residual, is the independent judge
+of every hyperbolic witness, and everything downstream (locus
+sampling, witness search) is checked against it.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ __all__ = [
     "axis_center",
 ]
 
-# Abscissa gap, relative to the larger abscissa, at or below which the
-# connecting geodesic is treated as vertical; the arc center diverges as
-# the abscissas coincide.
+# Abscissa gap, relative to the larger abscissa, at or below which
+# geodesic_through returns a vertical ray; the arc center diverges as the
+# abscissas coincide.
 VERTICAL_EPS = 1e-12
 
 # Relative tolerance for "P lies on G" checks.
@@ -195,17 +200,16 @@ def tangent_direction(g: Geodesic, p: HPoint) -> tuple[float, float]:
 
 
 def _oriented_tangent(px: float, py: float, qx: float, qy: float) -> tuple[float, float]:
-    """Unit tangent at p of the geodesic through p and q, pointing toward q."""
-    center = _arc_center(px, py, qx, qy)
-    if center is None:
-        return (0.0, 1.0) if qy > py else (0.0, -1.0)
-    tx, ty = -py, px - center
-    # pick the sign whose chord dot product is positive; it cannot vanish
-    # because both endpoints sit strictly above the axis
-    if tx * (qx - px) + ty * (qy - py) < 0.0:
-        tx, ty = -tx, -ty
-    norm = math.hypot(tx, ty)
-    return (tx / norm, ty / norm)
+    """Tangent at p of the geodesic through p and q, pointing toward q; not of unit length.
+
+    With dx = qx - px, this is the radius vector (px - center, py) turned a
+    quarter turn and multiplied by -2 dx, which clears the center's
+    division: a vertical geodesic (dx = 0) comes out vertical exactly.
+    Its dot product with the chord q - p is (py + qy) |q - p|^2 > 0, so
+    it points toward q.
+    """
+    dx = qx - px
+    return 2.0 * py * dx, dx * dx - (py - qy) * (py + qy)
 
 
 def _unsigned_angle(u: tuple[float, float], v: tuple[float, float]) -> float:
@@ -230,8 +234,12 @@ def hyp_angle(p: HPoint, q1: HPoint, q2: HPoint) -> float:
     geodesic give pi.
     """
     _check_angle_points(p.x, p.y, q1.x, q1.y, q2.x, q2.y)
-    toward_q1 = _oriented_tangent(p.x, p.y, q1.x, q1.y)
-    return _unsigned_angle(toward_q1, _oriented_tangent(p.x, p.y, q2.x, q2.y))
+    # the tangents square coordinate differences: divide by the power of two
+    # of the largest magnitude, which is exact and keeps the squares finite
+    k = -math.frexp(max(abs(p.x), p.y, abs(q1.x), q1.y, abs(q2.x), q2.y))[1]
+    px, py = math.ldexp(p.x, k), math.ldexp(p.y, k)
+    toward_q1 = _oriented_tangent(px, py, math.ldexp(q1.x, k), math.ldexp(q1.y, k))
+    return _unsigned_angle(toward_q1, _oriented_tangent(px, py, math.ldexp(q2.x, k), math.ldexp(q2.y, k)))
 
 
 def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) -> AngleResidual:
@@ -242,24 +250,56 @@ def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) ->
     """
     if not (a.h > b.h > c.h):
         raise OrderingError(f"heights must satisfy a > b > c, got {a.h}, {b.h}, {c.h}")
-    if p.x == 0.0:
+    return AngleResidual(*_axis_residuals(p.x, p.y, (a.h, b.h, c.h)))
+
+
+# |x| y, after the scaling of _axis_residuals, below which a tangent can be
+# shorter than 2^-479, so that products of two of them leave the normal
+# floats and lose digits
+_SHORT_TANGENTS = 2.0**-480
+
+
+def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[float]:
+    """Residuals angle(h0 p h1) - angle(h1 p h2), angle(h1 p h2) - angle(h2 p h3), ... at p = (x, y).
+
+    The heights decrease strictly and y > 0 (the callers check both). One
+    tangent per height, _oriented_tangent toward (0, h), which is
+    (-2xy, x^2 - (y - h)(y + h)), and one angle per adjacent pair.
+    """
+    if x == 0.0:
         raise OnAxisError("the equal-angle locus excludes points on the y-axis")
     # divide everything by the power of two of the largest magnitude: exact,
-    # angle-preserving, and the geodesics' squared coordinates stay normal
-    k = -math.frexp(max(abs(p.x), p.y, a.h))[1]
-    x, y = math.ldexp(p.x, k), math.ldexp(p.y, k)
-    ha, hb, hc = math.ldexp(a.h, k), math.ldexp(b.h, k), math.ldexp(c.h, k)
-    # values far below the largest can round to zero or merge: the checks
-    # of an HPoint and of hyp_angle, in the order the two angles meet them
-    _check_upper(y)
-    _check_upper(hb)
-    _check_angle_points(x, y, 0.0, ha, 0.0, hb)
-    _check_upper(hc)
-    _check_angle_points(x, y, 0.0, hb, 0.0, hc)
-    toward_b = _oriented_tangent(x, y, 0.0, hb)
-    first = _unsigned_angle(_oriented_tangent(x, y, 0.0, ha), toward_b)
-    second = _unsigned_angle(toward_b, _oriented_tangent(x, y, 0.0, hc))
-    return AngleResidual(first - second)
+    # angle-preserving, and the tangents' squared coordinates stay normal
+    k = -math.frexp(max(abs(x), y, heights[0]))[1]
+    sx, sy = math.ldexp(x, k), math.ldexp(y, k)
+    _check_upper(sy)
+    # every tangent is at least 2 |x| y long; where that is tiny, the point
+    # and the heights span more than one scale can hold, so each tangent is
+    # scaled on its own
+    short = abs(sx) * sy < _SHORT_TANGENTS
+    upper = math.ldexp(heights[0], k)
+    u = _rescaled_tangent(x, y, heights[0]) if short else _oriented_tangent(sx, sy, 0.0, upper)
+    angles = []
+    for h in heights[1:]:
+        lower = math.ldexp(h, k)
+        if not (lower > 0.0 and lower != upper and sx != 0.0):
+            # values far below the largest can round to zero or merge: the
+            # checks of an HPoint and of hyp_angle, in the order the angles
+            # meet them
+            _check_upper(lower)
+            _check_angle_points(sx, sy, 0.0, upper, 0.0, lower)
+        v = _rescaled_tangent(x, y, h) if short else _oriented_tangent(sx, sy, 0.0, lower)
+        angles.append(_unsigned_angle(u, v))
+        u, upper = v, lower
+    return [angles[i] - angles[i + 1] for i in range(len(angles) - 1)]
+
+
+def _rescaled_tangent(x: float, y: float, h: float) -> tuple[float, float]:
+    """The tangent at (x, y) toward (0, h), from inputs and output each scaled into [0.5, 1) by a power of two."""
+    k = -math.frexp(max(abs(x), y, h))[1]
+    tx, ty = _oriented_tangent(math.ldexp(x, k), math.ldexp(y, k), 0.0, math.ldexp(h, k))
+    k = -math.frexp(max(abs(tx), abs(ty)))[1]
+    return math.ldexp(tx, k), math.ldexp(ty, k)
 
 
 def hyp_distance(p: HPoint, q: HPoint) -> float:

@@ -6,9 +6,11 @@ problem), tested existence again in each callee, built the two loci and
 judged points by building HPoints, geodesics and tangents per angle. Its
 Euclidean witness intersected two float locus objects and polished the
 point with Newton steps. This module keeps that code unchanged. Tests
-require the cross-ratios, the existence tests and the half-plane oracle
-to return its bits, and the closed-form witness search to lose no
-witness that this copy finds within the contract. This copy's
+require the cross-ratios and the existence tests to return its bits, the
+half-plane oracle to raise its errors, and the closed-form witness
+search to lose no witness that this copy finds within the contract. Its
+oracle's center formula is off by up to 1e-7 next to the axis, so the
+oracle's values are held to an exact evaluation instead. This copy's
 find_witness_euclid returns None where existence holds but the float
 loci do not cross off the axis, and accepts Euclidean witnesses up to
 the 1e-8 bound rather than 1e-10, nan residuals included.

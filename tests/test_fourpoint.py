@@ -1,6 +1,7 @@
 """Cross-ratio existence tests and witness search, both geometries."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +21,12 @@ from apollonius.fourpoint import (
     find_witness_euclid,
     find_witness_hyper,
 )
+import apollonius.fourpoint as fp
 from apollonius.halfplane import AxisPoint, GeometryError, HPoint, OrderingError, equal_angle_residual
 from apollonius.locus import euclidean_equal_angle_residual
 from apollonius.rng import SampleStream
+
+from _exact_residuals import exact_residuals
 
 
 def euclid(a, b, c, d):
@@ -195,11 +199,18 @@ class TestFindWitnessEuclid:
             find_witness_euclid(cfg)
 
     def test_witness_below_the_float_range_is_a_search_failure(self):
-        # the witness sits near x = 1e-200, but the product of gaps under the
-        # square root, about 4e-400, underflows to 0: a named failure
+        # the product of gaps under the square root, about 4e-400, underflowed
+        # to 0; the closed form now scales the gaps first and finds the
+        # witness (1e-200, 1e-200). The Euclidean angles there multiply
+        # coordinates 1e-200 apart, which underflow, so its residual check
+        # fails and names the residual
         cfg = euclid(1.0, 2e-200, 1e-200, 0.0)
         assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"the closed form's x underflows to 0$"):
+        a, b, c, d, k = fp._normalized(cfg)
+        x, y = fp._flat_witness(b, a - b, b - c, c - d, fp._cross_ratio(a, b, c, d))
+        assert math.ldexp(x, k) == pytest.approx(1e-200, rel=1e-15)
+        assert math.ldexp(y, k) == pytest.approx(1e-200, rel=1e-15)
+        with pytest.raises(WitnessSearchError, match=r"the loci meet at residual \S+ > 1e-10$"):
             find_witness_euclid(cfg)
 
     def test_witness_over_the_euclidean_contract_is_a_search_failure(self):
@@ -281,8 +292,6 @@ class TestFindWitnessHyper:
             Witness(1.0, 1.0, (float("nan"), 0.0))
 
     def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
-        import apollonius.fourpoint as fp
-
         def failing(b, ab, bc, cd, cross_ratio):
             raise fp._search_error(cross_ratio, "flat cause")
 
@@ -293,8 +302,6 @@ class TestFindWitnessHyper:
         assert str(info.value) == f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but flat cause"
 
     def test_flat_point_off_the_locus_is_rejected_by_the_oracle(self, monkeypatch):
-        import apollonius.fourpoint as fp
-
         # the hyperbolic path judges the mapped point with the half-plane
         # oracle alone: a flat point off both loci must not pass
         monkeypatch.setattr(fp, "_flat_witness", lambda b, ab, bc, cd, cross_ratio: (1.0, b))
@@ -323,6 +330,43 @@ class TestFindWitnessHyper:
         a, b, c, d = (AxisPoint(h) for h in heights)
         assert abs(equal_angle_residual(p, a, b, c).value) <= HYPER_WITNESS_TOL
         assert abs(equal_angle_residual(p, b, c, d).value) <= HYPER_WITNESS_TOL
+
+    def test_close_middle_heights_are_judged_exactly(self):
+        # log(b/c) = 5.6e-10 puts the mapped point 4.8e-5 off the axis at
+        # height 99284, where the center formula (x^2 + y^2 - h^2)/(2x)
+        # cancels: it read residuals (7.6e-9, -7.4e-9) and passed the point,
+        # whose residuals are 1.145e-7
+        cfg = hyper(539558.9429617529, 99284.14192626122, 99284.14187113171, 12484.186985605676)
+        assert exists_hyper(cfg)
+        with pytest.raises(WitnessSearchError, match=r"residuals \(1\.145e-07, 1\.145e-07\)$"):
+            find_witness_hyper(cfg)
+
+    def test_close_middle_heights_meet_the_contract_exactly(self):
+        # seeded log(b/c) in [1e-10, 1e-8): every witness returned is within
+        # the contract by the exact rational residuals
+        rng = random.Random(10)
+        returned = 0
+        for _ in range(200):
+            d = math.exp(rng.uniform(-10.0, 10.0))
+            c = d * math.exp(rng.uniform(0.1, 3.0))
+            b = c * math.exp(10.0 ** rng.uniform(-10.0, -8.0))
+            heights = (b * math.exp(rng.uniform(0.1, 3.0)), b, c, d)
+            try:
+                w = find_witness_hyper(hyper(*heights))
+            except WitnessSearchError:
+                continue
+            returned += 1
+            assert max(map(abs, exact_residuals(w.x, w.y, heights))) <= HYPER_WITNESS_TOL, heights
+        assert returned >= 50
+
+    @pytest.mark.parametrize("k", [80, 100, 150])
+    def test_squared_gaps_beyond_one_float_scale(self, k):
+        # the flat gaps (a-b)(a+b) and (c-d)(c+d) are ~10^(2k) apart, so
+        # their product under the closed form's square root underflowed:
+        # residual 2.9e-2 at k = 80, "x underflows to 0" beyond
+        heights = (1.0, 1.2 * 10.0**-k, 10.0**-k, 10.0 ** -(k + 1))
+        w = find_witness_hyper(hyper(*heights))
+        assert max(map(abs, exact_residuals(w.x, w.y, heights))) <= 1e-15
 
     def test_unreachable_witness_is_a_search_failure(self):
         # b, c, d within 1e-10: the exact witness sits 3e-11 off their line,

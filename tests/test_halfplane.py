@@ -155,6 +155,16 @@ class TestHypAngle:
         got = hyp_angle(p, HPoint(0, 4), HPoint(0, 1))
         assert got == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    def test_scale_invariant_at_extreme_scales(self, k):
+        # the tangents square coordinate differences, which leave the float
+        # range at 2^±600 unless the coordinates are first divided by a
+        # power of two
+        s = math.ldexp(1.0, k)
+        p, q1, q2 = (1.5, 0.8), (0.0, 5.0), (-2.0, 0.5)
+        scaled = hyp_angle(*(HPoint(x * s, y * s) for x, y in (p, q1, q2)))
+        assert scaled == hyp_angle(*(HPoint(x, y) for x, y in (p, q1, q2)))
+
     def test_additivity_through_middle_point(self):
         # orientation convention makes angle(a,c) = angle(a,b) + angle(b,c)
         p = HPoint(1.5, 0.8)

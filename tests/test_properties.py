@@ -29,6 +29,7 @@ from apollonius.halfplane import (
     geodesic_through,
     hyp_angle,
     hyp_distance,
+    tangent_direction,
 )
 from apollonius.locus import (
     TripleConfig,
@@ -43,6 +44,7 @@ from apollonius.svg import render_svg
 
 import _object_path as object_path
 import _witness_path as witness_path
+from _exact_residuals import exact_residuals
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -127,11 +129,11 @@ def log_uniform_heights(draw):
 
 
 @st.composite
-def near_boundary_heights(draw, lowest=-12.0, highest=-9.0, squared=True):
+def near_boundary_heights(draw, lowest=-12.0, highest=-9.0, squared=True, log_d=(-10.0, 10.0)):
     # b^2 placed 10^lowest to 10^highest (relative) below the squared-height
     # boundary B*, where (B - C)(A - D) = 3 (A - B)(C - D), so a witness
     # exists; with squared=False, b itself below the height boundary
-    log_d = draw(st.floats(min_value=-10.0, max_value=10.0))
+    log_d = draw(st.floats(min_value=log_d[0], max_value=log_d[1]))
     spread = draw(st.floats(min_value=0.1, max_value=30.0))
     position = draw(st.floats(min_value=0.0, max_value=1.0))
     gap = 10.0 ** draw(st.floats(min_value=lowest, max_value=highest))
@@ -408,13 +410,15 @@ class TestWitnessBitIdentity:
 
     tests/_witness_path.py keeps that path, whose Euclidean witness was a
     float intersection of two locus objects polished by Newton steps. The
-    cross-ratios, the existence tests and the oracle return its bits. The
-    closed-form witness returns other bits, so the witness tests require
-    that no witness is lost: on heights whose neighbours differ by 1e-6
-    or more relative to the larger, wherever the old path returned a
-    witness within the contract, the new one returns a witness too.
-    Closer heights sit at the limit of what a float point resolves, where
-    either path may win.
+    cross-ratios and the existence tests return its bits. The closed-form
+    witness returns other bits, so the witness tests require that no
+    witness is lost: on heights whose neighbours differ by 1e-6 or more
+    relative to the larger, wherever the old path returned a witness
+    within the contract, the new one returns a witness too. Closer
+    heights sit at the limit of what a float point resolves, where either
+    path may win. The oracle raises the old path's errors; its values are
+    held to an exact rational evaluation instead, since the old path's
+    center formula is off by up to 1e-7 next to the axis.
     """
 
     @given(witness_heights())
@@ -459,6 +463,12 @@ class TestWitnessBitIdentity:
         st.floats(min_value=-1e300, max_value=1e300),
         st.floats(min_value=5e-324, max_value=1e300),
     )
+    # the old path's witness for heights 5.6e-10 apart in log, 4.8e-5 off
+    # the axis: its center formula read 7.6e-9 where the residual is 1.1e-7
+    @example((539558.9429617529, 99284.14192626122, 99284.14187113171), 4.774355516968702e-05, 99284.14189869647)
+    # spread past the exponent range of one scale: the old path was off by
+    # 4.7 here, and tangents of the common scale underflow
+    @example((1.2691695568921196e-18, 2.6281143244337026e-228, 3.7240567531170605e-308), 1.057e-321, 2.648614995205153e-282)
     @settings(max_examples=400, deadline=None)
     def test_oracle_matches_object_path(self, heights, x, y):
         # scaling by the largest magnitude can push the others to zero or
@@ -467,4 +477,69 @@ class TestWitnessBitIdentity:
         p = HPoint(x, y)
         new = _run(equal_angle_residual, p, a, b, c)
         old = _run(witness_path.equal_angle_residual, p, a, b, c)
-        assert _bits(new) == _bits(old)
+        if isinstance(new, Exception) or isinstance(old, Exception):
+            assert _bits(new) == _bits(old)
+            return
+        (exact,) = exact_residuals(x, y, (a.h, b.h, c.h))
+        assert abs(new.value - exact) <= 1e-15, (new.value, exact)
+
+
+@st.composite
+def wide_heights(draw):
+    # four heights within e^-30 and e^30, neighbours at least 1e-3 apart in
+    # log; few of these have a witness, every near_boundary_heights one has
+    logs = [draw(st.floats(min_value=-30.0, max_value=0.0))]
+    for _ in range(3):
+        logs.append(logs[-1] + draw(st.floats(min_value=1e-3, max_value=10.0)))
+    return tuple(math.exp(v) for v in reversed(logs))
+
+
+@st.composite
+def geodesic_targets(draw, p):
+    # straight above or below p, or at least 0.5 across from it: there
+    # geodesic_through's center is good to ~1e-14 and its vertical ray exact
+    qy = draw(st.floats(min_value=0.5, max_value=4.0))
+    if draw(st.booleans()):
+        assume(qy != p.y)
+        return HPoint(p.x, qy)
+    qx = draw(st.floats(min_value=-4.0, max_value=4.0))
+    assume(abs(qx - p.x) >= 0.5)
+    return HPoint(qx, qy)
+
+
+class TestOneJudge:
+    """The witness search, the oracle and hyp_angle share one tangent and one judge."""
+
+    @given(st.one_of(wide_heights(), near_boundary_heights(-12.0, -1.0, log_d=(-30.0, 0.0))))
+    @settings(max_examples=200, deadline=None)
+    def test_witness_residuals_are_two_oracle_calls(self, heights):
+        assume(heights[0] > heights[1] > heights[2] > heights[3])
+        cfg = FourConfig(*heights, Geometry.HYPERBOLIC)
+        try:
+            witness = find_witness_hyper(cfg)
+        except WitnessSearchError:
+            return
+        if witness is None:
+            return
+        p = HPoint(witness.x, witness.y)
+        a, b, c, d = (AxisPoint(h) for h in heights)
+        upper = equal_angle_residual(p, a, b, c).value
+        lower = equal_angle_residual(p, b, c, d).value
+        assert _bits(witness)[2:] == (upper.hex(), lower.hex())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_hyp_angle_matches_geodesic_tangents(self, data):
+        p = HPoint(data.draw(st.floats(min_value=-4.0, max_value=4.0)), data.draw(st.floats(min_value=0.5, max_value=4.0)))
+        q1, q2 = data.draw(geodesic_targets(p)), data.draw(geodesic_targets(p))
+        assume(q1 != q2)
+
+        def toward(q):
+            tx, ty = tangent_direction(geodesic_through(p, q), p)
+            if tx * (q.x - p.x) + ty * (q.y - p.y) < 0.0:
+                tx, ty = -tx, -ty
+            return tx, ty
+
+        (ux, uy), (vx, vy) = toward(q1), toward(q2)
+        expected = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+        assert abs(hyp_angle(p, q1, q2) - expected) <= 1e-13
