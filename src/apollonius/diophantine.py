@@ -14,9 +14,8 @@ overflow 64-bit ranges already near |m|, |n| ~ 1000.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .halfplane import GeometryError
+from .halfplane import GeometryError, _Record
 
 __all__ = [
     "IntTriple",
@@ -29,13 +28,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntTriple:
+class IntTriple(_Record):
     """Raw generator output; may be unordered and carry signs."""
 
-    a: int
-    b: int
-    c: int
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        self.__dict__.update(a=a, b=b, c=c)
 
 
 class FamilyKind(enum.Enum):

@@ -45,9 +45,8 @@ import cmath
 import enum
 import math
 import sys
-from dataclasses import dataclass
 
-from .halfplane import GeometryError, OrderingError, _axis_residuals
+from .halfplane import GeometryError, OrderingError, _axis_residuals, _Record
 from .locus import _euclid_angle
 
 __all__ = [
@@ -80,23 +79,18 @@ class WitnessSearchError(RuntimeError):
     """A witness should exist but none passing the angle oracle was constructed."""
 
 
-@dataclass(frozen=True, init=False)
-class FourConfig:
+class FourConfig(_Record):
     """Ordered heights a > b > c > d with a geometry tag.
 
     Hyperbolic configs need all heights positive; Euclidean ones only
     the strict ordering (d, even c, may be nonpositive).
     """
 
-    a: float
-    b: float
-    c: float
-    d: float
-    geometry: Geometry
+    _fields = ("a", "b", "c", "d", "geometry")
 
     def __init__(self, a: float, b: float, c: float, d: float, geometry: Geometry):
-        # converts, stores and validates in one pass; being frozen, the
-        # fields are stored past the dataclass's __setattr__
+        # converts, stores and validates in one pass; the fields go straight
+        # into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
         self.__dict__.update(a=a, b=b, c=c, d=d, geometry=geometry)
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
@@ -128,16 +122,14 @@ def _check_positive(d: float) -> None:
         raise GeometryError(f"hyperbolic heights must be positive, got d={d!r}")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """An equal-angle witness point with its two angle residuals."""
 
-    x: float
-    y: float
-    residuals: tuple[float, float]
+    _fields = ("x", "y", "residuals")
 
-    def __post_init__(self):
-        worst = max(abs(self.residuals[0]), abs(self.residuals[1]))
+    def __init__(self, x: float, y: float, residuals: tuple[float, float]):
+        self.__dict__.update(x=x, y=y, residuals=residuals)
+        worst = max(abs(residuals[0]), abs(residuals[1]))
         if not worst <= HYPER_WITNESS_TOL:
             raise GeometryError(f"witness residual {worst:.3e} exceeds {HYPER_WITNESS_TOL}")
 

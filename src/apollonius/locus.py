@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Union
 
 from .halfplane import (
     GeometryError,
     OnAxisError,
     OrderingError,
+    _check_finite,
+    _Record,
 )
 
 __all__ = [
@@ -72,35 +72,33 @@ ALPHA_EPS = 1e-14
 ORIGIN_EPS = 1e-300
 
 
-@dataclass(frozen=True)
-class TripleConfig:
+class TripleConfig(_Record):
     """Ordered heights a > b > c > 0 on the y-axis."""
 
-    a: float
-    b: float
-    c: float
+    _fields = ("a", "b", "c")
 
-    def __post_init__(self):
-        for name in ("a", "b", "c"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not math.isfinite(getattr(self, name)):
-                raise GeometryError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.a > self.b > self.c > 0):
-            raise OrderingError(
-                f"heights must satisfy a > b > c > 0, got ({self.a}, {self.b}, {self.c})"
-            )
+    def __init__(self, a: float, b: float, c: float):
+        a = float(a)
+        _check_finite("a", a)
+        b = float(b)
+        _check_finite("b", b)
+        c = float(c)
+        _check_finite("c", c)
+        self.__dict__.update(a=a, b=b, c=c)
+        if not (a > b > c > 0):
+            raise OrderingError(f"heights must satisfy a > b > c > 0, got ({a}, {b}, {c})")
 
     def scaled(self, factor: float) -> "TripleConfig":
         return TripleConfig(self.a * factor, self.b * factor, self.c * factor)
 
 
-@dataclass(frozen=True)
-class QuarticCoeffs:
+class QuarticCoeffs(_Record):
     """Coefficients (alpha, beta, gamma) of the polar quartic."""
 
-    alpha: float
-    beta: float
-    gamma: float
+    _fields = ("alpha", "beta", "gamma")
+
+    def __init__(self, alpha: float, beta: float, gamma: float):
+        self.__dict__.update(alpha=alpha, beta=beta, gamma=gamma)
 
 
 class LocusClass(enum.Enum):
@@ -115,54 +113,53 @@ class LocusClass(enum.Enum):
     BELOW_HARMONIC = "BelowHarmonic"
 
 
-@dataclass(frozen=True, eq=False)
-class Curve:
+class Curve(_Record):
     """Sampled locus points as columns, one row per point.
 
     sample_curve sorts the rows by (theta, r). rank is the root's column
     in the per-angle solve: 0 for the smaller radius or a lone root, 1
     for the larger. Every point lies in the upper half-plane, with the
-    checks HPoint makes.
+    checks HPoint makes. Curves compare and hash by identity.
     """
 
-    theta: np.ndarray
-    r: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    rank: np.ndarray
+    _fields = ("theta", "r", "x", "y", "rank")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, theta: np.ndarray, r: np.ndarray, x: np.ndarray, y: np.ndarray, rank: np.ndarray):
         import numpy as np
 
-        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+        self.__dict__.update(theta=theta, r=r, x=x, y=y, rank=rank)
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise GeometryError("curve points must have finite x and y")
-        if not (self.y > 0.0).all():
-            raise GeometryError(f"curve points require y > 0, got y={float(self.y.min())!r}")
+        if not (y > 0.0).all():
+            raise GeometryError(f"curve points require y > 0, got y={float(y.min())!r}")
 
     def __len__(self) -> int:
         return len(self.theta)
 
 
-@dataclass(frozen=True)
-class HorizontalLine:
+class HorizontalLine(_Record):
     """Euclidean locus {y = height} (the b = (a + c)/2 case)."""
 
-    height: float
+    _fields = ("height",)
+
+    def __init__(self, height: float):
+        self.__dict__.update(height=height)
 
 
-@dataclass(frozen=True)
-class AxisCircle:
+class AxisCircle(_Record):
     """Euclidean locus circle centered at (0, center_y)."""
 
-    center_y: float
-    radius: float
+    _fields = ("center_y", "radius")
 
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise GeometryError(f"circle radius must be positive, got {self.radius!r}")
+    def __init__(self, center_y: float, radius: float):
+        self.__dict__.update(center_y=center_y, radius=radius)
+        if not radius > 0:
+            raise GeometryError(f"circle radius must be positive, got {radius!r}")
 
 
-EuclideanLocus = Union[HorizontalLine, AxisCircle]
+EuclideanLocus = HorizontalLine | AxisCircle
 
 
 def coefficients(cfg: TripleConfig) -> QuarticCoeffs:

@@ -39,13 +39,11 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .fourpoint import FourConfig, Geometry
-from .halfplane import GeometryError
+from .halfplane import GeometryError, _Record
 from .rng import PairBuffers, SampleStream, uniform_pair
 
 __all__ = [
@@ -86,30 +84,29 @@ _TWO_ULPS_ABOVE_ONE = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
 _LD = np.longdouble
 
 
-@dataclass(frozen=True)
-class ProbEstimate:
+class ProbEstimate(_Record):
     """Monte Carlo success fraction with its binomial standard error."""
 
-    mean: float
-    stderr: float
-    n: int
-    seed: int
+    _fields = ("mean", "stderr", "n", "seed")
+
+    def __init__(self, mean: float, stderr: float, n: int, seed: int):
+        self.__dict__.update(mean=mean, stderr=stderr, n=n, seed=seed)
 
 
-@dataclass(frozen=True)
-class HyperProbSetup:
+class HyperProbSetup(_Record):
     """Endpoint ratio a/d of the hyperbolic sampling interval."""
 
-    ratio: float
+    _fields = ("ratio",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.ratio) and self.ratio > 1.0):
-            raise GeometryError(f"ratio must be finite and > 1, got {self.ratio!r}")
+    def __init__(self, ratio: float):
+        self.__dict__.update(ratio=ratio)
+        if not (math.isfinite(ratio) and ratio > 1.0):
+            raise GeometryError(f"ratio must be finite and > 1, got {ratio!r}")
         # the two interior heights must be distinct doubles strictly inside
         # (1, ratio); with fewer than two there, sampling could never stop
-        if self.ratio <= _TWO_ULPS_ABOVE_ONE:
+        if ratio <= _TWO_ULPS_ABOVE_ONE:
             raise GeometryError(
-                f"ratio {self.ratio!r} leaves fewer than two doubles strictly inside "
+                f"ratio {ratio!r} leaves fewer than two doubles strictly inside "
                 f"(1, ratio) for the interior heights"
             )
 
@@ -205,6 +202,10 @@ def _count_sharded(indicator_fn, n, seed, threads, extra) -> int:
 
     if workers == 1:
         return count(0, n)
+    # imported here: it loads logging, about 10 ms cold, which the default
+    # single-threaded run never needs
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [n * k // workers for k in range(workers + 1)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return sum(pool.map(count, bounds[:-1], bounds[1:]))
@@ -258,8 +259,9 @@ def _hyper_indicators(
     c *= length
     np.exp(c, out=c)
     collapsed = (b == c) | (c == 1.0) | (b == ratio)
+    setup = HyperProbSetup(ratio)
     for i in np.nonzero(collapsed)[0]:
-        cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), HyperProbSetup(ratio))
+        cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), setup)
         b[i], c[i] = cfg.b, cfg.c
     a = ratio * scale
     d = 1.0 * scale

@@ -32,8 +32,13 @@ STAR_NAMES = """
 
 SUBMODULES = ("diophantine", "fourpoint", "halfplane", "locus", "probability", "rng", "serialize", "svg")
 
-# prints which of numpy and scipy the interpreter has loaded
-PRINT_LOADED = "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+# prints which of numpy and scipy the interpreter has loaded, then which of
+# the modules that start-up leaves out: dataclasses and the inspect it
+# imports (8-14 ms), and concurrent.futures, which imports logging (~10 ms)
+PRINT_LOADED = (
+    "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})); "
+    "print(sorted(set(sys.modules) & {'concurrent.futures', 'dataclasses', 'inspect'}))"
+)
 
 RUN_CLI = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 0; " + PRINT_LOADED
 
@@ -72,7 +77,7 @@ class TestNamespace:
 @pytest.mark.parametrize("module", ["apollonius", "apollonius.cli"])
 def test_import_loads_no_numpy_or_scipy(module):
     # numpy's import was about 70% of a CLI run for the subcommands that never use it
-    assert fresh_python(f"import sys, {module}; {PRINT_LOADED}") == "[]\n"
+    assert fresh_python(f"import sys, {module}; {PRINT_LOADED}") == "[]\n[]\n"
 
 
 NUMPY_FREE_CASES = [
@@ -89,7 +94,7 @@ NUMPY_FREE_CASES = [
 @pytest.mark.parametrize("golden_name,argv", NUMPY_FREE_CASES, ids=[c[1][0] for c in NUMPY_FREE_CASES])
 def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
-    assert fresh_python(RUN_CLI, *argv, "-o", str(out)) == "[]\n"
+    assert fresh_python(RUN_CLI, *argv, "-o", str(out)) == "[]\n[]\n"
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
 
 
@@ -106,5 +111,8 @@ NUMPY_CASES = [
 @pytest.mark.parametrize("golden_name,argv", NUMPY_CASES, ids=[c[1][0] for c in NUMPY_CASES])
 def test_numpy_subcommand_imports_it_on_first_use(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
-    assert fresh_python(RUN_CLI, *argv, str(out)) == "['numpy']\n"
+    numpy_loaded, start_up_loaded = fresh_python(RUN_CLI, *argv, str(out)).splitlines()
+    assert numpy_loaded == "['numpy']"
+    # numpy itself may import inspect; the thread pool waits for --threads > 1
+    assert "concurrent.futures" not in start_up_loaded
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
