@@ -328,7 +328,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _check_format_flags(args)
-        for name in ("a", "b", "c", "d", "eps", "ratio", "quadrature"):
+        for name in ("a", "b", "c", "d", "eps", "ratio", "quadrature", "calibrate"):
             value = getattr(args, name, None)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"-{name if len(name) == 1 else '-' + name} must be finite")

@@ -168,11 +168,20 @@ def coefficients(cfg: TripleConfig) -> QuarticCoeffs:
     alpha = 2*b2 - a2 - c2, beta = a2*c2 - b2*b2,
     gamma = b2*(2*a2*c2 - a2*b2 - c2*b2), where x2 = x*x. The same
     ordering is used everywhere so recomputation is bit-identical.
+    Raises GeometryError naming each coefficient that overflows float64
+    (gamma, of degree six in the heights, does so from about 1e51).
     """
     a2, b2, c2 = cfg.a * cfg.a, cfg.b * cfg.b, cfg.c * cfg.c
     alpha = 2.0 * b2 - a2 - c2
     beta = a2 * c2 - b2 * b2
     gamma = b2 * (2.0 * a2 * c2 - a2 * b2 - c2 * b2)
+    named = (("alpha", alpha), ("beta", beta), ("gamma", gamma))
+    overflowed = ", ".join(f"{name} = {value!r}" for name, value in named if not math.isfinite(value))
+    if overflowed:
+        raise GeometryError(
+            f"quartic coefficients overflow float64 at heights "
+            f"({cfg.a!r}, {cfg.b!r}, {cfg.c!r}): {overflowed}"
+        )
     return QuarticCoeffs(alpha, beta, gamma)
 
 

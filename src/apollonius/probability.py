@@ -62,9 +62,21 @@ __all__ = [
     "calibrate_ratio",
 ]
 
-# samples per block; the estimates do not depend on it. At 2^16 a block's
-# arrays (512 KiB each) stay in cache: 2^15 runs as fast, 2^17 ~20% slower
-_CHUNK = 1 << 16
+# samples per block; the estimates do not depend on it. A block runs in one
+# PairBuffers of 65 bytes per sample, 2 MiB per thread at 2^15. Medians in
+# ms of 21 interleaved runs of 2^20 samples (ratio 2 for P_h), 2 vCPU Xeon
+# with 2 MiB of L2 per core, numpy 2.4.6:
+#
+#   block   pe, 1 thread   ph, 1 thread   ph, 2 threads   all three
+#   2^13        18.7           23.7            40.2           83.8
+#   2^14        18.0           22.2            24.7           62.8
+#   2^15        16.0           21.8            19.5           57.6
+#   2^16        22.7           27.1            18.1           66.3
+#   2^17        29.5           35.5            28.1           94.2
+#
+# Small blocks slow the sharded call, which hands the GIL over once per
+# ufunc call; from 2^16 the buffers outgrow L2.
+_CHUNK = 1 << 15
 
 # Gauss-Legendre rules double in size from _GAUSS_MIN_NODES until two
 # successive rules agree; past _GAUSS_MAX_NODES the integral is reported
@@ -212,73 +224,99 @@ def _count_sharded(indicator_fn, n, seed, threads, extra) -> int:
 
 
 def _blocks(indicator_fn, seed, lo, hi, extra):
-    """Indicator arrays of samples lo..hi-1, _CHUNK at a time, all drawn in one PairBuffers."""
+    """Indicator arrays of samples lo..hi-1, _CHUNK at a time, all computed in one PairBuffers.
+
+    Each array is a view of the buffers' flag row, which the next block
+    overwrites; copy it to keep it.
+    """
     buffers = PairBuffers(min(_CHUNK, hi - lo))
     for start in range(lo, hi, _CHUNK):
         yield indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers)
 
 
 def _ordered_uniforms(seed: int, lo: int, hi: int, buffers: PairBuffers | None = None):
-    u, v = uniform_pair(seed, lo, hi, buffers)
-    bad = (u == v) | (u == 0.0) | (v == 0.0)
-    for i in np.nonzero(bad)[0]:
-        stream = SampleStream(seed, lo + int(i))
-        stream.next_float()  # skip the two rejected draws
-        stream.next_float()
-        u[i], v[i] = _draw_ordered_pair(stream)
-    upper = np.maximum(u, v)
-    return upper, np.minimum(u, v, out=v)
+    """(upper, lower) of draws 0 and 1 of samples lo..hi-1, ties and zeros redrawn.
+
+    With buffers, upper is row 2 of buffers.out and lower is row 1, where
+    uniform_pair left draw 1; row 0 is free again and the flag row is
+    overwritten.
+    """
+    n = hi - lo
+    b = PairBuffers(n) if buffers is None else buffers
+    u, v = uniform_pair(seed, lo, hi, b)
+    upper = np.maximum(u, v, out=b.out[2, :n])
+    lower = np.minimum(u, v, out=v)
+    flag = b.flag[:n]
+    # the ordered pair has 0 <= lower <= upper, so these find every tie and
+    # zero draw; both are so rare that the full mask is built only then
+    if np.equal(upper, lower, out=flag).any() or np.equal(lower, 0.0, out=flag).any():
+        for i in np.nonzero((upper == lower) | (lower == 0.0))[0]:
+            stream = SampleStream(seed, lo + int(i))
+            stream.next_float()  # skip the two rejected draws
+            stream.next_float()
+            upper[i], lower[i] = _draw_ordered_pair(stream)
+    return upper, lower
 
 
 def _euclid_indicators(
     seed: int, lo: int, hi: int, offset: float, buffers: PairBuffers
 ) -> np.ndarray:
+    n = hi - lo
     b, c = _ordered_uniforms(seed, lo, hi, buffers)
     a = 1.0 + offset
     d = 0.0 + offset
+    # mirror cross_ratio_euclid's float expression exactly:
+    # cr = ((b - c) / (a - b)) / ((c - d) / (a - d)); at offset 0 the
+    # terms c - 0 and / 1 are exact, so they are skipped
     if offset != 0.0:
         b += offset
         c += offset
-    # mirror cross_ratio_euclid's float expression exactly:
-    # cr = ((b - c) / (a - b)) / ((c - d) / (a - d))
-    cr = np.subtract(b, c)
+    cr = np.subtract(b, c, out=buffers.out[0, :n])
     cr /= np.subtract(a, b, out=b)
-    c -= d
-    c /= a - d
+    if offset != 0.0:
+        c -= d
+        c /= a - d
     cr /= c
-    return cr < 3.0
+    return np.less(cr, 3.0, out=buffers.flag[:n])
 
 
 def _hyper_indicators(
     seed: int, lo: int, hi: int, ratio: float, scale: float, buffers: PairBuffers
 ) -> np.ndarray:
+    n = hi - lo
     length = math.log(ratio)
-    b, c = _ordered_uniforms(seed, lo, hi, buffers)
-    b *= length
-    np.exp(b, out=b)
-    c *= length
-    np.exp(c, out=c)
-    collapsed = (b == c) | (c == 1.0) | (b == ratio)
-    setup = HyperProbSetup(ratio)
-    for i in np.nonzero(collapsed)[0]:
-        cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), setup)
-        b[i], c[i] = cfg.b, cfg.c
+    _ordered_uniforms(seed, lo, hi, buffers)
+    # _ordered_uniforms left lower and upper in rows 1 and 2: stacked, each
+    # step below is one pass over both
+    heights = buffers.out[1:, :n]
+    c, b = heights
+    heights *= length
+    np.exp(heights, out=heights)
+    flag = buffers.flag[:n]
+    # exp can collapse distinct draws onto each other or an endpoint
+    if (
+        np.equal(b, c, out=flag).any()
+        or np.equal(c, 1.0, out=flag).any()
+        or np.equal(b, ratio, out=flag).any()
+    ):
+        setup = HyperProbSetup(ratio)
+        for i in np.nonzero((b == c) | (c == 1.0) | (b == ratio))[0]:
+            cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), setup)
+            b[i], c[i] = cfg.b, cfg.c
     a = ratio * scale
     d = 1.0 * scale
     if scale != 1.0:
-        b *= scale
-        c *= scale
+        heights *= scale
     a2, d2 = a * a, d * d
-    b *= b
-    c *= c
+    heights *= heights
     # the squared-height cross-ratio, as one float expression:
     # cr = ((b2 - c2) / (a2 - b2)) / ((c2 - d2) / (a2 - d2))
-    cr = np.subtract(b, c)
+    cr = np.subtract(b, c, out=buffers.out[0, :n])
     cr /= np.subtract(a2, b, out=b)
     c -= d2
     c /= a2 - d2
     cr /= c
-    return cr < 3.0
+    return np.less(cr, 3.0, out=flag)
 
 
 def euclid_indicator_stream(n: int, seed: int, offset: float = 0.0) -> np.ndarray:
@@ -288,13 +326,15 @@ def euclid_indicator_stream(n: int, seed: int, offset: float = 0.0) -> np.ndarra
     float rounding at the existence boundary, which is what the affine
     invariance property asserts.
     """
-    return np.concatenate(list(_blocks(_euclid_indicators, seed, 0, n, (offset,))))
+    return np.concatenate([ind.copy() for ind in _blocks(_euclid_indicators, seed, 0, n, (offset,))])
 
 
 def hyper_indicator_stream(n: int, seed: int, ratio: float, scale: float = 1.0) -> np.ndarray:
     """Per-sample success booleans; scale multiplies all four heights."""
     HyperProbSetup(ratio)  # validate
-    return np.concatenate(list(_blocks(_hyper_indicators, seed, 0, n, (ratio, scale))))
+    return np.concatenate(
+        [ind.copy() for ind in _blocks(_hyper_indicators, seed, 0, n, (ratio, scale))]
+    )
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

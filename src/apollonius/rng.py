@@ -9,7 +9,9 @@ of another.
 
 A scalar path (Python integers) and a vectorized path (uint64 arrays)
 implement the identical mixing function; tests assert they agree bit for
-bit.
+bit. The vectorized path computes k draws of a block of samples as one
+(k, n) array, keys derived once and every step in place; uniform_pair
+does so in a PairBuffers that a loop over many blocks reuses.
 """
 
 from __future__ import annotations
@@ -44,10 +46,10 @@ def sample_uniform(seed: int, index: int, draw: int) -> float:
 
 def uniform_block(seed: int, lo: int, hi: int, draw: int) -> np.ndarray:
     """Vectorized sample_uniform over sample indices lo..hi-1."""
-    key = _key_offsets(hi - lo)
-    tmp = np.empty_like(key)
-    _key_block(seed, lo, key, key, tmp)  # the offsets turn into the keys in place
-    return _draw_block(key, draw, key, tmp, np.empty(hi - lo))
+    n = hi - lo
+    word = np.empty((1, n), dtype=np.uint64)
+    out = np.empty((1, n))
+    return _uniforms(seed, lo, (draw,), _key_offsets(n), word, np.empty_like(word), out)[0]
 
 
 def uniform_pair(
@@ -55,30 +57,34 @@ def uniform_pair(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draws 0 and 1 of sample indices lo..hi-1: uniform_block(seed, lo, hi, 0) and (.., 1).
 
-    The per-sample key is derived once for both draws, and every step
-    runs in place. Given PairBuffers of at least hi - lo samples, the
-    draws are computed in them and returned as views that the next call
-    with the same buffers overwrites; a loop over many blocks then
-    allocates nothing per block. Without, fresh buffers are used.
+    The per-sample key is derived once for both draws, and both draws are
+    mixed in one pass over a (2, n) array. Given PairBuffers of at least
+    hi - lo samples, the draws are computed in them and returned as views
+    of rows 0 and 1 of buffers.out, which the next call with the same
+    buffers overwrites; a loop over many blocks then allocates nothing
+    per block. Without, fresh buffers are used.
     """
     n = hi - lo
     b = PairBuffers(n) if buffers is None else buffers
-    key, word, tmp = b.key[:n], b.word[:n], b.tmp[:n]
-    _key_block(seed, lo, b.offsets[:n], key, tmp)
-    u = _draw_block(key, 0, word, tmp, b.out[0, :n])
-    v = _draw_block(key, 1, word, tmp, b.out[1, :n])
+    u, v = _uniforms(seed, lo, (0, 1), b.offsets[:n], b.word[:, :n], b.tmp[:, :n], b.out[:2, :n])
     return u, v
 
 
 class PairBuffers:
-    """Working memory of uniform_pair for blocks of up to `size` samples."""
+    """Working memory of one block of up to `size` samples.
+
+    offsets holds i * golden for i < size. word and tmp are (2, size)
+    uint64 rows in which uniform_pair mixes its two draws. out is (3,
+    size) float64: uniform_pair writes draws 0 and 1 to rows 0 and 1, and
+    row 2 is free for the caller, as is flag, a bool row of `size`.
+    """
 
     def __init__(self, size: int):
         self.offsets = _key_offsets(size)
-        self.key = np.empty(size, dtype=np.uint64)
-        self.word = np.empty(size, dtype=np.uint64)
-        self.tmp = np.empty(size, dtype=np.uint64)
-        self.out = np.empty((2, size))
+        self.word = np.empty((2, size), dtype=np.uint64)
+        self.tmp = np.empty_like(self.word)
+        self.out = np.empty((3, size))
+        self.flag = np.empty(size, dtype=np.bool_)
 
 
 def _key_offsets(n: int) -> np.ndarray:
@@ -88,20 +94,30 @@ def _key_offsets(n: int) -> np.ndarray:
     return offsets
 
 
-def _key_block(seed: int, lo: int, offsets: np.ndarray, key: np.ndarray, tmp: np.ndarray) -> None:
-    """_sample_key of indices lo..lo+len(key)-1 into key, from _key_offsets; tmp is scratch."""
-    np.add(offsets, np.uint64(((int(lo) + 1) * _GOLDEN + int(seed)) & _MASK), out=key)
-    _mix_inplace(key, tmp)
-
-
-def _draw_block(
-    key: np.ndarray, draw: int, word: np.ndarray, tmp: np.ndarray, out: np.ndarray
+def _uniforms(
+    seed: int,
+    lo: int,
+    draws: tuple[int, ...],
+    offsets: np.ndarray,
+    word: np.ndarray,
+    tmp: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
-    """Uniforms of one draw from a key block, into out; word (may be key) and tmp are scratch."""
-    np.add(key, np.uint64(((draw + 1) * _GOLDEN) & _MASK), out=word)
+    """Draws `draws` of sample indices lo..lo+n-1 into the rows of out, from _key_offsets.
+
+    word, tmp and out are (len(draws), n); word and tmp are scratch. The
+    sample keys are built in word[0] and turned into every row's state
+    from the last row back, so row 0 consumes them last.
+    """
+    key = word[0]
+    np.add(offsets, np.uint64(((int(lo) + 1) * _GOLDEN + int(seed)) & _MASK), out=key)
+    _mix_inplace(key, tmp[0])
+    for row in range(len(draws) - 1, -1, -1):
+        np.add(key, np.uint64(((draws[row] + 1) * _GOLDEN) & _MASK), out=word[row])
     _mix_inplace(word, tmp)
     word >>= np.uint64(11)
-    np.copyto(out, word, casting="unsafe")  # exact: word < 2^53
+    # exact: word < 2^53; the cast from int64 is cheaper than from uint64
+    np.copyto(out, word.view(np.int64))
     out *= _INV_2_53
     return out
 

@@ -7,6 +7,8 @@ format, so outputs are round-trip safe and byte-identical across runs.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["fmt17", "render_json"]
 
 
@@ -33,6 +35,8 @@ def _render(value, pieces: list[str]) -> None:
     elif isinstance(value, str):
         pieces.append('"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"')
     elif isinstance(value, (int, float)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"JSON has no form for the non-finite float {value!r}")
         pieces.append(fmt17(value))
     elif isinstance(value, dict):
         pieces.append("{")
@@ -55,7 +59,10 @@ def _render(value, pieces: list[str]) -> None:
 
 
 def render_json(value) -> str:
-    """JSON text with floats at 17 significant digits, keys in insertion order."""
+    """JSON text with floats at 17 significant digits, keys in insertion order.
+
+    Raises ValueError on a nan or infinite float, which JSON cannot hold.
+    """
     pieces: list[str] = []
     _render(value, pieces)
     return "".join(pieces) + "\n"

@@ -1,14 +1,17 @@
 """End-to-end CLI tests against committed golden files."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from apollonius import cli
 from apollonius.cli import run
 from apollonius.locus import Curve, TripleConfig, sample_curve
 from apollonius.probability import HyperProbSetup, ph_quadrature
+from apollonius.serialize import render_json
 from apollonius.svg import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,6 +138,42 @@ class TestValidation:
         # an odd grid samples theta = pi/2, which lies on the oval
         assert run(["sample", *triple, "-n", "1023", "-o", str(csv)]) == 0
         assert len(csv.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
+    def test_non_finite_calibration_target_exits_2_and_writes_nothing(self, target, tmp_path, capsys):
+        out = tmp_path / "cal.json"
+        assert run(["prob", "ph", f"--calibrate={target}", "-n", "1", "-o", str(out)]) == 2
+        assert "--calibrate must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "heights,named",
+        [
+            (("6e51", "4e51", "2e51"), "gamma = -inf"),
+            (("1e200", "1e199", "1e198"), "alpha = nan, beta = nan, gamma = nan"),
+        ],
+    )
+    def test_overflowing_coefficients_exit_2_naming_them(self, heights, named, tmp_path, capsys):
+        out = tmp_path / "classify.json"
+        a, b, c = heights
+        assert run(["classify", "-a", a, "-b", b, "-c", c, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "quartic coefficients overflow" in err and err.rstrip().endswith(named)
+        assert not out.exists()
+
+    def test_non_finite_report_value_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
+        # render_json refuses nan and infinities, so a report that carried one
+        # past every check still writes no file
+        monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)
+        monkeypatch.setattr(cli, "classification_report", lambda cfg, eps: {"alpha": math.nan})
+        out = tmp_path / "classify.json"
+        assert run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", str(out)]) == 1
+        assert "non-finite float nan" in capsys.readouterr().err
+        assert not out.exists()
+        for value in (math.inf, -math.inf, np.float64("nan")):
+            with pytest.raises(ValueError, match="non-finite"):
+                render_json({"x": [1.0, value]})
+        assert render_json({"x": [10**400, 1.5]}) == '{"x": [' + str(10**400) + ', 1.5]}\n'
 
     def test_unwritable_output_exits_1(self, capsys, monkeypatch):
         monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from apollonius.probability import (
     sample_config_euclid,
     sample_config_hyper,
 )
-from apollonius.rng import SampleStream
+from apollonius.rng import PairBuffers, SampleStream
 
 # frozen at 40-digit precision from the closed-form expressions
 PE_VALUE = 0.4344050123378750055
@@ -230,6 +231,38 @@ class TestEstimators:
             assert estimate_ph(n, seed, setup, threads=threads) == ph
         assert (euclid_indicator_stream(n, seed) == euclid).all()
         assert (hyper_indicator_stream(n, seed, 2.0) == hyper).all()
+
+    def test_indicator_streams_copy_each_block(self, monkeypatch):
+        # each block's indicators are a view of one buffer row that the next
+        # block overwrites; a stream that kept the views would repeat the last
+        # block, so three full blocks and a short one are checked sample by
+        # sample
+        monkeypatch.setattr(probability, "_CHUNK", 1 << 12)
+        n, seed, setup = 3 * (1 << 12) + 5, 19, HyperProbSetup(2.0)
+        euclid = euclid_indicator_stream(n, seed)
+        hyper = hyper_indicator_stream(n, seed, setup.ratio)
+        for i in range(n):
+            assert euclid[i] == exists_euclid(sample_config_euclid(SampleStream(seed, i)))
+            assert hyper[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
+
+    @pytest.mark.parametrize(
+        "estimate",
+        [lambda n: estimate_pe(n, 1), lambda n: estimate_ph(n, 1, HyperProbSetup(2.0))],
+        ids=["pe", "ph"],
+    )
+    def test_blocks_allocate_nothing_beyond_their_buffers(self, estimate):
+        # every intermediate of a block lives in one PairBuffers, so the traced
+        # peak of a single-threaded estimate over several blocks is those
+        # buffers plus small Python objects
+        estimate(1 << 18)
+        tracemalloc.start()
+        try:
+            estimate(1 << 18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffers = PairBuffers(probability._CHUNK)
+        assert peak <= sum(a.nbytes for a in vars(buffers).values()) + 64 * 1024
 
     def test_worker_count_capped_by_chunks_and_cpus(self):
         assert probability._worker_count(1, 100, 8) == 1
