@@ -329,12 +329,22 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     """
     import numpy as np
 
+    # solve on the heights divided by the power of two 2^k that puts a in
+    # [0.5, 1), as fourpoint does: exact, and the degree-six gamma then
+    # neither overflows nor underflows; each radius scales back exactly
+    k = math.frexp(cfg.a)[1]
+    try:
+        unit = cfg.scaled(math.ldexp(1.0, -k))
+    except OrderingError:
+        raise GeometryError(
+            f"heights ({cfg.a!r}, {cfg.b!r}, {cfg.c!r}) span more than float64 holds below the largest"
+        ) from None
     thetas = theta_grid(n)
-    roots, _ = _solve_arrays(cfg, thetas)
+    roots, _ = _solve_arrays(unit, thetas)
     # row-major: per angle, column 0 before column 1, i.e. ascending r
     rows, rank = np.nonzero(~np.isnan(roots))
     theta = thetas[rows]
-    r = np.sqrt(roots[rows, rank])
+    r = np.ldexp(np.sqrt(roots[rows, rank]), k)
     # math.cos and math.sin, not numpy's: numpy may use its own vector
     # routines on some CPUs, and the output bytes must not depend on that
     angles = theta.tolist()
@@ -387,10 +397,9 @@ def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
 
 def samples_to_csv(curve: Curve) -> str:
     """CSV serialization with header theta,r,x,y at 17 significant digits."""
-    import numpy as np
+    from ._fmt17 import fmt17_rows
 
-    table = np.column_stack((curve.theta, curve.r, curve.x, curve.y))
-    return "theta,r,x,y\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(curve)) % tuple(table.ravel().tolist())
+    return "theta,r,x,y\n" + fmt17_rows((curve.theta, curve.r, curve.x, curve.y), (",", ",", ",", "\n"))
 
 
 def classification_report(cfg: TripleConfig, eps: float = 1e-12) -> dict:

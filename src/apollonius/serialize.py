@@ -1,8 +1,13 @@
 """Text output helpers: fixed 17-significant-digit number formatting.
 
 Every float that reaches a CSV, JSON or SVG byte stream is printed as
-%.17g, through fmt17 or, for whole curves, one %-template of that
-format, so outputs are round-trip safe and byte-identical across runs.
+%.17g, so outputs are round-trip safe and byte-identical across runs.
+Single numbers (JSON, the SVG header) go through fmt17, which is
+CPython's own formatting. Curve columns (CSV rows, SVG polylines) go
+through _fmt17.fmt17_rows, a numpy kernel whose bytes equal "%.17g" for
+every double: it prints the digits itself wherever its double-double
+arithmetic decides them, and hands the rest (possible ties, magnitudes
+outside 1e-99 ... 1e100, zeros, non-finite values) to "%.17g".
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from ._fmt17 import fmt17_rows
 from .halfplane import GeometryError
 from .locus import Curve
 from .serialize import fmt17
@@ -65,11 +66,11 @@ def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
     for rank in range(int(curve.rank.max()) + 1):
         on_branch = curve.rank == rank
         xs, ys = curve.x[on_branch], curve.y[on_branch]
+        rows = fmt17_rows((xs, ys), (",", " ")).split(" ")
         for start, stop in _split_on_jumps(xs, ys):
             if stop - start < 2:
                 continue
-            coords = np.column_stack((xs[start:stop], ys[start:stop])).ravel().tolist()
-            points = " ".join(["%.17g,%.17g"] * (stop - start)) % tuple(coords)
+            points = " ".join(rows[start:stop])
             lines.append(
                 f'<polyline fill="none" stroke="#1f4e9c" '
                 f'stroke-width="{fmt17(stroke)}" points="{points}"/>'

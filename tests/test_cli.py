@@ -9,6 +9,7 @@ import pytest
 
 from apollonius import cli
 from apollonius.cli import run
+from apollonius.halfplane import AxisPoint, HPoint, equal_angle_residual
 from apollonius.locus import Curve, TripleConfig, sample_curve
 from apollonius.probability import HyperProbSetup, ph_quadrature
 from apollonius.serialize import render_json
@@ -138,6 +139,23 @@ class TestValidation:
         # an odd grid samples theta = pi/2, which lies on the oval
         assert run(["sample", *triple, "-n", "1023", "-o", str(csv)]) == 0
         assert len(csv.read_text().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "heights", [("1e39", "1e38", "1e37"), ("4e-60", "2e-60", "1e-60")], ids=["large", "small"]
+    )
+    def test_sample_at_extreme_scales(self, heights, tmp_path):
+        # the quartic is solved on the heights divided by a power of two, so
+        # B^2 - 4AC does not overflow at 1e39, and gamma does not underflow
+        # to 0 at 4e-60, which would leave no root and a false search failure
+        out = tmp_path / "curve.csv"
+        a, b, c = map(float, heights)
+        assert run(["sample", "-a", heights[0], "-b", heights[1], "-c", heights[2], "-n", "9", "-o", str(out)]) == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 9
+        assert (math.pi / 2, b) in {(theta, r) for theta, r, _, _ in rows}
+        for _, _, x, y in rows:
+            residual = equal_angle_residual(HPoint(x, y), AxisPoint(a), AxisPoint(b), AxisPoint(c))
+            assert abs(residual.value) <= 1e-12
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_calibration_target_exits_2_and_writes_nothing(self, target, tmp_path, capsys):

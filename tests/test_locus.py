@@ -1,6 +1,7 @@
 """Quartic locus: coefficients, classification, solving, sampling, Euclid case."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ class TestSampleCurve:
         for s, t in zip(base.r.tolist(), scaled.r.tolist()):
             assert t == pytest.approx(lam * s, rel=1e-12)
 
+    @pytest.mark.parametrize("power", [-900, -200, -120, -1, 1, 120, 200, 900])
+    def test_power_of_two_scalings_are_exact(self, power):
+        # the solve runs at one scale, so a scaled triple's points are the
+        # points scaled, bit for bit, as long as they stay normal floats
+        for b in (30.0, 25.0, 7.0, 6.0):
+            cfg = TripleConfig(35.0, b, 5.0)
+            base, scaled = sample_curve(cfg, 65), sample_curve(cfg.scaled(2.0**power), 65)
+            assert np.array_equal(scaled.theta, base.theta) and np.array_equal(scaled.rank, base.rank)
+            for column in ("r", "x", "y"):
+                assert np.array_equal(getattr(scaled, column), np.ldexp(getattr(base, column), power)), column
+
+    def test_extreme_height_span_is_named(self):
+        with pytest.raises(GeometryError, match=r"heights \(1e\+300, 1.0, 1e-300\) span more than float64"):
+            sample_curve(TripleConfig(1e300, 1.0, 1e-300), 9)
+
     def test_grid_margins(self):
         grid = theta_grid(8)
         assert grid[0] == pytest.approx(math.pi / 32, rel=1e-15)
@@ -242,6 +258,30 @@ class TestSampleCurve:
         assert len(lines) == 5
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(2.0, abs=1e-13)
+
+    def test_csv_traced_peak_at_most_a_whole_curve_template(self):
+        # samples_to_csv formats in blocks, so its traced peak stays at or
+        # below that of one "%.17g" template over the whole 2^18-row curve,
+        # which holds 2^20 float objects at once
+        n = 2**18
+        rng = np.random.default_rng(3)
+        theta, r = np.sort(rng.uniform(0.1, 3.0, n)), rng.uniform(0.5, 2.0, n)
+        curve = Curve(theta, r, r * np.cos(theta), r * np.sin(theta), np.zeros(n, np.intp))
+
+        def template(curve):
+            table = np.column_stack((curve.theta, curve.r, curve.x, curve.y))
+            return "theta,r,x,y\n" + ("%.17g,%.17g,%.17g,%.17g\n" * len(curve)) % tuple(table.ravel().tolist())
+
+        texts, peaks = [], []
+        for write in (samples_to_csv, template):
+            tracemalloc.start()
+            try:
+                texts.append(write(curve))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert texts[0] == texts[1]
+        assert peaks[0] <= peaks[1]
 
     @pytest.mark.parametrize("b", [30.0, 25.0, 20.0, 7.0])
     def test_samples_meet_eval_invariant(self, b):
