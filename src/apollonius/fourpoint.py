@@ -69,6 +69,8 @@ EXISTENCE_THRESHOLD = 3.0
 EUCLID_WITNESS_TOL = 1e-10
 HYPER_WITNESS_TOL = 1e-8
 
+_FLOAT_MIN = sys.float_info.min
+
 
 class Geometry(enum.Enum):
     EUCLIDEAN = "euclid"
@@ -84,6 +86,14 @@ class FourConfig(_Record):
 
     Hyperbolic configs need all heights positive; Euclidean ones only
     the strict ordering (d, even c, may be nonpositive).
+
+    Each config also keeps its unit copy, the heights divided by 2^k with
+    k the binary exponent of max(|a|, |d|), and k, in the private _unit;
+    _normalized checks and returns it. That copy is not a field: repr,
+    ==, hash and pickles see only a, b, c, d and geometry, and unpickling
+    builds it again. It is unchecked here, since heights far below the
+    largest can round into the subnormals and collapse, and such configs
+    construct; the witness functions raise on them.
     """
 
     _fields = ("a", "b", "c", "d", "geometry")
@@ -92,12 +102,32 @@ class FourConfig(_Record):
         # converts, stores and validates in one pass; the fields go straight
         # into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
-        self.__dict__.update(a=a, b=b, c=c, d=d, geometry=geometry)
+        # max(|a|, |d|) wherever a > d, which the checks below require
+        k = math.frexp(a if a >= -d else -d)[1]
+        if k > -1024:
+            factor = math.ldexp(1.0, -k)
+            unit = (a * factor, b * factor, c * factor, d * factor, k)
+        else:
+            unit = None  # 2^-k overflows: every height lies below 2^-1024
+        fields = self.__dict__
+        fields["a"] = a
+        fields["b"] = b
+        fields["c"] = c
+        fields["d"] = d
+        fields["geometry"] = geometry
+        fields["_unit"] = unit
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
             raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
         _check_ordered(a, b, c, d)
         if geometry is Geometry.HYPERBOLIC:
             _check_positive(d)
+
+    def __getstate__(self):
+        fields = self.__dict__
+        return {name: fields[name] for name in self._fields}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
     def scaled(self, factor: float) -> "FourConfig":
         return FourConfig(
@@ -128,7 +158,10 @@ class Witness(_Record):
     _fields = ("x", "y", "residuals")
 
     def __init__(self, x: float, y: float, residuals: tuple[float, float]):
-        self.__dict__.update(x=x, y=y, residuals=residuals)
+        fields = self.__dict__
+        fields["x"] = x
+        fields["y"] = y
+        fields["residuals"] = residuals
         worst = max(abs(residuals[0]), abs(residuals[1]))
         if not worst <= HYPER_WITNESS_TOL:
             raise GeometryError(f"witness residual {worst:.3e} exceeds {HYPER_WITNESS_TOL}")
@@ -170,17 +203,19 @@ def _normalized(cfg: FourConfig) -> tuple[float, float, float, float, int]:
     """cfg's heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
 
     Dividing by a power of two is exact, keeps every gap and square
-    finite and changes neither a cross-ratio nor an angle. Heights far
-    below the largest can round into the subnormals, so the copy is
-    checked as a config is.
+    finite and changes neither a cross-ratio nor an angle. The copy is
+    made once, by FourConfig, and checked here as a config is, since
+    heights far below the largest can round into the subnormals.
     """
-    k = math.frexp(max(abs(cfg.a), abs(cfg.d)))[1]
-    factor = math.ldexp(1.0, -k)
-    a, b, c, d = cfg.a * factor, cfg.b * factor, cfg.c * factor, cfg.d * factor
+    unit = cfg._unit
+    if unit is None:
+        # the error that dividing by 2^k, a power of two beyond the float range, raises
+        raise OverflowError("math range error")
+    a, b, c, d, _ = unit
     _check_ordered(a, b, c, d)
     if cfg.geometry is Geometry.HYPERBOLIC:
         _check_positive(d)
-    return a, b, c, d, k
+    return unit
 
 
 def _squared(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
@@ -240,7 +275,7 @@ def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float)
     """
     bd, ac = bc + cd, ab + bc
     product = bd * ac * ((EXISTENCE_THRESHOLD - cross_ratio) * ab * cd)
-    if product < sys.float_info.min:
+    if product < _FLOAT_MIN:
         # the mean binary exponent of the four factors
         k = (math.frexp(bd)[1] + math.frexp(ac)[1] + math.frexp(ab)[1] + math.frexp(cd)[1]) // 4
         x, offset = _flat_witness(0.0, math.ldexp(ab, -k), math.ldexp(bc, -k), math.ldexp(cd, -k), cross_ratio)

@@ -88,9 +88,10 @@ class _Record:
     Hand-written because every CLI run defines the records: a frozen class
     from the standard library's record decorator costs ~1.2 ms to define
     (a plain class 0.02 ms), and importing that module with inspect 8-14 ms.
-    Each subclass's own __init__ stores its fields with one
-    self.__dict__.update(...), faster on the witness path than a generic
-    base __init__ or slot stores.
+    Each subclass's own __init__ stores its fields straight into
+    self.__dict__, faster than a generic base __init__ or slot stores: with
+    one self.__dict__.update(...), or, on the witness path (FourConfig,
+    Witness), one item at a time, which is faster still.
     """
 
     _fields: tuple[str, ...] = ()
@@ -299,7 +300,10 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
 
     The heights decrease strictly and y > 0 (the callers check both). One
     tangent per height, _oriented_tangent toward (0, h), which is
-    (-2xy, x^2 - (y - h)(y + h)), and one angle per adjacent pair.
+    (-2xy, x^2 - (y - h)(y + h)), and one angle per adjacent pair. These
+    tangents share their first component and x^2, which are formed once,
+    so each height adds one scalar; each angle takes the float operations
+    of _unsigned_angle on two such tangents.
     """
     if x == 0.0:
         raise OnAxisError("the equal-angle locus excludes points on the y-axis")
@@ -313,8 +317,15 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
     # scaled on its own
     short = abs(sx) * sy < _SHORT_TANGENTS
     upper = math.ldexp(heights[0], k)
-    u = _rescaled_tangent(x, y, heights[0]) if short else _oriented_tangent(sx, sy, 0.0, upper)
-    angles = []
+    if short:
+        u = _rescaled_tangent(x, y, heights[0])
+    else:
+        dx = 0.0 - sx
+        tx = 2.0 * sy * dx
+        txtx, dxdx = tx * tx, dx * dx
+        uy = dxdx - (sy - upper) * (sy + upper)
+    residuals = []
+    previous = None
     for h in heights[1:]:
         lower = math.ldexp(h, k)
         if not (lower > 0.0 and lower != upper and sx != 0.0):
@@ -323,10 +334,20 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
             # meet them
             _check_upper(lower)
             _check_angle_points(sx, sy, 0.0, upper, 0.0, lower)
-        v = _rescaled_tangent(x, y, h) if short else _oriented_tangent(sx, sy, 0.0, lower)
-        angles.append(_unsigned_angle(u, v))
-        u, upper = v, lower
-    return [angles[i] - angles[i + 1] for i in range(len(angles) - 1)]
+        if short:
+            v = _rescaled_tangent(x, y, h)
+            angle = _unsigned_angle(u, v)
+            u = v
+        else:
+            # _unsigned_angle((tx, uy), (tx, vy)), operation for operation:
+            # abs(cross) too, since atan2(-0.0, dot < 0) is -pi
+            vy = dxdx - (sy - lower) * (sy + lower)
+            angle = math.atan2(abs(tx * vy - uy * tx), txtx + uy * vy)
+            uy = vy
+        if previous is not None:
+            residuals.append(previous - angle)
+        previous, upper = angle, lower
+    return residuals
 
 
 def _rescaled_tangent(x: float, y: float, h: float) -> tuple[float, float]:

@@ -388,11 +388,10 @@ def euclidean_equal_angle_residual(p: tuple[float, float], a: float, b: float, c
 
 
 def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
-    v1 = (-x, h1 - y)
-    v2 = (-x, h2 - y)
-    cross = v1[0] * v2[1] - v1[1] * v2[0]
-    dot = v1[0] * v2[0] + v1[1] * v2[1]
-    return math.atan2(abs(cross), dot)
+    # the angle between the rays (-x, h1 - y) and (-x, h2 - y), from the
+    # cross and dot products of the two vectors, operation for operation
+    nx, dy1, dy2 = -x, h1 - y, h2 - y
+    return math.atan2(abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2)
 
 
 def samples_to_csv(curve: Curve) -> str:

@@ -31,11 +31,12 @@ def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
         return [(0, len(xs))]
     # math.hypot, not np.hypot, whose rounding differs on some pairs; and
     # the upper middle gap, not np.median's mean of the two middle ones
-    gaps = list(map(math.hypot, np.diff(xs).tolist(), np.diff(ys).tolist()))
-    median = sorted(gaps)[len(gaps) // 2]
+    gaps = np.fromiter(map(math.hypot, np.diff(xs).tolist(), np.diff(ys).tolist()), float, len(xs) - 1)
+    middle = len(gaps) // 2
+    median = np.partition(gaps, middle)[middle]
     if not median > 0.0:
         return [(0, len(xs))]
-    cuts = (np.flatnonzero(np.array(gaps) > _JUMP_FACTOR * median) + 1).tolist()
+    cuts = (np.flatnonzero(gaps > _JUMP_FACTOR * median) + 1).tolist()
     bounds = [0, *cuts, len(xs)]
     return list(zip(bounds, bounds[1:]))
 

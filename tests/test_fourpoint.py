@@ -1,6 +1,8 @@
 """Cross-ratio existence tests and witness search, both geometries."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -55,6 +57,114 @@ class TestFourConfig:
             cross_ratio_euclid(hyper(4, 3, 2, 1))
         with pytest.raises(GeometryError):
             cross_ratio_hyper(euclid(4, 3, 2, 1))
+
+
+# heights whose unit copy (divided by the power of two of the largest)
+# collapses: each config constructs, and its geometry's existence test and
+# witness search raise the error and text of the copy's first failing check
+COLLAPSING = [
+    # spanning past 2^±1000: the two lowest round to 0 in the copy
+    (
+        (2.0**1000, 1.0, 2.0**-1000, 2.0**-1020),
+        Geometry.HYPERBOLIC,
+        OrderingError,
+        "heights must satisfy a > b > c > d, got (0.5, 4.6663180925160944e-302, 0.0, 0.0)",
+    ),
+    (
+        (2.0**1000, 1.0, 2.0**-1000, 2.0**-1020),
+        Geometry.EUCLIDEAN,
+        OrderingError,
+        "heights must satisfy a > b > c > d, got (0.5, 4.6663180925160944e-302, 0.0, 0.0)",
+    ),
+    (
+        (2.0**1023, 2.0**-30, 2.0**-40, 2.0**-1000),
+        Geometry.HYPERBOLIC,
+        GeometryError,
+        "hyperbolic heights must be positive, got d=0.0",
+    ),
+    # gaps of a few subnormal steps
+    (
+        (0.5, 1.5e-323, 1e-323, 5e-324),
+        Geometry.HYPERBOLIC,
+        OrderingError,
+        "heights must satisfy a > b > c > d, got (0.25, 0.0, 0.0, 0.0)",
+    ),
+    ((1.0, 0.5, 0.25, 5e-324), Geometry.HYPERBOLIC, GeometryError, "hyperbolic heights must be positive, got d=0.0"),
+    # the copy holds, its squares collapse
+    (
+        (1.5, 1.0, 1.5e-323, 1e-323),
+        Geometry.HYPERBOLIC,
+        OrderingError,
+        "heights must satisfy a > b > c > d, got (0.5625, 0.25, 0.0, 0.0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("heights,geometry,error,message", COLLAPSING, ids=[str(c[0]) for c in COLLAPSING])
+def test_collapsing_unit_copy_constructs_and_raises_in_the_search(heights, geometry, error, message):
+    cfg = FourConfig(*heights, geometry)
+    functions = (
+        (exists_euclid, find_witness_euclid) if geometry is Geometry.EUCLIDEAN else (exists_hyper, find_witness_hyper)
+    )
+    for function in functions:
+        with pytest.raises(Exception) as caught:
+            function(cfg)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
+def _outcome(cfg):
+    """Existence and witness (or the error's type and text) in cfg's geometry, as bits."""
+    if cfg.geometry is Geometry.EUCLIDEAN:
+        exists, find = exists_euclid, find_witness_euclid
+    else:
+        exists, find = exists_hyper, find_witness_hyper
+    try:
+        w = find(cfg)
+    except WitnessSearchError as e:
+        return exists(cfg), type(e), str(e)
+    return exists(cfg), None if w is None else (w.x.hex(), w.y.hex(), w.residuals[0].hex(), w.residuals[1].hex())
+
+
+class TestUnitCopy:
+    # the (10, 6, 5, 1) witness config, a below-threshold Euclidean one and
+    # one with no witness, in both geometries
+    CONFIGS = [
+        FourConfig(*heights, geometry)
+        for heights in ((10.0, 6.0, 5.0, 1.0), (7.0, 3.0, 2.5, -4.0), (4.0, 3.0, 2.0, 1.0))
+        for geometry in Geometry
+        if geometry is Geometry.EUCLIDEAN or heights[3] > 0
+    ]
+
+    def test_not_in_repr_equality_or_hash(self):
+        cfg = hyper(10, 6, 5, 1)
+        assert repr(cfg) == "FourConfig(a=10.0, b=6.0, c=5.0, d=1.0, geometry=<Geometry.HYPERBOLIC: 'hyper'>)"
+        assert hash(cfg) == hash((10.0, 6.0, 5.0, 1.0, Geometry.HYPERBOLIC))
+        other = copy.copy(cfg)
+        other.__dict__["_unit"] = None
+        assert other == cfg and hash(other) == hash(cfg)
+
+    def test_pickles_hold_only_the_fields(self):
+        cfg = hyper(10, 6, 5, 1)
+        assert cfg.__reduce_ex__(2)[2] == {"a": 10.0, "b": 6.0, "c": 5.0, "d": 1.0, "geometry": Geometry.HYPERBOLIC}
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=repr)
+    def test_copies_and_pickles_search_like_a_fresh_config(self, cfg):
+        fresh = _outcome(FourConfig(cfg.a, cfg.b, cfg.c, cfg.d, cfg.geometry))
+        for clone in (copy.copy(cfg), copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+            assert _outcome(clone) == fresh
+
+    @pytest.mark.parametrize("cfg", CONFIGS, ids=repr)
+    @pytest.mark.parametrize("factor", [2.0**-600, 0.1, 3.0, 2.0**600])
+    def test_scaled_searches_like_a_fresh_config(self, cfg, factor):
+        heights = (cfg.a * factor, cfg.b * factor, cfg.c * factor, cfg.d * factor)
+        assert _outcome(cfg.scaled(factor)) == _outcome(FourConfig(*heights, cfg.geometry))
+
+    @pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.geometry is Geometry.EUCLIDEAN], ids=repr)
+    @pytest.mark.parametrize("offset", [-1e3, -0.1, 2.5, 1e6])
+    def test_shifted_searches_like_a_fresh_config(self, cfg, offset):
+        heights = (cfg.a + offset, cfg.b + offset, cfg.c + offset, cfg.d + offset)
+        assert _outcome(cfg.shifted(offset)) == _outcome(euclid(*heights))
 
 
 class TestCrossRatioEuclid:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from apollonius.halfplane import (
     Arc,
@@ -20,9 +21,21 @@ from apollonius.halfplane import (
     hyp_angle,
     hyp_distance,
     tangent_direction,
+    _axis_residuals,
 )
 
+from _exact_residuals import exact_residuals
+
 LN4 = 1.3862943611198906
+
+# natural logs of magnitudes within e^±60: divided by the largest, every
+# coordinate, height, square and product of the judge stays a normal float,
+# and no tangent is short
+log_magnitude = st.floats(min_value=-60.0, max_value=60.0)
+
+
+def _decreasing(logs):
+    return tuple(math.exp(v) for v in sorted(logs, reverse=True))
 
 
 class TestPointTypes:
@@ -243,6 +256,45 @@ class TestEqualAngleResidual:
         c_c = axis_center(x, y, 1.0)
         assert a_c < b_c < c_c
         assert axis_center(-x, y, 9.0) > axis_center(-x, y, 4.0) > axis_center(-x, y, 1.0)
+
+
+class TestAxisResiduals:
+    @given(
+        heights=st.lists(log_magnitude, min_size=4, max_size=4)
+        .map(_decreasing)
+        .filter(lambda h: h[0] > h[1] > h[2] > h[3]),
+        x=st.builds(lambda sign, v: sign * math.exp(v), st.sampled_from((1.0, -1.0)), log_magnitude),
+        y=log_magnitude.map(math.exp),
+        one_scale=st.just(True),
+    )
+    # the point lies 2^-617 below the largest value, so its x scales to 0 and
+    # the short-tangent branch judges it; a judge that read the sign of the
+    # cross product instead of its absolute value gave -pi for +pi here
+    @example(
+        heights=(2.719426523221848e185, 2.0, 1.0),
+        x=1.2089454884261312e-138,
+        y=2.7194265232218475e185,
+        one_scale=False,
+    )
+    # short tangents with every value a normal float: hyp_angle, which
+    # scales each pair on its own, loses the first angle to underflow here
+    @example(
+        heights=(1.0, 2.0**-599, 2.0**-601, 2.0**-620),
+        x=2.0**-600,
+        y=2.0**-600,
+        one_scale=False,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_hyp_angle_and_exact_residuals(self, heights, x, y, one_scale):
+        residuals = _axis_residuals(x, y, heights)
+        for got, exact in zip(residuals, exact_residuals(x, y, heights), strict=True):
+            assert abs(got - exact) <= 1e-15, (residuals, exact)
+        if one_scale:
+            # bit for bit the differences of hyp_angle over adjacent pairs
+            p, targets = HPoint(x, y), [HPoint(0.0, h) for h in heights]
+            angles = [hyp_angle(p, q1, q2) for q1, q2 in zip(targets, targets[1:])]
+            expected = [first - second for first, second in zip(angles, angles[1:])]
+            assert [r.hex() for r in residuals] == [e.hex() for e in expected]
 
 
 class TestHypDistance:
