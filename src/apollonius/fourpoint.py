@@ -77,6 +77,11 @@ class Geometry(enum.Enum):
     HYPERBOLIC = "hyper"
 
 
+_EUCLIDEAN = Geometry.EUCLIDEAN
+_HYPERBOLIC = Geometry.HYPERBOLIC
+_INF = math.inf
+
+
 class WitnessSearchError(RuntimeError):
     """A witness should exist but none passing the angle oracle was constructed."""
 
@@ -87,40 +92,46 @@ class FourConfig(_Record):
     Hyperbolic configs need all heights positive; Euclidean ones only
     the strict ordering (d, even c, may be nonpositive).
 
-    Each config also keeps its unit copy, the heights divided by 2^k with
-    k the binary exponent of max(|a|, |d|), and k, in the private _unit;
-    _normalized checks and returns it. That copy is not a field: repr,
-    ==, hash and pickles see only a, b, c, d and geometry, and unpickling
-    builds it again. It is unchecked here, since heights far below the
-    largest can round into the subnormals and collapse, and such configs
-    construct; the witness functions raise on them.
+    Validity is decided once, by one chained comparison (finite, ordered
+    and, hyperbolic, positive); the separate checks run only where it
+    fails, to name the failure, so each error keeps its class, text and
+    order. The unit copy is decided once too: the heights divided by 2^k,
+    k the binary exponent of max(|a|, |d|), and k, kept in the private
+    _unit where the copy passes the checks the witness functions need
+    (ordered; hyperbolic, positive with ordered squares), else None. Heights
+    far below the largest can round into the subnormals and collapse; such
+    configs construct, and the witness functions raise on them. _unit is
+    not a field: repr, ==, hash and pickles see only a, b, c, d and
+    geometry, and unpickling builds it again.
     """
 
     _fields = ("a", "b", "c", "d", "geometry")
 
     def __init__(self, a: float, b: float, c: float, d: float, geometry: Geometry):
-        # converts, stores and validates in one pass; the fields go straight
+        # converts, validates and stores in one pass; the fields go straight
         # into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
-        # max(|a|, |d|) wherever a > d, which the checks below require
-        k = math.frexp(a if a >= -d else -d)[1]
-        if k > -1024:
-            factor = math.ldexp(1.0, -k)
-            unit = (a * factor, b * factor, c * factor, d * factor, k)
+        hyperbolic = geometry is _HYPERBOLIC
+        # nan fails every comparison, and an infinite height the outer ones;
+        # on a failure the checks name it, in their order
+        if not _INF > a > b > c > d > (0.0 if hyperbolic else -_INF):
+            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+                raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
+            _check_ordered(a, b, c, d)
+            _check_positive(d)  # finite and ordered, so this is a hyperbolic d <= 0
+        unit = _unit_copy(a, b, c, d)
+        ua, ub, uc, ud, _ = unit
+        if hyperbolic:
+            passes = ua > ub > uc > ud > 0.0 and ua * ua > ub * ub > uc * uc > ud * ud
         else:
-            unit = None  # 2^-k overflows: every height lies below 2^-1024
+            passes = ua > ub > uc > ud
         fields = self.__dict__
         fields["a"] = a
         fields["b"] = b
         fields["c"] = c
         fields["d"] = d
         fields["geometry"] = geometry
-        fields["_unit"] = unit
-        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-            raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
-        _check_ordered(a, b, c, d)
-        if geometry is Geometry.HYPERBOLIC:
-            _check_positive(d)
+        fields["_unit"] = unit if passes else None
 
     def __getstate__(self):
         fields = self.__dict__
@@ -167,13 +178,19 @@ class Witness(_Record):
             raise GeometryError(f"witness residual {worst:.3e} exceeds {HYPER_WITNESS_TOL}")
 
 
-def _require(cfg: FourConfig, geometry: Geometry) -> None:
+def _reject(cfg: FourConfig, geometry: Geometry) -> None:
+    """Raise the error of the first check cfg fails as an input of geometry's functions.
+
+    They test the tag and cfg._unit inline and call this only where one
+    fails, so the checks run in their order: the tag, the unit copy
+    (_normalized), then, in hyperbolic geometry, its squares, which
+    nearly equal tiny heights can collapse.
+    """
     if cfg.geometry is not geometry:
         raise GeometryError(f"operation expects a {geometry.value}-tagged config")
-
-
-def _cross_ratio(a: float, b: float, c: float, d: float) -> float:
-    return ((b - c) / (a - b)) / ((c - d) / (a - d))
+    a, b, c, d, _ = _normalized(cfg)
+    if geometry is _HYPERBOLIC:
+        _check_ordered(a * a, b * b, c * c, d * d)
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
@@ -183,8 +200,11 @@ def cross_ratio_euclid(cfg: FourConfig) -> float:
     does, so the gaps stay finite; the value is bit-identical to the raw
     heights' wherever no height or gap leaves the normal floats.
     """
-    _require(cfg, Geometry.EUCLIDEAN)
-    return _cross_ratio(*_normalized(cfg)[:4])
+    unit = cfg._unit
+    if cfg.geometry is not _EUCLIDEAN or unit is None:
+        _reject(cfg, _EUCLIDEAN)
+    a, b, c, d, _ = unit
+    return ((b - c) / (a - b)) / ((c - d) / (a - d))
 
 
 def cross_ratio_hyper(cfg: FourConfig) -> float:
@@ -195,34 +215,42 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
     heights are squared after _normalized, so the value is bit-identical
     to squaring them directly wherever those squares are normal floats.
     """
-    _require(cfg, Geometry.HYPERBOLIC)
-    return _cross_ratio(*_squared(*_normalized(cfg)[:4]))
+    unit = cfg._unit
+    if cfg.geometry is not _HYPERBOLIC or unit is None:
+        _reject(cfg, _HYPERBOLIC)
+    a, b, c, d, _ = unit
+    a, b, c, d = a * a, b * b, c * c, d * d
+    return ((b - c) / (a - b)) / ((c - d) / (a - d))
+
+
+def _unit_copy(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, int]:
+    """The heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
+
+    Each height is scaled on its own (ldexp), so the copy is finite even
+    where 2^-k is not, for heights all below 2^-1024.
+    """
+    # max(|a|, |d|) wherever a > d, which FourConfig requires
+    k = math.frexp(a if a >= -d else -d)[1]
+    return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), k
 
 
 def _normalized(cfg: FourConfig) -> tuple[float, float, float, float, int]:
-    """cfg's heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
+    """cfg's unit copy (_unit_copy), checked as a config is.
 
     Dividing by a power of two is exact, keeps every gap and square
-    finite and changes neither a cross-ratio nor an angle. The copy is
-    made once, by FourConfig, and checked here as a config is, since
-    heights far below the largest can round into the subnormals.
+    finite and changes neither a cross-ratio nor an angle, but heights
+    far below the largest can round into the subnormals. FourConfig
+    decides once whether the copy passes and keeps it in _unit only
+    then; a copy that failed is built again here, only to name the
+    failure (ordering, then, hyperbolic, positivity).
     """
     unit = cfg._unit
     if unit is None:
-        # the error that dividing by 2^k, a power of two beyond the float range, raises
-        raise OverflowError("math range error")
-    a, b, c, d, _ = unit
-    _check_ordered(a, b, c, d)
-    if cfg.geometry is Geometry.HYPERBOLIC:
-        _check_positive(d)
+        unit = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+        _check_ordered(*unit[:4])
+        if cfg.geometry is _HYPERBOLIC:
+            _check_positive(unit[3])
     return unit
-
-
-def _squared(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float]:
-    """The squared heights, checked still ordered (nearly equal tiny ones can collapse)."""
-    squares = (a * a, b * b, c * c, d * d)
-    _check_ordered(*squares)
-    return squares
 
 
 def exists_euclid(cfg: FourConfig) -> bool:
@@ -239,18 +267,21 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
     The heights are first divided by the power of two of the largest
-    magnitude (_normalized), which is exact and keeps every gap and
-    product of gaps finite; the witness of that copy, scaled back, is the
-    closed-form point of _flat_witness. It carries its two angle
-    residuals, each within EUCLID_WITNESS_TOL.
+    magnitude (the config's unit copy, _normalized), which is exact and
+    keeps every gap and product of gaps finite; the witness of that copy,
+    scaled back, is the closed-form point of _flat_witness. It carries
+    its two angle residuals, each within EUCLID_WITNESS_TOL.
 
     Where the cross-ratio is below 3 but the closed form does not give a
     point within that bound, WitnessSearchError names the cause: the
-    residual of the point, or a divisor or coordinate that rounds to 0.
+    residual of the point, a divisor or coordinate that rounds to 0, or
+    an x that scales back into the subnormals.
     """
-    _require(cfg, Geometry.EUCLIDEAN)
-    a, b, c, d, k = _normalized(cfg)
-    cross_ratio = _cross_ratio(a, b, c, d)
+    unit = cfg._unit
+    if cfg.geometry is not _EUCLIDEAN or unit is None:
+        _reject(cfg, _EUCLIDEAN)
+    a, b, c, d, k = unit
+    cross_ratio = ((b - c) / (a - b)) / ((c - d) / (a - d))
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
     x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
@@ -258,7 +289,10 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     worst = max(abs(residuals[0]), abs(residuals[1]))
     if not worst <= EUCLID_WITNESS_TOL:
         raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
-    return Witness(math.ldexp(x, k), math.ldexp(y, k), residuals)
+    x = math.ldexp(x, k)
+    if x < _FLOAT_MIN:
+        raise _subnormal_error(cross_ratio, x)
+    return Witness(x, math.ldexp(y, k), residuals)
 
 
 def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float) -> tuple[float, float]:
@@ -305,25 +339,29 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     The square map (module docstring) turns the hyperbolic problem into
     the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
     its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
-    Heights are first divided by a power of two (_normalized), which is
-    exact and keeps the squares finite. The flat gaps are the products
-    (p - q)(p + q), which keep the gaps of close heights that squaring
-    them would lose. The half-plane judge of equal_angle_residual
+    Heights are first divided by a power of two (the config's unit copy,
+    _normalized), which is exact and keeps the squares finite. The flat
+    gaps are the products (p - q)(p + q), which keep the gaps of close
+    heights that squaring them would lose. The half-plane judge of equal_angle_residual
     (halfplane._axis_residuals) takes the point on the normalized copy
     and all four heights at once, since scaling changes no hyperbolic
     angle: its residuals are those of equal_angle_residual for (a, b, c)
     and (b, c, d) at the returned witness, bit for bit wherever the
     scaled values stay normal floats.
-    A true existence predicate with no witness passing the oracle raises
+    A true existence predicate with no witness passing the oracle, or
+    with an x that scales back into the subnormals, raises
     WitnessSearchError. The returned witness has x > 0 (its mirror image
     is a witness too).
     """
-    _require(cfg, Geometry.HYPERBOLIC)
-    a, b, c, d, k = _normalized(cfg)
-    cross_ratio = _cross_ratio(*_squared(a, b, c, d))
+    unit = cfg._unit
+    if cfg.geometry is not _HYPERBOLIC or unit is None:
+        _reject(cfg, _HYPERBOLIC)
+    a, b, c, d, k = unit
+    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
+    cross_ratio = ((b2 - c2) / (a2 - b2)) / ((c2 - d2) / (a2 - d2))
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
-    x_e, y_e = _flat_witness(-c * c, (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b), cross_ratio)
+    x_e, y_e = _flat_witness(-c2, (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b), cross_ratio)
     root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
@@ -331,11 +369,20 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     res1, res2 = _axis_residuals(x, y, (a, b, c, d))
     if not max(abs(res1), abs(res2)) <= HYPER_WITNESS_TOL:
         raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
-    return Witness(math.ldexp(x, k), math.ldexp(y, k), (res1, res2))
+    x = math.ldexp(x, k)
+    if x < _FLOAT_MIN:
+        raise _subnormal_error(cross_ratio, x)
+    return Witness(x, math.ldexp(y, k), (res1, res2))
 
 
 def _search_error(cross_ratio: float, cause: str) -> WitnessSearchError:
     return WitnessSearchError(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but {cause}")
+
+
+def _subnormal_error(cross_ratio: float, x: float) -> WitnessSearchError:
+    # the witness was found and judged on the unit copy; scaled back into
+    # the subnormals, x keeps too few bits to stand for it
+    return _search_error(cross_ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:

@@ -270,12 +270,9 @@ def hyp_angle(p: HPoint, q1: HPoint, q2: HPoint) -> float:
     geodesic give pi.
     """
     _check_angle_points(p.x, p.y, q1.x, q1.y, q2.x, q2.y)
-    # the tangents square coordinate differences: divide by the power of two
-    # of the largest magnitude, which is exact and keeps the squares finite
-    k = -math.frexp(max(abs(p.x), p.y, abs(q1.x), q1.y, abs(q2.x), q2.y))[1]
-    px, py = math.ldexp(p.x, k), math.ldexp(p.y, k)
-    toward_q1 = _oriented_tangent(px, py, math.ldexp(q1.x, k), math.ldexp(q1.y, k))
-    return _unsigned_angle(toward_q1, _oriented_tangent(px, py, math.ldexp(q2.x, k), math.ldexp(q2.y, k)))
+    # each tangent is scaled by its own power of two, so that neither its
+    # squares nor the products of the two tangents leave the normal floats
+    return _unsigned_angle(_rescaled_tangent(p.x, p.y, q1.x, q1.y), _rescaled_tangent(p.x, p.y, q2.x, q2.y))
 
 
 def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) -> AngleResidual:
@@ -318,7 +315,7 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
     short = abs(sx) * sy < _SHORT_TANGENTS
     upper = math.ldexp(heights[0], k)
     if short:
-        u = _rescaled_tangent(x, y, heights[0])
+        u = _rescaled_tangent(x, y, 0.0, heights[0])
     else:
         dx = 0.0 - sx
         tx = 2.0 * sy * dx
@@ -335,7 +332,7 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
             _check_upper(lower)
             _check_angle_points(sx, sy, 0.0, upper, 0.0, lower)
         if short:
-            v = _rescaled_tangent(x, y, h)
+            v = _rescaled_tangent(x, y, 0.0, h)
             angle = _unsigned_angle(u, v)
             u = v
         else:
@@ -350,10 +347,10 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
     return residuals
 
 
-def _rescaled_tangent(x: float, y: float, h: float) -> tuple[float, float]:
-    """The tangent at (x, y) toward (0, h), from inputs and output each scaled into [0.5, 1) by a power of two."""
-    k = -math.frexp(max(abs(x), y, h))[1]
-    tx, ty = _oriented_tangent(math.ldexp(x, k), math.ldexp(y, k), 0.0, math.ldexp(h, k))
+def _rescaled_tangent(px: float, py: float, qx: float, qy: float) -> tuple[float, float]:
+    """The tangent at p toward q, from inputs and output each scaled into [0.5, 1) by a power of two."""
+    k = -math.frexp(max(abs(px), py, abs(qx), qy))[1]
+    tx, ty = _oriented_tangent(math.ldexp(px, k), math.ldexp(py, k), math.ldexp(qx, k), math.ldexp(qy, k))
     k = -math.frexp(max(abs(tx), abs(ty)))[1]
     return math.ldexp(tx, k), math.ldexp(ty, k)
 

@@ -301,6 +301,28 @@ def test_unresolvable_euclid_witness_exits_3(capsys):
     assert captured.err.startswith("search failure: existence holds (cross-ratio 2e-11 < 3)")
 
 
+@pytest.mark.parametrize(
+    "geometry, heights",
+    [
+        ("euclid", ("4e-320", "2e-320", "1e-320", "0")),
+        ("hyper", tuple(repr(h * 2.0**-1070) for h in (10.0, 6.0, 5.0, 1.0))),
+    ],
+)
+def test_witness_in_the_subnormals_exits_3(geometry, heights, capsys):
+    # every height lies below 2^-1024: this exited 1 with "internal error:
+    # math range error"; existence holds, and the witness is subnormal
+    argv = ["fourpoint", "--geometry", geometry]
+    for flag, value in zip(("-a", "-b", "-c", "-d"), heights):
+        argv += [flag, value]
+    assert run(argv) == 0
+    assert '"exists": true' in capsys.readouterr().out
+    assert run(argv + ["--witness"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search failure: existence holds (cross-ratio ")
+    assert "lies in the subnormal range (below 2.22507e-308)" in captured.err
+
+
 def test_tangent_loci_witness_exits_0(capsys):
     # cross-ratio 3 - 4.2e-16: float circle loci met on the axis here; the
     # closed form gives a witness off it

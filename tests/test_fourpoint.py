@@ -113,6 +113,25 @@ def test_collapsing_unit_copy_constructs_and_raises_in_the_search(heights, geome
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
+def test_witness_in_the_subnormals_is_a_search_failure(geometry):
+    # (10, 6, 5, 1) times 2^-1070 is exact and lies below 2^-1024, where the
+    # factor 2^-k of the unit copy overflowed (a bare OverflowError). The
+    # copy is the unscaled config's, so the cross-ratio and the existence
+    # test agree bit for bit; scaled back, the witness x is a subnormal with
+    # a few bits left, which stands for no judged point
+    base = FourConfig(10.0, 6.0, 5.0, 1.0, geometry)
+    cfg = base.scaled(2.0**-1070)
+    if geometry is Geometry.EUCLIDEAN:
+        cross_ratio, exists, find = cross_ratio_euclid, exists_euclid, find_witness_euclid
+    else:
+        cross_ratio, exists, find = cross_ratio_hyper, exists_hyper, find_witness_hyper
+    assert cross_ratio(cfg) == cross_ratio(base)
+    assert exists(cfg) and find(base) is not None
+    with pytest.raises(WitnessSearchError, match=r"x = \S+ lies in the subnormal range \(below 2\.22507e-308\)$"):
+        find(cfg)
+
+
 def _outcome(cfg):
     """Existence and witness (or the error's type and text) in cfg's geometry, as bits."""
     if cfg.geometry is Geometry.EUCLIDEAN:
@@ -317,7 +336,7 @@ class TestFindWitnessEuclid:
         cfg = euclid(1.0, 2e-200, 1e-200, 0.0)
         assert exists_euclid(cfg)
         a, b, c, d, k = fp._normalized(cfg)
-        x, y = fp._flat_witness(b, a - b, b - c, c - d, fp._cross_ratio(a, b, c, d))
+        x, y = fp._flat_witness(b, a - b, b - c, c - d, cross_ratio_euclid(cfg))
         assert math.ldexp(x, k) == pytest.approx(1e-200, rel=1e-15)
         assert math.ldexp(y, k) == pytest.approx(1e-200, rel=1e-15)
         with pytest.raises(WitnessSearchError, match=r"the loci meet at residual \S+ > 1e-10$"):

@@ -24,7 +24,7 @@ from apollonius.halfplane import (
     _axis_residuals,
 )
 
-from _exact_residuals import exact_residuals
+from _exact_residuals import exact_angle, exact_residuals
 
 LN4 = 1.3862943611198906
 
@@ -178,6 +178,14 @@ class TestHypAngle:
         scaled = hyp_angle(*(HPoint(x * s, y * s) for x, y in (p, q1, q2)))
         assert scaled == hyp_angle(*(HPoint(x, y) for x, y in (p, q1, q2)))
 
+    def test_short_tangents_keep_their_angle(self):
+        # the tangents are about 2^-1200 long: scaled by one power of two for
+        # the pair, their products underflowed and the angle read 0.0
+        p, q1, q2 = (2.0**-600, 2.0**-600), (0.0, 1.0), (0.0, 2.0**-599)
+        angle = hyp_angle(HPoint(*p), HPoint(*q1), HPoint(*q2))
+        assert angle == exact_angle(*p, q1[1], q2[1])
+        assert angle == pytest.approx(0.4636476090008061, abs=1e-15)
+
     def test_additivity_through_middle_point(self):
         # orientation convention makes angle(a,c) = angle(a,b) + angle(b,c)
         p = HPoint(1.5, 0.8)
@@ -265,36 +273,24 @@ class TestAxisResiduals:
         .filter(lambda h: h[0] > h[1] > h[2] > h[3]),
         x=st.builds(lambda sign, v: sign * math.exp(v), st.sampled_from((1.0, -1.0)), log_magnitude),
         y=log_magnitude.map(math.exp),
-        one_scale=st.just(True),
     )
     # the point lies 2^-617 below the largest value, so its x scales to 0 and
     # the short-tangent branch judges it; a judge that read the sign of the
     # cross product instead of its absolute value gave -pi for +pi here
-    @example(
-        heights=(2.719426523221848e185, 2.0, 1.0),
-        x=1.2089454884261312e-138,
-        y=2.7194265232218475e185,
-        one_scale=False,
-    )
-    # short tangents with every value a normal float: hyp_angle, which
-    # scales each pair on its own, loses the first angle to underflow here
-    @example(
-        heights=(1.0, 2.0**-599, 2.0**-601, 2.0**-620),
-        x=2.0**-600,
-        y=2.0**-600,
-        one_scale=False,
-    )
+    @example(heights=(2.719426523221848e185, 2.0, 1.0), x=1.2089454884261312e-138, y=2.7194265232218475e185)
+    # short tangents with every value a normal float: hyp_angle, when it
+    # scaled each pair by one power of two, lost the first angle to underflow
+    @example(heights=(1.0, 2.0**-599, 2.0**-601, 2.0**-620), x=2.0**-600, y=2.0**-600)
     @settings(max_examples=300, deadline=None)
-    def test_matches_hyp_angle_and_exact_residuals(self, heights, x, y, one_scale):
+    def test_matches_hyp_angle_and_exact_residuals(self, heights, x, y):
         residuals = _axis_residuals(x, y, heights)
         for got, exact in zip(residuals, exact_residuals(x, y, heights), strict=True):
             assert abs(got - exact) <= 1e-15, (residuals, exact)
-        if one_scale:
-            # bit for bit the differences of hyp_angle over adjacent pairs
-            p, targets = HPoint(x, y), [HPoint(0.0, h) for h in heights]
-            angles = [hyp_angle(p, q1, q2) for q1, q2 in zip(targets, targets[1:])]
-            expected = [first - second for first, second in zip(angles, angles[1:])]
-            assert [r.hex() for r in residuals] == [e.hex() for e in expected]
+        # bit for bit the differences of hyp_angle over adjacent pairs
+        p, targets = HPoint(x, y), [HPoint(0.0, h) for h in heights]
+        angles = [hyp_angle(p, q1, q2) for q1, q2 in zip(targets, targets[1:])]
+        expected = [first - second for first, second in zip(angles, angles[1:])]
+        assert [r.hex() for r in residuals] == [e.hex() for e in expected]
 
 
 class TestHypDistance:

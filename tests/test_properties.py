@@ -1,6 +1,8 @@
 """Property-based invariants across the geometry stack."""
 
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -23,7 +25,9 @@ from apollonius.halfplane import (
     AngleResidual,
     Arc,
     AxisPoint,
+    GeometryError,
     HPoint,
+    OrderingError,
     VerticalRay,
     equal_angle_residual,
     geodesic_through,
@@ -332,6 +336,110 @@ class TestCrossRatioProperties:
     def test_cross_ratio_positive(self, heights):
         cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
         assert cross_ratio_euclid(cfg) > 0
+
+
+# nan, the infinities, signed zeros, subnormals and the ends of the float
+# range, beside hypothesis's own floats, which reach all of them too
+edge_float = st.one_of(
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-320, sys.float_info.min, 1.0, -1.0, sys.float_info.max]
+    ),
+    st.floats(),
+)
+
+
+@st.composite
+def adversarial_heights(draw):
+    # as drawn (mostly unordered), sorted, or sorted with two neighbours equal
+    heights = draw(st.lists(edge_float, min_size=4, max_size=4))
+    shape = draw(st.sampled_from(("as drawn", "sorted", "tied")))
+    if shape != "as drawn":
+        heights.sort(reverse=True)
+    if shape == "tied":
+        i = draw(st.integers(0, 2))
+        heights[i + 1] = heights[i]
+    return tuple(heights)
+
+
+@st.composite
+def collapsing_heights(draw):
+    # valid configs whose unit copy can collapse: the top height anywhere in
+    # the float range, the others a few subnormal steps apart or far below it
+    top = draw(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    lower = st.one_of(st.integers(-4, 64).map(lambda n: n * 5e-324), st.floats(min_value=5e-324, max_value=top))
+    rest = sorted(draw(st.lists(lower, min_size=3, max_size=3, unique=True)), reverse=True)
+    assume(top > rest[0])
+    return (top, *rest)
+
+
+def _config_error(heights, hyperbolic):
+    """The (class, message) FourConfig raises: finite, then ordered, then positive; None if valid."""
+    a, b, c, d = heights
+    if not all(math.isfinite(h) for h in heights):
+        return GeometryError, f"heights must be finite, got {heights}"
+    if not a > b > c > d:
+        return OrderingError, f"heights must satisfy a > b > c > d, got {heights}"
+    if hyperbolic and d <= 0:
+        return GeometryError, f"hyperbolic heights must be positive, got d={d!r}"
+    return None
+
+
+def _unit_copy_error(heights, hyperbolic):
+    """The (class, message) the cross-ratio, existence and witness functions raise for valid heights.
+
+    The unit copy is the heights divided by 2^k, k the binary exponent of
+    the largest magnitude, each correctly rounded from exact rationals and
+    keeping its sign (-0.0 too); it must pass the chain above and, in
+    hyperbolic geometry, keep its squares ordered.
+    """
+    k = math.frexp(max(abs(heights[0]), abs(heights[3])))[1]
+    unit = tuple(math.copysign(float(Fraction(h) / Fraction(2) ** k), h) for h in heights)
+    error = _config_error(unit, hyperbolic)
+    if error is None and hyperbolic:
+        squares = tuple(h * h for h in unit)
+        if not squares[0] > squares[1] > squares[2] > squares[3]:
+            error = OrderingError, f"heights must satisfy a > b > c > d, got {squares}"
+    return error
+
+
+class TestValidationParity:
+    """Each config is checked by one comparison, and the named checks run only on a failure.
+
+    Their errors must still follow the documented order, on construction
+    and for the unit copy that every cross-ratio, existence test and
+    witness search works on.
+    """
+
+    @given(st.one_of(adversarial_heights(), collapsing_heights()), st.sampled_from(list(Geometry)))
+    # every height below 2^-1024: the unit copy once raised OverflowError
+    @example((4e-320, 2e-320, 1e-320, 0.0), Geometry.EUCLIDEAN)
+    # the copy holds, its squares collapse
+    @example((1.5, 1.0, 1.5e-323, 1e-323), Geometry.HYPERBOLIC)
+    @settings(max_examples=500, deadline=None)
+    def test_errors_follow_the_reference_chain(self, heights, geometry):
+        hyperbolic = geometry is Geometry.HYPERBOLIC
+        expected = _config_error(heights, hyperbolic)
+        if expected is not None:
+            with pytest.raises(GeometryError) as caught:
+                FourConfig(*heights, geometry)
+            assert (type(caught.value), str(caught.value)) == expected
+            return
+        cfg = FourConfig(*heights, geometry)
+        expected = _unit_copy_error(heights, hyperbolic)
+        if hyperbolic:
+            functions = (cross_ratio_hyper, exists_hyper, find_witness_hyper)
+        else:
+            functions = (cross_ratio_euclid, exists_euclid, find_witness_euclid)
+        for function in functions:
+            try:
+                function(cfg)
+            except GeometryError as exc:
+                outcome = type(exc), str(exc)
+            except WitnessSearchError:
+                outcome = None
+            else:
+                outcome = None
+            assert outcome == expected, function.__name__
 
 
 def _min_gap(heights):
