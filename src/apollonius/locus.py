@@ -71,6 +71,11 @@ ALPHA_EPS = 1e-14
 # lies on the boundary axis, not in the half-plane
 ORIGIN_EPS = 1e-300
 
+# |cross| and |dot| of two flat angle vectors both below this: products of
+# their components can have lost digits in the subnormals (above it, such
+# a loss moves the angle by less than 2^-110)
+_SHORT_PRODUCTS = 2.0**-960
+
 
 class TripleConfig(_Record):
     """Ordered heights a > b > c > 0 on the y-axis."""
@@ -192,57 +197,39 @@ def eval_quartic(cfg: TripleConfig, r: float, theta: float) -> float:
     return s * s * q.alpha - 2.0 * s * q.beta * math.cos(2.0 * theta) - q.gamma
 
 
-def classify(cfg: TripleConfig, eps: float = 1e-12, exact: bool | None = None) -> LocusClass:
-    """Locus regime of the triple.
+def classify(cfg: TripleConfig, eps: float = 1e-12) -> LocusClass:
+    """Locus regime of the triple, decided exactly at every scale.
 
     Compares b^2 against Q^2 = (a^2 + c^2)/2, G^2 = ac and
     H^2 = 2 a^2 c^2 / (a^2 + c^2) with relative tolerance eps; a boundary
     class wins only when |b^2 - M^2| <= eps * M^2, checked from the
-    quadratic mean downward.
-
-    With exact=True (or exact=None and all heights integral) the boundary
-    tests use exact integer comparisons, so integer triples like
-    (35, 25, 5) classify exactly regardless of eps.
+    quadratic mean downward. Integral heights ignore eps, so integer
+    triples like (35, 25, 5) land on a boundary only when they lie on it.
+    The heights, as integers over one power of two, and eps, as a ratio
+    of integers, are compared in integers with each M^2's denominator
+    cleared. eps must be finite and nonnegative (else GeometryError).
     """
-    if eps < 0:
-        raise GeometryError(f"eps must be nonnegative, got {eps!r}")
-    if exact is None:
-        exact = all(float(v).is_integer() for v in (cfg.a, cfg.b, cfg.c))
-    if exact:
-        return _classify_exact(int(cfg.a), int(cfg.b), int(cfg.c))
-
-    a2, b2, c2 = cfg.a * cfg.a, cfg.b * cfg.b, cfg.c * cfg.c
-    q2 = 0.5 * (a2 + c2)
-    g2 = cfg.a * cfg.c
-    h2 = 2.0 * a2 * c2 / (a2 + c2)
-    if abs(b2 - q2) <= eps * q2:
-        return LocusClass.QUADRATIC_HYPERBOLA
-    if abs(b2 - g2) <= eps * g2:
-        return LocusClass.GEOMETRIC_CIRCLE
-    if abs(b2 - h2) <= eps * h2:
-        return LocusClass.HARMONIC_LEMNISCATE
-    if b2 > q2:
-        return LocusClass.ABOVE_QUADRATIC
-    if b2 > g2:
-        return LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
-    if b2 > h2:
-        return LocusClass.BETWEEN_HARMONIC_AND_GEOMETRIC
-    return LocusClass.BELOW_HARMONIC
-
-
-def _classify_exact(a: int, b: int, c: int) -> LocusClass:
+    if not 0.0 <= eps < math.inf:
+        raise GeometryError(f"eps must be finite and nonnegative, got {eps!r}")
+    (a, da), (b, db), (c, dc) = map(float.as_integer_ratio, (cfg.a, cfg.b, cfg.c))
+    scale = max(da, db, dc)  # the denominators are powers of two
+    a, b, c = a * (scale // da), b * (scale // db), c * (scale // dc)
+    p, q = eps.as_integer_ratio() if scale > 1 else (0, 1)
     a2, b2, c2 = a * a, b * b, c * c
-    if 2 * b2 == a2 + c2:
+    # b^2 - M^2 and M^2 for each mean M, times M^2's denominator
+    mq, mg, mh = a2 + c2, a * c, 2 * a2 * c2
+    dq, dg, dh = 2 * b2 - mq, b2 - mg, b2 * mq - mh
+    if q * abs(dq) <= p * mq:
         return LocusClass.QUADRATIC_HYPERBOLA
-    if b2 == a * c:
+    if q * abs(dg) <= p * mg:
         return LocusClass.GEOMETRIC_CIRCLE
-    if b2 * (a2 + c2) == 2 * a2 * c2:
+    if q * abs(dh) <= p * mh:
         return LocusClass.HARMONIC_LEMNISCATE
-    if 2 * b2 > a2 + c2:
+    if dq > 0:
         return LocusClass.ABOVE_QUADRATIC
-    if b2 > a * c:
+    if dg > 0:
         return LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
-    if b2 * (a2 + c2) > 2 * a2 * c2:
+    if dh > 0:
         return LocusClass.BETWEEN_HARMONIC_AND_GEOMETRIC
     return LocusClass.BELOW_HARMONIC
 
@@ -391,7 +378,14 @@ def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
     # the angle between the rays (-x, h1 - y) and (-x, h2 - y), from the
     # cross and dot products of the two vectors, operation for operation
     nx, dy1, dy2 = -x, h1 - y, h2 - y
-    return math.atan2(abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2)
+    cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
+    if cross < _SHORT_PRODUCTS and -_SHORT_PRODUCTS < dot < _SHORT_PRODUCTS:
+        # products may have lost digits in the subnormals: the same angle
+        # with the largest component brought into [0.5, 1)
+        k = math.frexp(max(abs(nx), abs(dy1), abs(dy2)))[1]
+        nx, dy1, dy2 = math.ldexp(nx, -k), math.ldexp(dy1, -k), math.ldexp(dy2, -k)
+        cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
+    return math.atan2(cross, dot)
 
 
 def samples_to_csv(curve: Curve) -> str:

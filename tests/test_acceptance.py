@@ -205,11 +205,11 @@ def test_criterion_8_diophantine():
                     t = normalize_triple(family(m, n))
                 except GeometryError:
                     continue  # repeated heights: not a valid locus config
-                assert classify(TripleConfig(t.a, t.b, t.c), exact=True) == expected
+                assert classify(TripleConfig(t.a, t.b, t.c)) == expected
                 checked += 1
     for p, q, k in ((2, 1, 1), (5, 3, 2), (9, 4, 7)):
         t = normalize_triple(geometric_family(p, q, k))
-        assert classify(TripleConfig(t.a, t.b, t.c), exact=True) == LocusClass.GEOMETRIC_CIRCLE
+        assert classify(TripleConfig(t.a, t.b, t.c)) == LocusClass.GEOMETRIC_CIRCLE
         checked += 1
     assert checked > 10_000
 

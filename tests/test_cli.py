@@ -179,6 +179,20 @@ class TestValidation:
         assert "quartic coefficients overflow" in err and err.rstrip().endswith(named)
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "heights,regime",
+        [
+            # the float means read BetweenHarmonicAndGeometric here
+            (("4e-100", "1.1e-100", "1e-100"), "BelowHarmonic"),
+            # a^2 + c^2 underflowed to 0: "internal error: float division by zero"
+            (("4e-200", "2e-200", "1e-200"), "GeometricCircle"),
+        ],
+    )
+    def test_classify_far_below_one(self, heights, regime, capsys):
+        a, b, c = heights
+        assert run(["classify", "-a", a, "-b", b, "-c", c]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == regime
+
     def test_non_finite_report_value_is_an_internal_error(self, tmp_path, capsys, monkeypatch):
         # render_json refuses nan and infinities, so a report that carried one
         # past every check still writes no file
@@ -323,6 +337,15 @@ def test_witness_in_the_subnormals_exits_3(geometry, heights, capsys):
     assert "lies in the subnormal range (below 2.22507e-308)" in captured.err
 
 
+def test_euclid_witness_far_below_one_exits_0(capsys):
+    # the angles at (1e-200, 1e-200) multiply coordinate differences near
+    # 1e-200, whose products underflowed: this exited 3 at residual 7.854e-01
+    argv = ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "2e-200", "-c", "1e-200", "-d", "0", "--witness"]
+    assert run(argv) == 0
+    witness = json.loads(capsys.readouterr().out)["witness"]
+    assert (witness["x"], witness["y"]) == pytest.approx((1e-200, 1e-200), rel=1e-15)
+
+
 def test_tangent_loci_witness_exits_0(capsys):
     # cross-ratio 3 - 4.2e-16: float circle loci met on the axis here; the
     # closed form gives a witness off it
@@ -339,8 +362,10 @@ def test_tangent_loci_witness_exits_0(capsys):
         # the closed form's point misses the Euclidean contract of 1e-10
         (("62.18405961560278", "24.55849812734293", "24.558498082097245", "-36.229585738926005"),
          "the loci meet at residual 1.984e-10 > 1e-10"),
+        # gaps of one subnormal step: the point's angles cannot be judged
+        (("0.5", "1.5e-323", "1e-323", "5e-324"), "the loci meet at residual 7.854e-01 > 1e-10"),
     ],
-    ids=["over-euclid-contract"],
+    ids=["over-euclid-contract", "subnormal-gaps"],
 )
 def test_euclid_witness_failure_exits_3_naming_the_cause(heights, cause, capsys):
     argv = ["fourpoint", "--geometry", "euclid"]

@@ -134,11 +134,11 @@ class TestFamilyGrid:
                 except GeometryError:
                     continue  # degenerate: repeated heights
                 cfg = TripleConfig(t.a, t.b, t.c)
-                assert classify(cfg, exact=True) == expected_class
+                assert classify(cfg) == expected_class
                 checked += 1
         assert checked > 50
 
     def test_geometric_triples_classify_to_circle(self):
         for p, q, k in ((2, 1, 1), (3, 1, 5), (7, 4, 2), (9, 2, 1)):
             t = normalize_triple(geometric_family(p, q, k))
-            assert classify(TripleConfig(t.a, t.b, t.c), exact=True) == LocusClass.GEOMETRIC_CIRCLE
+            assert classify(TripleConfig(t.a, t.b, t.c)) == LocusClass.GEOMETRIC_CIRCLE

@@ -327,19 +327,25 @@ class TestFindWitnessEuclid:
         with pytest.raises(WitnessSearchError, match=r"the divisor .* rounds to 0$"):
             find_witness_euclid(cfg)
 
-    def test_witness_below_the_float_range_is_a_search_failure(self):
+    def test_witness_far_below_one_is_found(self):
         # the product of gaps under the square root, about 4e-400, underflowed
-        # to 0; the closed form now scales the gaps first and finds the
-        # witness (1e-200, 1e-200). The Euclidean angles there multiply
-        # coordinates 1e-200 apart, which underflow, so its residual check
-        # fails and names the residual
-        cfg = euclid(1.0, 2e-200, 1e-200, 0.0)
+        # to 0; the closed form scales the gaps first and finds the witness
+        # (1e-200, 1e-200). The angles there multiply coordinate differences
+        # near 1e-200, which underflowed until _euclid_angle rescaled short
+        # vectors: the residual check read 7.854e-01 and failed
+        heights = (1.0, 2e-200, 1e-200, 0.0)
+        w = find_witness_euclid(euclid(*heights))
+        assert (w.x, w.y) == pytest.approx((1e-200, 1e-200), rel=1e-15)
+        exact = exact_residuals(w.x, w.y, heights, flat=True)
+        assert max(map(abs, exact)) <= 1e-15
+        assert w.residuals == pytest.approx(exact, abs=1e-15)
+
+    def test_gaps_of_a_subnormal_step_are_a_search_failure(self):
+        # gaps of one subnormal step hold a point too few bits to judge; the
+        # residual check fails before the subnormal x is reached
+        cfg = euclid(0.5, 1.5e-323, 1e-323, 5e-324)
         assert exists_euclid(cfg)
-        a, b, c, d, k = fp._normalized(cfg)
-        x, y = fp._flat_witness(b, a - b, b - c, c - d, cross_ratio_euclid(cfg))
-        assert math.ldexp(x, k) == pytest.approx(1e-200, rel=1e-15)
-        assert math.ldexp(y, k) == pytest.approx(1e-200, rel=1e-15)
-        with pytest.raises(WitnessSearchError, match=r"the loci meet at residual \S+ > 1e-10$"):
+        with pytest.raises(WitnessSearchError, match=r"the loci meet at residual 7\.854e-01 > 1e-10$"):
             find_witness_euclid(cfg)
 
     def test_witness_over_the_euclidean_contract_is_a_search_failure(self):

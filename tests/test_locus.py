@@ -25,6 +25,8 @@ from apollonius.locus import (
 )
 from apollonius.svg import render_svg
 
+from _exact_residuals import exact_residuals
+
 # the seven regimes at a=35, c=5, keyed by the middle height
 REGIME_CASES = [
     (30.0, LocusClass.ABOVE_QUADRATIC),
@@ -104,8 +106,33 @@ class TestClassify:
         assert classify(TripleConfig(4, 2, 1)) == LocusClass.GEOMETRIC_CIRCLE
 
     def test_exact_mode_on_integers(self):
-        assert classify(TripleConfig(35, 25, 5), exact=True) == LocusClass.QUADRATIC_HYPERBOLA
-        assert classify(TripleConfig(35, 7, 5), exact=True) == LocusClass.HARMONIC_LEMNISCATE
+        assert classify(TripleConfig(35, 25, 5)) == LocusClass.QUADRATIC_HYPERBOLA
+        assert classify(TripleConfig(35, 7, 5)) == LocusClass.HARMONIC_LEMNISCATE
+
+    def test_integral_heights_ignore_eps(self):
+        # b^2 = 10^6 lies 2 below 2Q^2 - b^2 = 1000002 and 1 above ac = 999999:
+        # inside eps = 1e-5 of both means, on neither
+        cfg = TripleConfig(1001, 1000, 999)
+        assert classify(cfg, eps=1e-5) == LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
+        assert classify(cfg.scaled(0.5), eps=1e-5) == LocusClass.QUADRATIC_HYPERBOLA
+        assert classify(cfg.scaled(0.5), eps=0.0) == LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
+
+    @pytest.mark.parametrize(
+        "heights,expected",
+        [
+            # truncated to (2, 2, 1), the heights would read AboveQuadratic
+            ((2.9, 2.0, 1.0), LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC),
+            # the float means once read BetweenHarmonicAndGeometric here
+            ((4e-100, 1.1e-100, 1e-100), LocusClass.BELOW_HARMONIC),
+            # a^2 + c^2 underflowed to 0, and H^2 divided by it
+            ((4e-200, 2e-200, 1e-200), LocusClass.GEOMETRIC_CIRCLE),
+            ((4e100, 1.1e100, 1e100), LocusClass.BELOW_HARMONIC),
+            ((4e300, 2e300, 1e300), LocusClass.GEOMETRIC_CIRCLE),
+            ((1.5e300, 1e-300, 5e-301), LocusClass.BETWEEN_HARMONIC_AND_GEOMETRIC),
+        ],
+    )
+    def test_decided_exactly(self, heights, expected):
+        assert classify(TripleConfig(*heights)) == expected
 
     def test_eps_widens_boundary(self):
         near = TripleConfig(35.0, 25.0 * (1 + 1e-8), 5.0)
@@ -113,8 +140,14 @@ class TestClassify:
         assert classify(near, eps=1e-6) == LocusClass.QUADRATIC_HYPERBOLA
 
     def test_negative_eps_rejected(self):
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError, match=r"^eps must be finite and nonnegative, got -1\.0$"):
             classify(TripleConfig(4, 2, 1), eps=-1.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_eps_rejected(self, eps):
+        # inf once made every triple a QuadraticHyperbola, and nan a strict test
+        with pytest.raises(GeometryError, match=f"^eps must be finite and nonnegative, got {eps!r}$"):
+            classify(TripleConfig(4, 1.1, 1), eps=eps)
 
     def test_means_strictly_ordered(self):
         for a, c in ((35.0, 5.0), (2.0, 1.0), (1000.0, 999.0)):
@@ -358,6 +391,17 @@ class TestEuclideanLocus:
 
     def test_residual_nonzero_off_circle(self):
         assert abs(euclidean_equal_angle_residual((3.0, 0.0), 4, 2, 1)) > 1e-3
+
+    @pytest.mark.parametrize("k", [-600, -900, -1000])
+    def test_residual_of_short_vectors(self, k):
+        # products of components near 2^k underflow: the angles once read
+        # atan2(0, 0) = 0, and the residual 0 off the locus
+        s = 2.0**k
+        point, heights = (3.0 * s, 0.5 * s), (4.0 * s, 2.0 * s, 1.0 * s)
+        residual = euclidean_equal_angle_residual(point, *heights)
+        assert residual == pytest.approx(euclidean_equal_angle_residual((3.0, 0.5), 4, 2, 1), abs=1e-15)
+        assert residual == pytest.approx(exact_residuals(*point, heights, flat=True)[0], abs=1e-15)
+        assert abs(residual) > 1e-3
 
     def test_residual_on_axis_rejected(self):
         with pytest.raises(OnAxisError):

@@ -36,7 +36,9 @@ from apollonius.halfplane import (
     tangent_direction,
 )
 from apollonius.locus import (
+    LocusClass,
     TripleConfig,
+    classify,
     coefficients,
     euclidean_equal_angle_residual,
     eval_quartic,
@@ -291,6 +293,93 @@ class TestQuarticProperties:
         a2, b2, c2 = cfg.a**2, cfg.b**2, cfg.c**2
         scale = 2 * b2**3 + 2 * b2 * a2 * c2 + b2 * b2 * (a2 + c2)
         assert abs(residual) <= 1e-14 * max(scale, 1.0)
+
+
+def _reference_class(a, b, c, eps):
+    """classify's rule in fractions.Fraction: boundaries from Q down, then the open regimes."""
+    if all(h.is_integer() for h in (a, b, c)):
+        eps = 0.0  # integral heights ignore eps
+    a, b, c, eps = map(Fraction, (a, b, c, eps))
+    b2 = b * b
+    squared_means = ((a * a + c * c) / 2, a * c, 2 * a * a * c * c / (a * a + c * c))
+    boundaries = (LocusClass.QUADRATIC_HYPERBOLA, LocusClass.GEOMETRIC_CIRCLE, LocusClass.HARMONIC_LEMNISCATE)
+    for m2, boundary in zip(squared_means, boundaries):
+        if abs(b2 - m2) <= eps * m2:
+            return boundary
+    above = (LocusClass.ABOVE_QUADRATIC, LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC, LocusClass.BETWEEN_HARMONIC_AND_GEOMETRIC)
+    for m2, regime in zip(squared_means, above):
+        if b2 > m2:
+            return regime
+    return LocusClass.BELOW_HARMONIC
+
+
+def _sqrt_to_float(x):
+    """A positive Fraction's square root, within an ulp."""
+    # x * 4^shift has about 128 bits before the point, so its integer
+    # square root carries 64
+    shift = (128 - x.numerator.bit_length() + x.denominator.bit_length()) // 2
+    return math.ldexp(float(math.isqrt(math.floor(x * Fraction(4) ** shift))), -shift)
+
+
+def _boundary_family(m, n):
+    # integer triples on each boundary for m > n > 0, ordered and positive:
+    # (A, B, C) with 2B^2 = A^2 + C^2 on Q, (AB, AC, BC) on H, since then
+    # 2/(AC)^2 = 1/(AB)^2 + 1/(BC)^2, and (m^2, mn, n^2) on G
+    A, B, C = m * m + 2 * m * n - n * n, m * m + n * n, abs(m * m - 2 * m * n - n * n)
+    return ((A, B, C), (A * B, A * C, B * C), (m * m, m * n, n * n))
+
+
+@st.composite
+def classify_cases(draw):
+    """Heights log-uniform over e^-700 ... e^700, b free, within 3 ulps of a mean, or on a boundary."""
+    kind = draw(st.sampled_from(("free", "mean", "boundary")))
+    if kind == "boundary":
+        n = draw(st.integers(1, 200))
+        heights = draw(st.sampled_from(_boundary_family(n + draw(st.integers(1, 200)), n)))
+        # integers below 2^36, times a power of two that keeps them normal floats
+        scale = 2.0 ** draw(st.integers(-1000, 980))
+        a, b, c = (h * scale for h in heights)
+    else:
+        log_c = draw(st.floats(-700.0, 699.0))
+        log_a = draw(st.floats(log_c + 1e-9, 700.0))
+        a, c = math.exp(log_a), math.exp(log_c)
+        if kind == "free":
+            b = math.exp(draw(st.floats(log_c, log_a, exclude_min=True, exclude_max=True)))
+        else:
+            A, C = Fraction(a) ** 2, Fraction(c) ** 2
+            b = _sqrt_to_float(draw(st.sampled_from(((A + C) / 2, Fraction(a) * Fraction(c), 2 * A * C / (A + C)))))
+    steps = draw(st.integers(-3, 3)) if kind != "free" else 0
+    for _ in range(abs(steps)):
+        b = math.nextafter(b, math.copysign(math.inf, steps))
+    assume(a > b > c > 0.0)
+    return (a, b, c), draw(st.sampled_from((0.0, 1e-12, 1e-6)))
+
+
+def _integral(cfg):
+    return cfg.a.is_integer() and cfg.b.is_integer() and cfg.c.is_integer()
+
+
+class TestClassifyProperties:
+    @given(classify_cases())
+    @settings(max_examples=600, deadline=None)
+    def test_matches_the_rational_reference(self, case):
+        heights, eps = case
+        assert classify(TripleConfig(*heights), eps) == _reference_class(*heights, eps)
+
+    @given(classify_cases(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scaling_keeps_the_class(self, case, data):
+        # at eps = 0 the class never depends on the scale; at eps > 0 it
+        # does not either where the triple stays integral, or not integral
+        heights, eps = case
+        cfg = TripleConfig(*heights)
+        # keep every height a normal float, so that the scaling is exact
+        lowest = max(-1022, -1021 - math.frexp(cfg.c)[1])
+        highest = min(1023, 1024 - math.frexp(cfg.a)[1])
+        scaled = cfg.scaled(2.0 ** data.draw(st.integers(lowest, highest)))
+        assert classify(scaled, 0.0) == classify(cfg, 0.0)
+        if _integral(scaled) == _integral(cfg):
+            assert classify(scaled, eps) == classify(cfg, eps)
 
 
 class TestCurveColumns:
