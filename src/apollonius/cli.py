@@ -194,10 +194,11 @@ def _cmd_prob(args) -> int:
     return 0
 
 
+# each --family: its identity and its generator of (m, n)
 _FAMILIES = {
-    "quadratic": dio.FamilyKind.QUADRATIC_MEAN,
-    "geometric": dio.FamilyKind.GEOMETRIC_MEAN,
-    "harmonic": dio.FamilyKind.HARMONIC_QUADRATIC,
+    "quadratic": (dio.FamilyKind.QUADRATIC_MEAN, dio.pythagorean_family),
+    "geometric": (dio.FamilyKind.GEOMETRIC_MEAN, dio.geometric_family),
+    "harmonic": (dio.FamilyKind.HARMONIC_QUADRATIC, dio.quadratic_form_family),
 }
 
 
@@ -213,14 +214,15 @@ def _parse_range(text: str, flag: str) -> range:
 
 
 def _cmd_dioph(args) -> int:
-    kind = _FAMILIES[args.family]
+    kind, generate = _FAMILIES[args.family]
     m_range = _parse_range(args.m_range, "--m-range")
     n_range = _parse_range(args.n_range, "--n-range")
     lines = ["m,n,a,b,c,kind,verified"]
     for m in m_range:
         for n in n_range:
-            triple = _generate(kind, m, n)
-            if triple is None:
+            try:
+                triple = generate(m, n)
+            except GeometryError:  # a pair the family excludes, such as (0, 0)
                 continue
             ok = dio.verify_identity(triple, kind)
             lines.append(
@@ -228,18 +230,6 @@ def _cmd_dioph(args) -> int:
             )
     _write("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _generate(kind, m, n):
-    if kind is dio.FamilyKind.GEOMETRIC_MEAN:
-        if m <= 0 or n <= 0 or m == n:
-            return None
-        return dio.geometric_family(m, n)
-    if (m, n) == (0, 0):
-        return None
-    if kind is dio.FamilyKind.QUADRATIC_MEAN:
-        return dio.pythagorean_family(m, n)
-    return dio.quadratic_form_family(m, n)
 
 
 def build_parser() -> argparse.ArgumentParser:

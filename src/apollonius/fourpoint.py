@@ -93,16 +93,16 @@ class FourConfig(_Record):
     the strict ordering (d, even c, may be nonpositive).
 
     Validity is decided once, by one chained comparison (finite, ordered
-    and, hyperbolic, positive); the separate checks run only where it
-    fails, to name the failure, so each error keeps its class, text and
-    order. The unit copy is decided once too: the heights divided by 2^k,
-    k the binary exponent of max(|a|, |d|), and k, kept in the private
-    _unit where the copy passes the checks the witness functions need
-    (ordered; hyperbolic, positive with ordered squares), else None. Heights
-    far below the largest can round into the subnormals and collapse; such
-    configs construct, and the witness functions raise on them. _unit is
-    not a field: repr, ==, hash and pickles see only a, b, c, d and
-    geometry, and unpickling builds it again.
+    and, hyperbolic, positive); _check_heights runs only where it fails,
+    to name the failure, so each error keeps its class, text and order.
+    The unit copy is decided once too: _unit_copy, the heights divided by
+    2^k, k the binary exponent of max(|a|, |d|), and k, kept in the
+    private _unit where the copy passes the checks the witness functions
+    need (ordered; hyperbolic, positive with ordered squares), else None.
+    Heights far below the largest can round into the subnormals and
+    collapse; such configs construct, and the witness functions raise on
+    them. _unit is not a field: repr, ==, hash and pickles see only a, b,
+    c, d and geometry, and unpickling builds it again.
     """
 
     _fields = ("a", "b", "c", "d", "geometry")
@@ -115,10 +115,7 @@ class FourConfig(_Record):
         # nan fails every comparison, and an infinite height the outer ones;
         # on a failure the checks name it, in their order
         if not _INF > a > b > c > d > (0.0 if hyperbolic else -_INF):
-            if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
-                raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
-            _check_ordered(a, b, c, d)
-            _check_positive(d)  # finite and ordered, so this is a hyperbolic d <= 0
+            _check_heights(a, b, c, d, hyperbolic)
         unit = _unit_copy(a, b, c, d)
         ua, ub, uc, ud, _ = unit
         if hyperbolic:
@@ -153,13 +150,13 @@ class FourConfig(_Record):
         )
 
 
-def _check_ordered(a: float, b: float, c: float, d: float) -> None:
-    if not (a > b > c > d):
+def _check_heights(a: float, b: float, c: float, d: float, hyperbolic: bool) -> None:
+    """Raise the error of the first check the heights fail: finite, ordered, then (hyperbolic) positive."""
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise GeometryError(f"heights must be finite, got {(a, b, c, d)}")
+    if not a > b > c > d:
         raise OrderingError(f"heights must satisfy a > b > c > d, got {(a, b, c, d)}")
-
-
-def _check_positive(d: float) -> None:
-    if d <= 0:
+    if hyperbolic and d <= 0:
         raise GeometryError(f"hyperbolic heights must be positive, got d={d!r}")
 
 
@@ -182,21 +179,24 @@ def _reject(cfg: FourConfig, geometry: Geometry) -> None:
     """Raise the error of the first check cfg fails as an input of geometry's functions.
 
     They test the tag and cfg._unit inline and call this only where one
-    fails, so the checks run in their order: the tag, the unit copy
-    (_normalized), then, in hyperbolic geometry, its squares, which
-    nearly equal tiny heights can collapse.
+    fails, so the checks run in their order: the tag, then _check_heights
+    on the unit copy that FourConfig rejected (_unit is None), built again
+    here only to name the failure, and, in hyperbolic geometry, on that
+    copy's squares, which nearly equal tiny heights can collapse.
     """
     if cfg.geometry is not geometry:
         raise GeometryError(f"operation expects a {geometry.value}-tagged config")
-    a, b, c, d, _ = _normalized(cfg)
-    if geometry is _HYPERBOLIC:
-        _check_ordered(a * a, b * b, c * c, d * d)
+    a, b, c, d, _ = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+    hyperbolic = geometry is _HYPERBOLIC
+    _check_heights(a, b, c, d, hyperbolic)
+    if hyperbolic:
+        _check_heights(a * a, b * b, c * c, d * d, False)
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
     """((b-c)/(a-b)) / ((c-d)/(a-d)); always positive for ordered heights.
 
-    Computed on the heights after _normalized, as find_witness_euclid
+    Computed on the config's unit copy (_unit), as find_witness_euclid
     does, so the gaps stay finite; the value is bit-identical to the raw
     heights' wherever no height or gap leaves the normal floats.
     """
@@ -212,8 +212,9 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
 
     Computed as the Euclidean cross-ratio of the squared heights, which
     is the same expression and keeps the reduction exact in floats. The
-    heights are squared after _normalized, so the value is bit-identical
-    to squaring them directly wherever those squares are normal floats.
+    heights of the config's unit copy (_unit) are squared, so the value is
+    bit-identical to squaring the raw heights wherever those squares are
+    normal floats.
     """
     unit = cfg._unit
     if cfg.geometry is not _HYPERBOLIC or unit is None:
@@ -226,31 +227,15 @@ def cross_ratio_hyper(cfg: FourConfig) -> float:
 def _unit_copy(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, int]:
     """The heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
 
-    Each height is scaled on its own (ldexp), so the copy is finite even
-    where 2^-k is not, for heights all below 2^-1024.
+    Dividing by a power of two is exact, keeps every gap and square finite
+    and changes neither a cross-ratio nor an angle, but heights far below
+    the largest can round into the subnormals. Each height is scaled on
+    its own (ldexp), so the copy is finite even where 2^-k is not, for
+    heights all below 2^-1024.
     """
     # max(|a|, |d|) wherever a > d, which FourConfig requires
     k = math.frexp(a if a >= -d else -d)[1]
     return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), k
-
-
-def _normalized(cfg: FourConfig) -> tuple[float, float, float, float, int]:
-    """cfg's unit copy (_unit_copy), checked as a config is.
-
-    Dividing by a power of two is exact, keeps every gap and square
-    finite and changes neither a cross-ratio nor an angle, but heights
-    far below the largest can round into the subnormals. FourConfig
-    decides once whether the copy passes and keeps it in _unit only
-    then; a copy that failed is built again here, only to name the
-    failure (ordering, then, hyperbolic, positivity).
-    """
-    unit = cfg._unit
-    if unit is None:
-        unit = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
-        _check_ordered(*unit[:4])
-        if cfg.geometry is _HYPERBOLIC:
-            _check_positive(unit[3])
-    return unit
 
 
 def exists_euclid(cfg: FourConfig) -> bool:
@@ -267,8 +252,8 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
     The heights are first divided by the power of two of the largest
-    magnitude (the config's unit copy, _normalized), which is exact and
-    keeps every gap and product of gaps finite; the witness of that copy,
+    magnitude (the config's unit copy, _unit), which is exact and keeps
+    every gap and product of gaps finite; the witness of that copy,
     scaled back, is the closed-form point of _flat_witness. It carries
     its two angle residuals, each within EUCLID_WITNESS_TOL.
 
@@ -340,18 +325,17 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
     its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
     Heights are first divided by a power of two (the config's unit copy,
-    _normalized), which is exact and keeps the squares finite. The flat
-    gaps are the products (p - q)(p + q), which keep the gaps of close
-    heights that squaring them would lose. The half-plane judge of equal_angle_residual
-    (halfplane._axis_residuals) takes the point on the normalized copy
-    and all four heights at once, since scaling changes no hyperbolic
-    angle: its residuals are those of equal_angle_residual for (a, b, c)
-    and (b, c, d) at the returned witness, bit for bit wherever the
-    scaled values stay normal floats.
-    A true existence predicate with no witness passing the oracle, or
-    with an x that scales back into the subnormals, raises
-    WitnessSearchError. The returned witness has x > 0 (its mirror image
-    is a witness too).
+    _unit), which is exact and keeps the squares finite. The flat gaps
+    are the products (p - q)(p + q), which keep the gaps of close heights
+    that squaring them would lose. The half-plane judge of
+    equal_angle_residual (halfplane._axis_residuals) takes the point on
+    the unit copy and all four heights at once, since scaling changes no
+    hyperbolic angle: its residuals are those of equal_angle_residual for
+    (a, b, c) and (b, c, d) at the returned witness, bit for bit wherever
+    the scaled values stay normal floats. A true existence predicate with
+    no witness passing the oracle, or with an x that scales back into the
+    subnormals, raises WitnessSearchError. The returned witness has x > 0
+    (its mirror image is a witness too).
     """
     unit = cfg._unit
     if cfg.geometry is not _HYPERBOLIC or unit is None:

@@ -250,16 +250,16 @@ def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
         raise GeometryError(f"theta must lie in (0, pi), got {theta!r}")
     import numpy as np
 
-    roots, _ = _solve_arrays(cfg, np.array([theta]))
+    roots = _solve_arrays(cfg, np.array([theta]))
     return [float(s) for s in roots[0] if not np.isnan(s)]
 
 
-def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> np.ndarray:
     """Vectorized solve_r2 over a theta grid.
 
     Returns an (n, 2) array of roots ascending along axis 1, NaN where a
-    root does not exist, plus the cos(2 theta) array (reused by callers).
-    Matches the scalar path bit for bit: same formulas, same order.
+    root does not exist. Matches the scalar path bit for bit: same
+    formulas, same order.
     """
     import numpy as np
 
@@ -272,7 +272,7 @@ def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> tuple[np.ndarray, np
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom != 0.0, q.gamma / denom, np.nan)
         roots[:, 0] = np.where(s > ORIGIN_EPS, s, np.nan)
-        return roots, cos2t
+        return roots
     A = q.alpha
     B = -2.0 * q.beta * cos2t
     C = -q.gamma
@@ -291,7 +291,7 @@ def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> tuple[np.ndarray, np
     hi = np.fmax(r1, r2)
     roots[:, 0] = lo
     roots[:, 1] = np.where(hi == lo, np.nan, hi)
-    return roots, cos2t
+    return roots
 
 
 def theta_grid(n: int) -> np.ndarray:
@@ -327,7 +327,7 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
             f"heights ({cfg.a!r}, {cfg.b!r}, {cfg.c!r}) span more than float64 holds below the largest"
         ) from None
     thetas = theta_grid(n)
-    roots, _ = _solve_arrays(unit, thetas)
+    roots = _solve_arrays(unit, thetas)
     # row-major: per angle, column 0 before column 1, i.e. ascending r
     rows, rank = np.nonzero(~np.isnan(roots))
     theta = thetas[rows]
@@ -351,13 +351,31 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
     precision when the three heights nearly coincide, and the line test
     is relative to the heights' magnitude so the locus of a scaled triple
     is the scaled locus at every scale.
+
+    The locus is computed on the heights divided by the power of two 2^k
+    that puts max(|a|, |c|) in [0.5, 1), as sample_curve does, and scaled
+    back with ldexp: exact wherever the copy stays in the normal floats,
+    and the product uv neither overflows nor underflows. Where the heights
+    collapse in that copy, or the circle does not fit in float64 (it
+    reaches past 1.8e308, or its radius rounds to 0), GeometryError names
+    the cause.
     """
     _check_descending(a, b, c)
-    if abs(b - 0.5 * (a + c)) <= 1e-12 * max(abs(a), abs(c)):
-        return HorizontalLine(height=0.5 * (a + c))
-    u, v = a - b, c - b
+    k = math.frexp(max(abs(a), abs(c)))[1]
+    ua, ub, uc = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
+    if not ua > ub > uc:
+        raise GeometryError(f"heights ({a!r}, {b!r}, {c!r}) span more than float64 holds below the largest")
+    if abs(ub - 0.5 * (ua + uc)) <= 1e-12 * max(abs(ua), abs(uc)):
+        return HorizontalLine(height=math.ldexp(0.5 * (ua + uc), k))
+    u, v = ua - ub, uc - ub
     half_chord = u * v / (u + v)
-    return AxisCircle(center_y=b + half_chord, radius=abs(half_chord))
+    try:
+        return AxisCircle(center_y=math.ldexp(ub + half_chord, k), radius=math.ldexp(abs(half_chord), k))
+    except (OverflowError, GeometryError):  # ldexp past the largest float, or a radius of 0
+        raise GeometryError(
+            f"the Euclidean locus of ({a!r}, {b!r}, {c!r}) does not fit in float64: the circle of "
+            f"center {ub + half_chord!r} * 2**{k} and radius {abs(half_chord)!r} * 2**{k}"
+        ) from None
 
 
 def _check_descending(a: float, b: float, c: float) -> None:

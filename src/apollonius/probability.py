@@ -164,11 +164,7 @@ def sample_config_hyper(stream: SampleStream, setup: HyperProbSetup) -> FourConf
     """Random config with d=1, a=ratio and two log-uniform interior heights."""
     length = math.log(setup.ratio)
     while True:
-        u = stream.next_float()
-        v = stream.next_float()
-        if u == v or u == 0.0 or v == 0.0:
-            continue
-        hi, lo = (u, v) if u > v else (v, u)
+        hi, lo = _draw_ordered_pair(stream)
         b = math.exp(hi * length)
         c = math.exp(lo * length)
         # exp can collapse distinct draws onto each other or an endpoint

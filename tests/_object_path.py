@@ -32,7 +32,7 @@ class CurveSample:
 
 def sample_curve(cfg: TripleConfig, n: int) -> list[CurveSample]:
     thetas = theta_grid(n)
-    roots, _ = _solve_arrays(cfg, thetas)
+    roots = _solve_arrays(cfg, thetas)
     samples: list[CurveSample] = []
     for i, theta in enumerate(thetas):
         for k in range(2):

@@ -378,3 +378,29 @@ def test_euclid_witness_failure_exits_3_naming_the_cause(heights, cause, capsys)
     assert captured.out == ""
     assert captured.err.startswith("search failure: existence holds (cross-ratio ")
     assert cause in captured.err
+
+
+@pytest.mark.parametrize(
+    "heights, radius",
+    [(("4e-200", "2e-200", "1e-200"), 2e-200), (("4e200", "2e200", "1e200"), 2e200)],
+    ids=["far-below-one", "far-above-one"],
+)
+def test_euclid_locus_far_from_one_exits_0(heights, radius, capsys):
+    # the product of the gaps underflowed to a radius of 0 (exit 2), or
+    # overflowed to a center of -inf (exit 1)
+    argv = ["euclid-locus", "-a", heights[0], "-b", heights[1], "-c", heights[2]]
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["kind"] == "circle"
+    assert record["center_y"] == 0
+    assert record["radius"] == pytest.approx(radius, rel=1e-15)
+
+
+def test_euclid_locus_past_the_float_range_exits_2(capsys):
+    # the circle reaches past 1.8e308: named, where it exited 1
+    assert run(["euclid-locus", "-a", "1.7e308", "-b", "1e308", "-c", "1e307"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: the Euclidean locus of (1.7e+308, 1e+308, 1e+307) does not fit in float64: the circle of center "
+    )

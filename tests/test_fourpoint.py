@@ -53,10 +53,21 @@ class TestFourConfig:
         euclid(1, 0.5, -0.5, -1)
 
     def test_geometry_tag_checked_by_ops(self):
-        with pytest.raises(GeometryError):
-            cross_ratio_euclid(hyper(4, 3, 2, 1))
-        with pytest.raises(GeometryError):
-            cross_ratio_hyper(euclid(4, 3, 2, 1))
+        # the tag is checked first: also on heights whose unit copy collapses
+        # (the first COLLAPSING config), which would raise an OrderingError
+        ops = (
+            (Geometry.EUCLIDEAN, (cross_ratio_euclid, exists_euclid, find_witness_euclid)),
+            (Geometry.HYPERBOLIC, (cross_ratio_hyper, exists_hyper, find_witness_hyper)),
+        )
+        for expected, functions in ops:
+            wrong = Geometry.HYPERBOLIC if expected is Geometry.EUCLIDEAN else Geometry.EUCLIDEAN
+            for heights in ((4, 3, 2, 1), (2.0**1000, 1.0, 2.0**-1000, 2.0**-1020)):
+                cfg = FourConfig(*heights, wrong)
+                for function in functions:
+                    with pytest.raises(GeometryError) as caught:
+                        function(cfg)
+                    assert type(caught.value) is GeometryError, function.__name__
+                    assert str(caught.value) == f"operation expects a {expected.value}-tagged config"
 
 
 # heights whose unit copy (divided by the power of two of the largest)

@@ -41,6 +41,7 @@ from apollonius.locus import (
     classify,
     coefficients,
     euclidean_equal_angle_residual,
+    euclidean_locus,
     eval_quartic,
     sample_curve,
     samples_to_csv,
@@ -393,6 +394,43 @@ class TestCurveColumns:
         assert samples_to_csv(curve) == object_path.samples_to_csv(samples)
         if samples:
             assert render_svg(curve) == object_path.render_svg(samples)
+
+
+@st.composite
+def flat_triples(draw):
+    # a > b > c with magnitudes in [2^-20, 2^20] (or 0), nonpositive heights
+    # included, so that scaling by up to 2^+-1000 is exact; b within 3e-12
+    # (relative) of the midline half the time, around the line test
+    def height():
+        return draw(st.sampled_from([-1.0, 0.0, 1.0])) * math.exp(draw(st.floats(-13.8, 13.8)))
+
+    a, b, c = sorted((height(), height(), height()), reverse=True)
+    if draw(st.booleans()):
+        b = 0.5 * (a + c) * (1.0 + draw(st.floats(-3e-12, 3e-12)))
+    assume(a > b > c and all(h == 0.0 or 2.0**-20 <= abs(h) <= 2.0**20 for h in (a, b, c)))
+    return a, b, c
+
+
+def _locus_bits(locus):
+    return type(locus).__name__, tuple(getattr(locus, name).hex() for name in locus._fields)
+
+
+class TestEuclideanLocusProperties:
+    @given(flat_triples(), st.sampled_from([-1000, -600, -200, 200, 600, 1000]))
+    @example((4.0, 2.0, 1.0), 1000)
+    @example((9.0, 4.0, 1.0), -1000)
+    @settings(max_examples=300, deadline=None)
+    def test_scaled_triple_has_the_scaled_locus(self, heights, j):
+        scaled = tuple(math.ldexp(h, j) for h in heights)
+        locus = euclidean_locus(*heights)
+        try:
+            expected = type(locus)(*(math.ldexp(getattr(locus, name), j) for name in locus._fields))
+        except OverflowError:
+            # a circle near the midline, scaled past the float range
+            with pytest.raises(GeometryError, match="does not fit in float64"):
+                euclidean_locus(*scaled)
+            return
+        assert _locus_bits(euclidean_locus(*scaled)) == _locus_bits(expected)
 
 
 class TestCrossRatioProperties:
