@@ -37,7 +37,8 @@ def fmt17_rows(columns, seps) -> str:
     """Rows of "%.17g" fields: one value of each column per row, each followed by its column's separator.
 
     columns are equal-length sequences of floats and seps one string of
-    at most four ASCII characters per column. The text equals
+    at most four ASCII characters other than NUL per column (else
+    ValueError). The text equals
     "".join("%.17g" % column[i] + sep for i in rows for column, sep in
     zip(columns, seps)) byte for byte.
 
@@ -53,10 +54,17 @@ def fmt17_rows(columns, seps) -> str:
     global _tables
     if _tables is None:
         _tables = _build_tables()
-    if any(len(sep) > 4 for sep in seps):
-        raise ValueError(f"separators must be at most 4 characters, got {seps!r}")
-    sep_words = np.array([int.from_bytes(bytes(4) + sep.encode("ascii"), "little") for sep in seps], "<u8")
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    if not columns or len(seps) != len(columns):
+        raise ValueError(f"need one separator per column, got {len(seps)} for {len(columns)} columns")
+    lengths = [len(column) for column in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns must have equal lengths, got {lengths}")
+    # a NUL would be dropped with the empty byte slots; a non-ASCII
+    # character fails the encode below with UnicodeEncodeError, a ValueError
+    if any(len(sep) > 4 or "\0" in sep for sep in seps):
+        raise ValueError(f"separators must be at most 4 characters other than NUL, got {seps!r}")
+    sep_words = np.array([int.from_bytes(bytes(4) + sep.encode("ascii"), "little") for sep in seps], "<u8")
     step = max(1, _BLOCK // len(columns))
     pieces = []
     for start in range(0, len(columns[0]), step):

@@ -161,7 +161,11 @@ def _check_heights(a: float, b: float, c: float, d: float, hyperbolic: bool) -> 
 
 
 class Witness(_Record):
-    """An equal-angle witness point with its two angle residuals."""
+    """An equal-angle witness point with its two angle residuals.
+
+    Raises GeometryError for a residual above HYPER_WITNESS_TOL in
+    magnitude, or a nan one.
+    """
 
     _fields = ("x", "y", "residuals")
 
@@ -170,9 +174,11 @@ class Witness(_Record):
         fields["x"] = x
         fields["y"] = y
         fields["residuals"] = residuals
-        worst = max(abs(residuals[0]), abs(residuals[1]))
-        if not worst <= HYPER_WITNESS_TOL:
-            raise GeometryError(f"witness residual {worst:.3e} exceeds {HYPER_WITNESS_TOL}")
+        # chained comparisons, false for nan, and no call on the witness path
+        r0, r1 = residuals
+        if not (-HYPER_WITNESS_TOL <= r0 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= r1 <= HYPER_WITNESS_TOL):
+            bad = r1 if -HYPER_WITNESS_TOL <= r0 <= HYPER_WITNESS_TOL else r0
+            raise GeometryError(f"witness residual {abs(bad):.3e} exceeds {HYPER_WITNESS_TOL}")
 
 
 def _reject(cfg: FourConfig, geometry: Geometry) -> None:

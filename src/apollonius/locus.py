@@ -123,8 +123,9 @@ class Curve(_Record):
 
     sample_curve sorts the rows by (theta, r). rank is the root's column
     in the per-angle solve: 0 for the smaller radius or a lone root, 1
-    for the larger. Every point lies in the upper half-plane, with the
-    checks HPoint makes. Curves compare and hash by identity.
+    for the larger. The five columns have one length, and every point
+    lies in the upper half-plane, with the checks HPoint makes (else
+    GeometryError). Curves compare and hash by identity.
     """
 
     _fields = ("theta", "r", "x", "y", "rank")
@@ -135,6 +136,10 @@ class Curve(_Record):
         import numpy as np
 
         self.__dict__.update(theta=theta, r=r, x=x, y=y, rank=rank)
+        lengths = [len(column) for column in (theta, r, x, y, rank)]
+        if len(set(lengths)) > 1:
+            named = ", ".join(f"{name} {length}" for name, length in zip(self._fields, lengths))
+            raise GeometryError(f"curve columns must have equal lengths, got {named}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
             raise GeometryError("curve points must have finite x and y")
         if not (y > 0.0).all():
@@ -332,12 +337,10 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     rows, rank = np.nonzero(~np.isnan(roots))
     theta = thetas[rows]
     r = np.ldexp(np.sqrt(roots[rows, rank]), k)
-    # math.cos and math.sin, not numpy's: numpy may use its own vector
-    # routines on some CPUs, and the output bytes must not depend on that
-    angles = theta.tolist()
-    x = r * np.fromiter(map(math.cos, angles), float, len(angles))
-    y = r * np.fromiter(map(math.sin, angles), float, len(angles))
-    return Curve(theta, r, x, y, rank)
+    # the curve bytes follow numpy's float64 cos and sin, as the solve's
+    # cos(2 theta) already does; tests pin that they equal libm's
+    # math.cos and math.sin, with numpy's SIMD dispatch on and off
+    return Curve(theta, r, r * np.cos(theta), r * np.sin(theta), rank)
 
 
 def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:

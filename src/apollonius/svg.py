@@ -52,7 +52,7 @@ def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
     x_lo, x_hi = x_lo - pad_x, x_hi + pad_x
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
     width, height = x_hi - x_lo, y_hi - y_lo
-    stroke = 0.006 * max(width, height)
+    stroke = fmt17(0.006 * max(width, height))
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -60,22 +60,28 @@ def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
         f'viewBox="{fmt17(x_lo)} {fmt17(-y_hi)} {fmt17(width)} {fmt17(height)}">',
         '<g transform="scale(1,-1)">',
         f'<line x1="{fmt17(x_lo)}" y1="0" x2="{fmt17(x_hi)}" y2="0" '
-        f'stroke="#888888" stroke-width="{fmt17(stroke)}"/>',
+        f'stroke="#888888" stroke-width="{stroke}"/>',
     ]
-    # a range, not np.unique: numpy's sort would map more of its library
-    # into memory than the whole curve takes
-    for rank in range(int(curve.rank.max()) + 1):
-        on_branch = curve.rank == rank
-        xs, ys = curve.x[on_branch], curve.y[on_branch]
-        rows = fmt17_rows((xs, ys), (",", " ")).split(" ")
-        for start, stop in _split_on_jumps(xs, ys):
+    # each rank's rows in one run, gathered rank by rank rather than by a
+    # sort or np.unique: numpy's sort would map more of its library into
+    # memory than the whole curve takes
+    branches = [np.flatnonzero(curve.rank == rank) for rank in range(int(curve.rank.max()) + 1)]
+    order = np.concatenate(branches)
+    xs, ys = curve.x[order], curve.y[order]
+    # the whole curve as "x,y " rows in one pass; bounds holds -1 and the
+    # offset of each row's closing " ", so rows i to j - 1 are
+    # text[bounds[i] + 1 : bounds[j]], without that last " "
+    text = fmt17_rows((xs, ys), (",", " "))
+    bounds = np.flatnonzero(np.frombuffer(b" " + text.encode("ascii"), np.uint8) == ord(" ")) - 1
+    first = 0
+    for branch in branches:
+        last = first + len(branch)
+        for start, stop in _split_on_jumps(xs[first:last], ys[first:last]):
             if stop - start < 2:
                 continue
-            points = " ".join(rows[start:stop])
-            lines.append(
-                f'<polyline fill="none" stroke="#1f4e9c" '
-                f'stroke-width="{fmt17(stroke)}" points="{points}"/>'
-            )
+            points = text[bounds[first + start] + 1 : bounds[first + stop]]
+            lines.append(f'<polyline fill="none" stroke="#1f4e9c" stroke-width="{stroke}" points="{points}"/>')
+        first = last
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

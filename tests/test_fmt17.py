@@ -98,6 +98,31 @@ def test_columns_rows_and_separators():
         fmt17_rows([a], [", and "])
 
 
+def test_unequal_column_lengths_rejected():
+    with pytest.raises(ValueError, match=r"equal lengths, got \[4, 2\]"):
+        fmt17_rows(([1.0, 2.0, 3.0, 4.0], [5.0, 6.0]), (",", "\n"))
+
+
+@pytest.mark.parametrize("seps", [(",",), (",", ";", "\n"), ()])
+def test_separator_count_must_match_columns(seps):
+    with pytest.raises(ValueError, match="one separator per column"):
+        fmt17_rows(([1.5], [2.5]) if seps else (), seps)
+
+
+@pytest.mark.parametrize("sep", ["\0", ",\0"])
+def test_nul_separators_rejected(sep):
+    # a NUL would be dropped with the empty byte slots, so "1.5" and "2.5"
+    # would run together
+    with pytest.raises(ValueError, match="characters other than NUL"):
+        fmt17_rows(([1.5], [2.5]), (sep, "\n"))
+
+
+@pytest.mark.parametrize("sep", ["\u00e9", "\u2009"])
+def test_non_ascii_separators_rejected(sep):
+    with pytest.raises(ValueError):
+        fmt17_rows(([1.5], [2.5]), (sep, "\n"))
+
+
 def test_blocks_join_seamlessly(monkeypatch):
     monkeypatch.setattr(_fmt17, "_BLOCK", 7)
     rng = np.random.default_rng(5)

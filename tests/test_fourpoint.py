@@ -436,6 +436,33 @@ class TestFindWitnessHyper:
             Witness(1.0, 1.0, (1e-3, 0.0))
         with pytest.raises(GeometryError):
             Witness(1.0, 1.0, (float("nan"), 0.0))
+        # either residual, either sign; the bound itself passes
+        for residuals in [(0.0, float("nan")), (0.0, -1e-3), (-2e-8, 0.0), (0.0, math.inf)]:
+            with pytest.raises(GeometryError):
+                Witness(1.0, 1.0, residuals)
+        bound = fp.HYPER_WITNESS_TOL
+        assert Witness(1.0, 1.0, (bound, -bound)).residuals == (bound, -bound)
+
+    def test_library_witnesses_carry_residuals_within_their_contracts(self):
+        # each search's residuals meet its own tolerance, at most Witness's
+        # bound, so the bound never rejects a witness a search has accepted
+        assert EUCLID_WITNESS_TOL <= HYPER_WITNESS_TOL
+        rng = random.Random(18)
+        found = 0
+        for _ in range(300):
+            a, b, c, d = sorted((rng.uniform(0.01, 10.0) for _ in range(4)), reverse=True)
+            for find, cfg, tol in [
+                (find_witness_euclid, euclid(a, b, c, d), EUCLID_WITNESS_TOL),
+                (find_witness_hyper, hyper(a, b, c, d), HYPER_WITNESS_TOL),
+            ]:
+                w = find(cfg)
+                if w is None:
+                    continue
+                found += 1
+                assert type(w) is Witness
+                assert max(abs(w.residuals[0]), abs(w.residuals[1])) <= tol, (cfg, w)
+                assert Witness(w.x, w.y, w.residuals) == w
+        assert found >= 100
 
     def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
         def failing(b, ab, bc, cd, cross_ratio):

@@ -351,6 +351,25 @@ class TestSampleCurve:
         with pytest.raises(GeometryError):
             Curve(np.ones(n), np.ones(n), np.array(x), np.array(y), np.zeros(n, dtype=np.intp))
 
+    def test_curve_names_mismatched_column_lengths(self):
+        four, two = np.linspace(0.5, 2.5, 4), np.ones(2)
+        with pytest.raises(GeometryError, match="theta 4, r 2, x 4, y 4, rank 4"):
+            Curve(four, two, four, four, np.zeros(4, np.intp))
+        with pytest.raises(GeometryError, match="rank 3"):
+            Curve(four, four, four, four, np.zeros(3, np.intp))
+
+    @pytest.mark.parametrize(
+        "theta",
+        [theta_grid(64), theta_grid(1024), np.random.default_rng(11).uniform(0.0, math.pi, 2**16)],
+        ids=["grid64", "grid1024", "random"],
+    )
+    def test_numpy_trigonometry_equals_libm(self, theta):
+        # sample_curve takes x and y from np.cos and np.sin; the curve bytes
+        # and goldens hold wherever these equal math.cos and math.sin
+        angles = theta.tolist()
+        assert np.cos(theta).tolist() == [math.cos(t) for t in angles]
+        assert np.sin(theta).tolist() == [math.sin(t) for t in angles]
+
 
 class TestEuclideanLocus:
     def test_circle_4_2_1(self):

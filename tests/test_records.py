@@ -198,6 +198,7 @@ INVALID = [
     (lambda: FourConfig(4, 3, 2, 0, HYPER), GeometryError, "hyperbolic heights must be positive, got d=0.0"),
     (lambda: Witness(1.0, 1.0, (NAN, 0.0)), GeometryError, "witness residual nan exceeds 1e-08"),
     (lambda: Witness(1.0, 1.0, (0.0, -2e-8)), GeometryError, "witness residual 2.000e-08 exceeds 1e-08"),
+    (lambda: Witness(1.0, 1.0, (0.0, NAN)), GeometryError, "witness residual nan exceeds 1e-08"),
     (lambda: HyperProbSetup(1.0), GeometryError, "ratio must be finite and > 1, got 1.0"),
     (lambda: HyperProbSetup(math.inf), GeometryError, "ratio must be finite and > 1, got inf"),
     (
