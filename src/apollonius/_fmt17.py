@@ -27,8 +27,11 @@ _SPLIT = 134217729.0
 _TIE = 0.5 - 1e-6
 # layout codes: sign (2) x shape (21) x digits up to the last nonzero one (18)
 _SHAPES, _ENDS = 21, 18
-# values formatted per block, so a long column's temporaries stay small
-_BLOCK = 1 << 13
+# values formatted per block, so a long column's temporaries stay small:
+# the block's (6, _BLOCK) word array, 96 KiB, stays below glibc's 128 KiB
+# mmap threshold, so a freed block is reused from the heap rather than
+# returned to the system and faulted in again by the next one
+_BLOCK = 1 << 11
 
 _tables = None
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .fourpoint import FourConfig, Geometry
 from .halfplane import GeometryError, _Record
-from .rng import PairBuffers, SampleStream, uniform_pair
+from .rng import PairBuffers, SampleStream, _pair_integers
 
 __all__ = [
     "ProbEstimate",
@@ -63,16 +63,16 @@ __all__ = [
 ]
 
 # samples per block; the estimates do not depend on it. A block runs in one
-# PairBuffers of 65 bytes per sample, 2 MiB per thread at 2^15. Medians in
-# ms of 21 interleaved runs of 2^20 samples (ratio 2 for P_h), 2 vCPU Xeon
-# with 2 MiB of L2 per core, numpy 2.4.6:
+# PairBuffers of 49 bytes per sample, 1.53 MiB per thread at 2^15. Medians
+# in ms of 21 interleaved runs of 2^20 samples (ratio 2 for P_h), 2 vCPU
+# Xeon with 2 MiB of L2 per core, numpy 2.4.6:
 #
 #   block   pe, 1 thread   ph, 1 thread   ph, 2 threads   all three
-#   2^13        18.7           23.7            40.2           83.8
-#   2^14        18.0           22.2            24.7           62.8
-#   2^15        16.0           21.8            19.5           57.6
-#   2^16        22.7           27.1            18.1           66.3
-#   2^17        29.5           35.5            28.1           94.2
+#   2^13        21.6           27.8            37.8           88.5
+#   2^14        16.1           20.1            24.2           60.9
+#   2^15        16.7           21.9            17.7           55.7
+#   2^16        21.0           23.2            16.8           60.8
+#   2^17        27.9           31.8            23.9           83.0
 #
 # Small blocks slow the sharded call, which hands the GIL over once per
 # ufunc call; from 2^16 the buffers outgrow L2.
@@ -90,6 +90,9 @@ _ROOT_MAX_STEPS = 100
 # 1 + 2**-51: the smallest ratio with two doubles strictly inside (1, ratio) is
 # the next double above it
 _TWO_ULPS_ABOVE_ONE = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
+
+# the pair kernel's draws are 53-bit integers, the variates times this
+_TWO_53 = 2.0**53
 
 # quadrature and calibration work in extended precision so that the
 # float64 results are correctly rounded (x87 80-bit where numpy has it)
@@ -230,28 +233,17 @@ def _blocks(indicator_fn, seed, lo, hi, extra):
         yield indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers)
 
 
-def _ordered_uniforms(seed: int, lo: int, hi: int, buffers: PairBuffers | None = None):
-    """(upper, lower) of draws 0 and 1 of samples lo..hi-1, ties and zeros redrawn.
+def _ordered_uniforms(seed: int, lo: int, hi: int, buffers: PairBuffers) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) of draws 0 and 1 of samples lo..hi-1, as their 53-bit integers.
 
-    With buffers, upper is row 2 of buffers.out and lower is row 1, where
-    uniform_pair left draw 1; row 0 is free again and the flag row is
-    overwritten.
+    upper is row 2 of buffers.out and lower is row 1, where the pair
+    kernel left draw 1; row 0 is free again. The values are the draws
+    times 2^53, exact as floats, and ties and zeros are left for the
+    caller.
     """
     n = hi - lo
-    b = PairBuffers(n) if buffers is None else buffers
-    u, v = uniform_pair(seed, lo, hi, b)
-    upper = np.maximum(u, v, out=b.out[2, :n])
-    lower = np.minimum(u, v, out=v)
-    flag = b.flag[:n]
-    # the ordered pair has 0 <= lower <= upper, so these find every tie and
-    # zero draw; both are so rare that the full mask is built only then
-    if np.equal(upper, lower, out=flag).any() or np.equal(lower, 0.0, out=flag).any():
-        for i in np.nonzero((upper == lower) | (lower == 0.0))[0]:
-            stream = SampleStream(seed, lo + int(i))
-            stream.next_float()  # skip the two rejected draws
-            stream.next_float()
-            upper[i], lower[i] = _draw_ordered_pair(stream)
-    return upper, lower
+    u, v = _pair_integers(seed, lo, hi, buffers)
+    return np.maximum(u, v, out=buffers.out[2, :n]), np.minimum(u, v, out=v)
 
 
 def _euclid_indicators(
@@ -259,19 +251,36 @@ def _euclid_indicators(
 ) -> np.ndarray:
     n = hi - lo
     b, c = _ordered_uniforms(seed, lo, hi, buffers)
+    num = np.subtract(b, c, out=buffers.out[0, :n])
+    # ties and zero draws are so rare that the full mask is built only
+    # when a reduction finds one; they are redrawn from the sample's stream
+    if not (num.min() > 0.0 and c.min() > 0.0):
+        for i in np.nonzero((num == 0.0) | (c == 0.0))[0]:
+            stream = SampleStream(seed, lo + int(i))
+            stream.next_float()  # skip the two rejected draws
+            stream.next_float()
+            upper, lower = _draw_ordered_pair(stream)
+            b[i], c[i] = upper * _TWO_53, lower * _TWO_53
+            num[i] = b[i] - c[i]
+    # mirror cross_ratio_euclid's float expression exactly:
+    # cr = ((b - c) / (a - b)) / ((c - d) / (a - d))
+    if offset == 0.0:
+        # a = 1 and d = 0 make c - d and / (a - d) exact, so they are
+        # skipped; with B = 2^53 b and C = 2^53 c, every operand below is
+        # the float one times a power of two and q / C lies in
+        # [2^-106, 2^53], so q / C < 3 * 2^-53 exactly when cr < 3
+        num /= np.subtract(_TWO_53, b, out=b)
+        num /= c
+        return np.less(num, 3.0 / _TWO_53, out=buffers.flag[:n])
+    heights = buffers.out[1:, :n]
+    heights *= 1.0 / _TWO_53  # the variates themselves, exactly
     a = 1.0 + offset
     d = 0.0 + offset
-    # mirror cross_ratio_euclid's float expression exactly:
-    # cr = ((b - c) / (a - b)) / ((c - d) / (a - d)); at offset 0 the
-    # terms c - 0 and / 1 are exact, so they are skipped
-    if offset != 0.0:
-        b += offset
-        c += offset
-    cr = np.subtract(b, c, out=buffers.out[0, :n])
+    heights += offset
+    cr = np.subtract(b, c, out=num)
     cr /= np.subtract(a, b, out=b)
-    if offset != 0.0:
-        c -= d
-        c /= a - d
+    c -= d
+    c /= a - d
     cr /= c
     return np.less(cr, 3.0, out=buffers.flag[:n])
 
@@ -280,21 +289,20 @@ def _hyper_indicators(
     seed: int, lo: int, hi: int, ratio: float, scale: float, buffers: PairBuffers
 ) -> np.ndarray:
     n = hi - lo
-    length = math.log(ratio)
     _ordered_uniforms(seed, lo, hi, buffers)
     # _ordered_uniforms left lower and upper in rows 1 and 2: stacked, each
     # step below is one pass over both
     heights = buffers.out[1:, :n]
     c, b = heights
-    heights *= length
+    # ln(ratio) / 2^53 >= 7e-32 is exact, so each product is the float
+    # draw times ln(ratio), rounded once
+    heights *= math.log(ratio) / _TWO_53
     np.exp(heights, out=heights)
     flag = buffers.flag[:n]
-    # exp can collapse distinct draws onto each other or an endpoint
-    if (
-        np.equal(b, c, out=flag).any()
-        or np.equal(c, 1.0, out=flag).any()
-        or np.equal(b, ratio, out=flag).any()
-    ):
+    # exp can collapse distinct draws onto each other or an endpoint; a tie
+    # of the draws gives b == c and a zero lower draw c == 1, so these are
+    # redrawn here too. 1 <= c <= b, so reductions find the rare endpoint hits
+    if np.equal(b, c, out=flag).any() or not (c.min() > 1.0 and b.max() < ratio):
         setup = HyperProbSetup(ratio)
         for i in np.nonzero((b == c) | (c == 1.0) | (b == ratio))[0]:
             cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), setup)

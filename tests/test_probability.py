@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from apollonius import probability
+from apollonius import probability, rng
 from apollonius.fourpoint import Geometry, exists_euclid, exists_hyper
 from apollonius.halfplane import GeometryError
 from apollonius.probability import (
@@ -178,8 +178,8 @@ class TestSamplers:
             hi = min(lo + (1 << 19), n)
             from apollonius.probability import _ordered_uniforms
 
-            b, _ = _ordered_uniforms(1, lo, hi)
-            total += b.sum()
+            b, _ = _ordered_uniforms(1, lo, hi, PairBuffers(hi - lo))
+            total += b.sum() * 2.0**-53
         mean_b = total / n
         sigma = math.sqrt(1.0 / 18.0 / n)
         assert abs(mean_b - 2.0 / 3.0) <= 3 * sigma
@@ -192,7 +192,7 @@ class TestSamplers:
         values = np.empty(2 * n)
         from apollonius.probability import _ordered_uniforms
 
-        b, c = _ordered_uniforms(3, 0, n)
+        b, c = (row * 2.0**-53 for row in _ordered_uniforms(3, 0, n, PairBuffers(n)))
         values[:n] = np.log(np.exp(b * length)) / length
         values[n:] = np.log(np.exp(c * length)) / length
         values.sort()
@@ -290,16 +290,16 @@ class TestEstimators:
 
     def test_estimator_matches_scalar_sampling_path(self):
         # the vectorized indicator agrees sample by sample with the
-        # object-building scalar path
+        # object-building scalar path, near the Euclidean limit and far from it
         n, seed = 2_000, 31
-        setup = HyperProbSetup(3.0)
         vector_e = euclid_indicator_stream(n, seed)
-        vector_h = hyper_indicator_stream(n, seed, setup.ratio)
         for i in range(n):
-            cfg_e = sample_config_euclid(SampleStream(seed, i))
-            cfg_h = sample_config_hyper(SampleStream(seed, i), setup)
-            assert vector_e[i] == exists_euclid(cfg_e)
-            assert vector_h[i] == exists_hyper(cfg_h)
+            assert vector_e[i] == exists_euclid(sample_config_euclid(SampleStream(seed, i)))
+        for ratio in (1.0001, 3.0, 1e3, 1e12):
+            setup = HyperProbSetup(ratio)
+            vector_h = hyper_indicator_stream(n, seed, ratio)
+            for i in range(n):
+                assert vector_h[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
 
     def test_collapsed_exp_redraw_matches_scalar_sampling_path(self, monkeypatch):
         # 16 ulps above 1: exp maps many distinct draws onto
@@ -318,24 +318,58 @@ class TestEstimators:
         vector = hyper_indicator_stream(n, seed, setup.ratio)
         monkeypatch.undo()
         assert len(redraws) > n // 10
+        # one sample per block, so each kind of collapse is also the only
+        # thing its block's checks can find
+        monkeypatch.setattr(probability, "_CHUNK", 1)
+        single = hyper_indicator_stream(n, seed, setup.ratio)
         for i in range(n):
-            assert vector[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
+            expected = exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
+            assert vector[i] == single[i] == expected
 
     def test_tie_and_zero_draws_are_redrawn_from_the_stream(self, monkeypatch):
         # a tie and a zero never come out of the generator at these seeds, so
-        # the pair kernel is replaced by one that returns them
-        seed, lo = 5, 40
+        # the integer pair kernel and the scalar generator both return a tie
+        # for sample 40 and a zero lower draw for sample 41; each kernel must
+        # then take the sample from its stream past the rejected draws, as the
+        # scalar path does. Left in place, the tie would read as a success and
+        # the zero as a failure in both geometries, the opposite of the
+        # redrawn samples here. Each is checked alone in a block and together
+        seed = 5
+        injected = {(40, 0): 0.5, (40, 1): 0.5, (41, 0): 0.75, (41, 1): 0.0}
+        pair_integers, sample_uniform = probability._pair_integers, rng.sample_uniform
 
-        def tie_and_zero(seed, lo, hi, buffers=None):
-            return np.array([0.5, 0.0, 0.25]), np.array([0.5, 0.75, 0.125])
+        def pair(seed, lo, hi, buffers):
+            draws = pair_integers(seed, lo, hi, buffers)
+            for (index, draw), value in injected.items():
+                if lo <= index < hi:
+                    draws[draw, index - lo] = value * 2.0**53
+            return draws
 
-        monkeypatch.setattr(probability, "uniform_pair", tie_and_zero)
-        upper, lower = probability._ordered_uniforms(seed, lo, lo + 3)
-        for i in (0, 1):
-            stream = SampleStream(seed, lo + i)
-            draws = [stream.next_float() for _ in range(4)][2:]
-            assert (upper[i], lower[i]) == (max(draws), min(draws))
-        assert (upper[2], lower[2]) == (0.25, 0.125)
+        def uniform(seed, index, draw):
+            value = injected.get((index, draw))
+            return sample_uniform(seed, index, draw) if value is None else value
+
+        monkeypatch.setattr(probability, "_pair_integers", pair)
+        monkeypatch.setattr(rng, "sample_uniform", uniform)
+        setup = HyperProbSetup(2.0)
+        scalar_e = [exists_euclid(sample_config_euclid(SampleStream(seed, i))) for i in range(40, 44)]
+        scalar_h = [exists_hyper(sample_config_hyper(SampleStream(seed, i), setup)) for i in range(40, 44)]
+        assert scalar_e[:2] == scalar_h[:2] == [False, True]
+        for lo, hi in ((40, 41), (41, 42), (40, 44)):
+            buffers = PairBuffers(hi - lo)
+            for offset in (0.0, 0.5):
+                euclid = probability._euclid_indicators(seed, lo, hi, offset, buffers)
+                assert euclid.tolist() == scalar_e[lo - 40 : hi - 40]
+            hyper = probability._hyper_indicators(seed, lo, hi, setup.ratio, 1.0, buffers)
+            assert hyper.tolist() == scalar_h[lo - 40 : hi - 40]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_benchmark_estimates_frozen(self, threads):
+        # the benchmark's estimates: 2^20 samples, P_h at ratio 2
+        setup = HyperProbSetup(2.0)
+        for seed, pe, ph in ((1, 0.4345378875732422, 0.4229898452758789), (7, 0.4339628219604492, 0.42246532440185547)):
+            assert estimate_pe(1 << 20, seed, threads=threads).mean == pe
+            assert estimate_ph(1 << 20, seed, setup, threads=threads).mean == ph
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(GeometryError):

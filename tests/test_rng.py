@@ -74,6 +74,17 @@ def test_pair_in_reused_buffers_matches_fresh():
         assert all((r == f).all() for r, f in zip(reused, fresh))
 
 
+def test_pair_rejects_buffers_smaller_than_the_block():
+    with pytest.raises(ValueError, match="10 samples do not fit in PairBuffers of 4"):
+        uniform_pair(1, 0, 10, PairBuffers(4))
+
+
+@pytest.mark.parametrize("draws", [lambda: uniform_pair(1, 5, 2), lambda: uniform_block(1, 5, 2, 0)], ids=["pair", "block"])
+def test_ranges_ending_before_they_start_are_named(draws):
+    with pytest.raises(ValueError, match="lo=5, hi=2"):
+        draws()
+
+
 def test_stream_advances_draws():
     stream = SampleStream(42, 5)
     first, second = stream.next_float(), stream.next_float()
