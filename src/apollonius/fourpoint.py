@@ -3,8 +3,15 @@
 Four ordered axis points admit a witness P (a point off their common
 line seeing the three segments under equal angles) exactly when a
 cross-ratio of the configuration is below 3: in the flat plane the
-cross-ratio of the heights themselves, in the half-plane model the same
-expression applied to the squared heights.
+cross-ratio of the heights themselves, in the half-plane model the
+cross-ratio of the hyperbolic distances
+
+    cr_h = sinh(d_bc) sinh(d_ad) / (sinh(d_ab) sinh(d_cd)),
+
+where d_pq = |ln(p/q)| is the distance between ip and iq. Since
+p^2 - q^2 = 2pq sinh(d_pq) and the products of heights cancel, in
+heights this is the flat cross-ratio times (b + c)(a + d)/((a + b)(c + d)),
+which is how it is computed: no height is squared.
 
 Both facts come from one map. The geodesic through P = x + iy and the
 axis point ih is the circle centred on the boundary at
@@ -17,9 +24,8 @@ angle between their radius vectors, and 2x > 0 is a common real factor,
 so it is the Euclidean angle at W = P^2 between the rays to the real
 points -h1^2 and -h2^2. The conformal square map therefore carries the
 hyperbolic problem for heights a > b > c > d to the flat problem for the
-collinear points -d^2 > -c^2 > -b^2 > -a^2, whose cross-ratio is the
-squared-height one (Beardon, The Geometry of Discrete Groups, 1983,
-ch. 7).
+collinear points -d^2 > -c^2 > -b^2 > -a^2, whose cross-ratio is cr_h
+(Beardon, The Geometry of Discrete Groups, 1983, ch. 7).
 
 Witnesses are constructive and closed-form. In the flat plane PB
 bisects the angle APC exactly when |PA| : |PC| = (a - b) : (b - c)
@@ -36,7 +42,8 @@ real and off the axis exactly when cr < 3 (D = 0 forces cr >= 3). The
 hyperbolic witness is the principal square root of the flat witness of
 the squared, negated heights: with that witness at (x_e, y_e) seeing
 points on the y-axis, W = y_e + i x_e and P = sqrt(W), which lies in
-the upper half-plane because x_e > 0.
+the upper half-plane because x_e > 0. This map is the one place where
+heights are squared.
 """
 
 from __future__ import annotations
@@ -98,7 +105,7 @@ class FourConfig(_Record):
     The unit copy is decided once too: _unit_copy, the heights divided by
     2^k, k the binary exponent of max(|a|, |d|), and k, kept in the
     private _unit where the copy passes the checks the witness functions
-    need (ordered; hyperbolic, positive with ordered squares), else None.
+    need (ordered; hyperbolic, positive), else None.
     Heights far below the largest can round into the subnormals and
     collapse; such configs construct, and the witness functions raise on
     them. _unit is not a field: repr, ==, hash and pickles see only a, b,
@@ -112,23 +119,20 @@ class FourConfig(_Record):
         # into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
         hyperbolic = geometry is _HYPERBOLIC
+        floor = 0.0 if hyperbolic else -_INF
         # nan fails every comparison, and an infinite height the outer ones;
         # on a failure the checks name it, in their order
-        if not _INF > a > b > c > d > (0.0 if hyperbolic else -_INF):
+        if not _INF > a > b > c > d > floor:
             _check_heights(a, b, c, d, hyperbolic)
         unit = _unit_copy(a, b, c, d)
         ua, ub, uc, ud, _ = unit
-        if hyperbolic:
-            passes = ua > ub > uc > ud > 0.0 and ua * ua > ub * ub > uc * uc > ud * ud
-        else:
-            passes = ua > ub > uc > ud
         fields = self.__dict__
         fields["a"] = a
         fields["b"] = b
         fields["c"] = c
         fields["d"] = d
         fields["geometry"] = geometry
-        fields["_unit"] = unit if passes else None
+        fields["_unit"] = unit if ua > ub > uc > ud > floor else None
 
     def __getstate__(self):
         fields = self.__dict__
@@ -187,16 +191,12 @@ def _reject(cfg: FourConfig, geometry: Geometry) -> None:
     They test the tag and cfg._unit inline and call this only where one
     fails, so the checks run in their order: the tag, then _check_heights
     on the unit copy that FourConfig rejected (_unit is None), built again
-    here only to name the failure, and, in hyperbolic geometry, on that
-    copy's squares, which nearly equal tiny heights can collapse.
+    here only to name the failure.
     """
     if cfg.geometry is not geometry:
         raise GeometryError(f"operation expects a {geometry.value}-tagged config")
     a, b, c, d, _ = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
-    hyperbolic = geometry is _HYPERBOLIC
-    _check_heights(a, b, c, d, hyperbolic)
-    if hyperbolic:
-        _check_heights(a * a, b * b, c * c, d * d, False)
+    _check_heights(a, b, c, d, geometry is _HYPERBOLIC)
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
@@ -214,20 +214,24 @@ def cross_ratio_euclid(cfg: FourConfig) -> float:
 
 
 def cross_ratio_hyper(cfg: FourConfig) -> float:
-    """(b^2-c^2)(a^2-d^2) / ((a^2-b^2)(c^2-d^2)).
+    """sinh(d_bc) sinh(d_ad) / (sinh(d_ab) sinh(d_cd)), d_pq the hyperbolic distance of ip and iq.
 
-    Computed as the Euclidean cross-ratio of the squared heights, which
-    is the same expression and keeps the reduction exact in floats. The
-    heights of the config's unit copy (_unit) are squared, so the value is
-    bit-identical to squaring the raw heights wherever those squares are
-    normal floats.
+    Computed from the heights of the config's unit copy (_unit) as
+    (b-c)/(c-d) * ((a-d)/(a-b) * (a+d)/(a+b)) * (b+c)/(c+d), the
+    module docstring's factored form. Each factor is a ratio of two
+    differences or two sums of heights, so nothing is squared. The first
+    factor is at least about 2^-53, the bracket at least 1 and the last
+    factor more than 1, so no partial product exceeds the result or
+    leaves the normal floats below, and a difference that lands in the
+    subnormals is exact. Where the heights of the copy are normal
+    floats, the value is therefore within 15 roundings of the exact one,
+    with inf standing for a cross-ratio past the float range.
     """
     unit = cfg._unit
     if cfg.geometry is not _HYPERBOLIC or unit is None:
         _reject(cfg, _HYPERBOLIC)
     a, b, c, d, _ = unit
-    a, b, c, d = a * a, b * b, c * c, d * d
-    return ((b - c) / (a - b)) / ((c - d) / (a - d))
+    return (b - c) / (c - d) * ((a - d) / (a - b) * ((a + d) / (a + b))) * ((b + c) / (c + d))
 
 
 def _unit_copy(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, int]:
@@ -266,24 +270,25 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     Where the cross-ratio is below 3 but the closed form does not give a
     point within that bound, WitnessSearchError names the cause: the
     residual of the point, a divisor or coordinate that rounds to 0, or
-    an x that scales back into the subnormals.
+    a point that scales back into the subnormals or past the float range.
     """
-    unit = cfg._unit
-    if cfg.geometry is not _EUCLIDEAN or unit is None:
-        _reject(cfg, _EUCLIDEAN)
-    a, b, c, d, k = unit
-    cross_ratio = ((b - c) / (a - b)) / ((c - d) / (a - d))
+    cross_ratio = cross_ratio_euclid(cfg)
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
+    a, b, c, d, k = cfg._unit
     x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
-    residuals = _residuals(a, b, c, d, x, y)
-    worst = max(abs(residuals[0]), abs(residuals[1]))
-    if not worst <= EUCLID_WITNESS_TOL:
+    res1, res2 = _residuals(a, b, c, d, x, y)
+    # chained comparisons, false for nan
+    if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
+        worst = max(abs(res1), abs(res2))
         raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
-    x = math.ldexp(x, k)
+    try:
+        x, y = math.ldexp(x, k), math.ldexp(y, k)
+    except OverflowError:
+        raise _overflow_error(cross_ratio, k) from None
     if x < _FLOAT_MIN:
         raise _subnormal_error(cross_ratio, x)
-    return Witness(x, math.ldexp(y, k), residuals)
+    return Witness(x, y, (res1, res2))
 
 
 def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float) -> tuple[float, float]:
@@ -330,39 +335,44 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     The square map (module docstring) turns the hyperbolic problem into
     the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
     its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
-    Heights are first divided by a power of two (the config's unit copy,
-    _unit), which is exact and keeps the squares finite. The flat gaps
-    are the products (p - q)(p + q), which keep the gaps of close heights
-    that squaring them would lose. The half-plane judge of
+    Existence is decided by cross_ratio_hyper. Heights are first divided
+    by a power of two (the config's unit copy, _unit), which is exact and
+    keeps the squares finite. The flat gaps are the products
+    (p - q)(p + q), which keep the gaps of close heights that squaring
+    them would lose; where one underflows to 0, WitnessSearchError names
+    it. The half-plane judge of
     equal_angle_residual (halfplane._axis_residuals) takes the point on
     the unit copy and all four heights at once, since scaling changes no
     hyperbolic angle: its residuals are those of equal_angle_residual for
     (a, b, c) and (b, c, d) at the returned witness, bit for bit wherever
     the scaled values stay normal floats. A true existence predicate with
-    no witness passing the oracle, or with an x that scales back into the
-    subnormals, raises WitnessSearchError. The returned witness has x > 0
-    (its mirror image is a witness too).
+    no witness passing the oracle, or with a point that scales back into
+    the subnormals or past the float range, raises WitnessSearchError.
+    The returned witness has x > 0 (its mirror image is a witness too).
     """
-    unit = cfg._unit
-    if cfg.geometry is not _HYPERBOLIC or unit is None:
-        _reject(cfg, _HYPERBOLIC)
-    a, b, c, d, k = unit
-    a2, b2, c2, d2 = a * a, b * b, c * c, d * d
-    cross_ratio = ((b2 - c2) / (a2 - b2)) / ((c2 - d2) / (a2 - d2))
+    cross_ratio = cross_ratio_hyper(cfg)
     if not cross_ratio < EXISTENCE_THRESHOLD:
         return None
-    x_e, y_e = _flat_witness(-c2, (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b), cross_ratio)
+    a, b, c, d, k = cfg._unit
+    lower, middle, upper = (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b)
+    if not (lower and middle and upper):
+        name = "(c-d)(c+d)" if not lower else "(b-c)(b+c)" if not middle else "(a-b)(a+b)"
+        raise _search_error(cross_ratio, f"the flat gap {name} rounds to 0")
+    x_e, y_e = _flat_witness(-c * c, lower, middle, upper, cross_ratio)
     root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
         raise _search_error(cross_ratio, "the mapped witness lies on the boundary axis")
     res1, res2 = _axis_residuals(x, y, (a, b, c, d))
-    if not max(abs(res1), abs(res2)) <= HYPER_WITNESS_TOL:
+    if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
         raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
-    x = math.ldexp(x, k)
+    try:
+        x, y = math.ldexp(x, k), math.ldexp(y, k)
+    except OverflowError:
+        raise _overflow_error(cross_ratio, k) from None
     if x < _FLOAT_MIN:
         raise _subnormal_error(cross_ratio, x)
-    return Witness(x, math.ldexp(y, k), (res1, res2))
+    return Witness(x, y, (res1, res2))
 
 
 def _search_error(cross_ratio: float, cause: str) -> WitnessSearchError:
@@ -373,6 +383,11 @@ def _subnormal_error(cross_ratio: float, x: float) -> WitnessSearchError:
     # the witness was found and judged on the unit copy; scaled back into
     # the subnormals, x keeps too few bits to stand for it
     return _search_error(cross_ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
+
+
+def _overflow_error(cross_ratio: float, k: int) -> WitnessSearchError:
+    # scaled back past the float range, the judged witness has no float form
+    return _search_error(cross_ratio, f"the witness scaled by 2^{k} lies past the float range")
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:

@@ -18,9 +18,15 @@ Hyperbolic setting: the natural invariant measure on a vertical line is
 dy/y, so drop two points log-uniformly between heights 1 and R. The
 value depends on the endpoint ratio R (it is NOT invariant under the
 choice of R, only under joint scaling), so R is an explicit parameter
-everywhere. Writing S = R^2, L = ln R and C = c^2 = e^(2Lv), the squared
-existence condition (squared-heights cross-ratio below 3) solves in
-closed form for the upper point: success iff b^2 < B*(C) with
+everywhere. With L = ln R, the two points cut the distance L from 1 to
+R into three distances, and a witness exists iff their cross-ratio
+sinh(d_bc) sinh(L) / (sinh(d_ab) sinh(d_cd)) is below 3 (see fourpoint).
+The Monte Carlo kernel tests exactly that, on the draws' 53-bit
+integers, so it forms no height and behaves alike at every ratio.
+
+For the quadrature, the same condition in heights (2 pq sinh(d_pq) =
+p^2 - q^2) solves in closed form for the upper point: writing S = R^2
+and C = c^2 = e^(2Lv), success iff b^2 < B*(C) with
 
     B*(C) = ((4S - 1) C - 3S) / (S + 3C - 4),
 
@@ -181,19 +187,15 @@ def estimate_pe(n: int, seed: int, threads: int = 1) -> ProbEstimate:
     Bit-identical for fixed (n, seed) regardless of threads: each
     sample's variates are keyed by its index alone.
     """
-    successes = _count_sharded(_euclid_indicators, n, seed, threads, (0.0,))
-    return _estimate(successes, n, seed)
+    return _estimate(_count_sharded(_euclid_indicators, n, seed, threads, ()), n, seed)
 
 
 def estimate_ph(n: int, seed: int, setup: HyperProbSetup, threads: int = 1) -> ProbEstimate:
     """Fraction of hyperbolic configs admitting a witness, at the given ratio."""
-    successes = _count_sharded(_hyper_indicators, n, seed, threads, (setup.ratio, 1.0))
-    return _estimate(successes, n, seed)
+    return _estimate(_count_sharded(_hyper_indicators, n, seed, threads, (setup.ratio,)), n, seed)
 
 
 def _estimate(successes: int, n: int, seed: int) -> ProbEstimate:
-    if n < 1:
-        raise GeometryError(f"need at least one sample, got n={n!r}")
     mean = successes / n
     return ProbEstimate(mean=mean, stderr=math.sqrt(mean * (1.0 - mean) / n), n=n, seed=seed)
 
@@ -204,8 +206,6 @@ def _worker_count(threads: int, chunks: int, cpus: int) -> int:
 
 
 def _count_sharded(indicator_fn, n, seed, threads, extra) -> int:
-    if n < 1:
-        raise GeometryError(f"need at least one sample, got n={n!r}")
     workers = _worker_count(threads, -(-n // _CHUNK), os.cpu_count() or 1)
 
     def count(lo, hi):
@@ -226,119 +226,88 @@ def _blocks(indicator_fn, seed, lo, hi, extra):
     """Indicator arrays of samples lo..hi-1, _CHUNK at a time, all computed in one PairBuffers.
 
     Each array is a view of the buffers' flag row, which the next block
-    overwrites; copy it to keep it.
+    overwrites; copy it to keep it. Every estimate and indicator stream
+    runs through here, with lo = 0 and hi = n where the count is
+    unsharded (a shard is never empty), so this is where n < 1 is named.
     """
+    if hi - lo < 1:
+        raise GeometryError(f"need at least one sample, got n={hi - lo!r}")
     buffers = PairBuffers(min(_CHUNK, hi - lo))
-    for start in range(lo, hi, _CHUNK):
-        yield indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers)
+    return (
+        indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers) for start in range(lo, hi, _CHUNK)
+    )
 
 
-def _ordered_uniforms(seed: int, lo: int, hi: int, buffers: PairBuffers) -> tuple[np.ndarray, np.ndarray]:
-    """(upper, lower) of draws 0 and 1 of samples lo..hi-1, as their 53-bit integers.
+def _ordered_gaps(seed: int, lo: int, hi: int, buffers: PairBuffers) -> np.ndarray:
+    """The gaps 2^53 - B, B - C and C of samples lo..hi-1, as rows 0, 1 and 2 of buffers.out[:, :n].
 
-    upper is row 2 of buffers.out and lower is row 1, where the pair
-    kernel left draw 1; row 0 is free again. The values are the draws
-    times 2^53, exact as floats, and ties and zeros are left for the
-    caller.
+    B > C are the larger and smaller of draws 0 and 1 as their 53-bit
+    integers (the variates times 2^53, exact as floats), so the rows are
+    the three segments that the two draws cut the unit interval into,
+    times 2^53, top first, each an integer from 1 up. A tie or a zero
+    draw, a measure-zero boundary hit, is redrawn from the sample's
+    stream past the two rejected draws, as the scalar samplers do; both
+    kernels share this rule.
     """
     n = hi - lo
     u, v = _pair_integers(seed, lo, hi, buffers)
-    return np.maximum(u, v, out=buffers.out[2, :n]), np.minimum(u, v, out=v)
-
-
-def _euclid_indicators(
-    seed: int, lo: int, hi: int, offset: float, buffers: PairBuffers
-) -> np.ndarray:
-    n = hi - lo
-    b, c = _ordered_uniforms(seed, lo, hi, buffers)
-    num = np.subtract(b, c, out=buffers.out[0, :n])
-    # ties and zero draws are so rare that the full mask is built only
-    # when a reduction finds one; they are redrawn from the sample's stream
-    if not (num.min() > 0.0 and c.min() > 0.0):
-        for i in np.nonzero((num == 0.0) | (c == 0.0))[0]:
+    gaps = buffers.out[:, :n]
+    upper, middle, lower = gaps
+    np.minimum(u, v, out=lower)
+    np.maximum(u, v, out=upper)
+    np.subtract(upper, lower, out=middle)
+    np.subtract(_TWO_53, upper, out=upper)
+    # ties and zero draws are so rare that the full mask is built only when
+    # a reduction finds one
+    if not (middle.min() > 0.0 and lower.min() > 0.0):
+        for i in np.nonzero((middle == 0.0) | (lower == 0.0))[0]:
             stream = SampleStream(seed, lo + int(i))
             stream.next_float()  # skip the two rejected draws
             stream.next_float()
-            upper, lower = _draw_ordered_pair(stream)
-            b[i], c[i] = upper * _TWO_53, lower * _TWO_53
-            num[i] = b[i] - c[i]
-    # mirror cross_ratio_euclid's float expression exactly:
-    # cr = ((b - c) / (a - b)) / ((c - d) / (a - d))
-    if offset == 0.0:
-        # a = 1 and d = 0 make c - d and / (a - d) exact, so they are
-        # skipped; with B = 2^53 b and C = 2^53 c, every operand below is
-        # the float one times a power of two and q / C lies in
-        # [2^-106, 2^53], so q / C < 3 * 2^-53 exactly when cr < 3
-        num /= np.subtract(_TWO_53, b, out=b)
-        num /= c
-        return np.less(num, 3.0 / _TWO_53, out=buffers.flag[:n])
-    heights = buffers.out[1:, :n]
-    heights *= 1.0 / _TWO_53  # the variates themselves, exactly
-    a = 1.0 + offset
-    d = 0.0 + offset
-    heights += offset
-    cr = np.subtract(b, c, out=num)
-    cr /= np.subtract(a, b, out=b)
-    c -= d
-    c /= a - d
-    cr /= c
-    return np.less(cr, 3.0, out=buffers.flag[:n])
+            b, c = (x * _TWO_53 for x in _draw_ordered_pair(stream))
+            gaps[:, i] = _TWO_53 - b, b - c, c
+    return gaps
 
 
-def _hyper_indicators(
-    seed: int, lo: int, hi: int, ratio: float, scale: float, buffers: PairBuffers
-) -> np.ndarray:
+def _euclid_indicators(seed: int, lo: int, hi: int, buffers: PairBuffers) -> np.ndarray:
     n = hi - lo
-    _ordered_uniforms(seed, lo, hi, buffers)
-    # _ordered_uniforms left lower and upper in rows 1 and 2: stacked, each
-    # step below is one pass over both
-    heights = buffers.out[1:, :n]
-    c, b = heights
-    # ln(ratio) / 2^53 >= 7e-32 is exact, so each product is the float
-    # draw times ln(ratio), rounded once
-    heights *= math.log(ratio) / _TWO_53
-    np.exp(heights, out=heights)
-    flag = buffers.flag[:n]
-    # exp can collapse distinct draws onto each other or an endpoint; a tie
-    # of the draws gives b == c and a zero lower draw c == 1, so these are
-    # redrawn here too. 1 <= c <= b, so reductions find the rare endpoint hits
-    if np.equal(b, c, out=flag).any() or not (c.min() > 1.0 and b.max() < ratio):
-        setup = HyperProbSetup(ratio)
-        for i in np.nonzero((b == c) | (c == 1.0) | (b == ratio))[0]:
-            cfg = sample_config_hyper(SampleStream(seed, lo + int(i)), setup)
-            b[i], c[i] = cfg.b, cfg.c
-    a = ratio * scale
-    d = 1.0 * scale
-    if scale != 1.0:
-        heights *= scale
-    a2, d2 = a * a, d * d
-    heights *= heights
-    # the squared-height cross-ratio, as one float expression:
-    # cr = ((b2 - c2) / (a2 - b2)) / ((c2 - d2) / (a2 - d2))
-    cr = np.subtract(b, c, out=buffers.out[0, :n])
-    cr /= np.subtract(a2, b, out=b)
-    c -= d2
-    c /= a2 - d2
-    cr /= c
-    return np.less(cr, 3.0, out=flag)
+    upper, middle, lower = _ordered_gaps(seed, lo, hi, buffers)
+    # cross_ratio_euclid's float expression for heights (1, b, c, 0):
+    # cr = ((b - c) / (1 - b)) / c, since c - d and / (a - d) are exact. On
+    # the gaps times 2^53 every operand is the float one times a power of
+    # two and the quotient lies in [2^-106, 2^53], so it is below 3 * 2^-53
+    # exactly when cr < 3
+    middle /= upper
+    middle /= lower
+    return np.less(middle, 3.0 / _TWO_53, out=buffers.flag[:n])
 
 
-def euclid_indicator_stream(n: int, seed: int, offset: float = 0.0) -> np.ndarray:
-    """Per-sample success booleans; offset translates all four heights.
+def _hyper_indicators(seed: int, lo: int, hi: int, ratio: float, buffers: PairBuffers) -> np.ndarray:
+    n = hi - lo
+    gaps = _ordered_gaps(seed, lo, hi, buffers)
+    # heights 1 < e^(sC) < e^(sB) < ratio, with L = ln(ratio) and s = L / 2^53
+    # (exact), lie at hyperbolic distances s times the gaps; the cross-ratio
+    # of fourpoint.cross_ratio_hyper, sinh(d_bc) sinh(L) / (sinh(d_ab) sinh(d_cd)),
+    # is below 3 where sinh(d_bc) < (3 / sinh L) sinh(d_ab) sinh(d_cd). No
+    # height is formed, so nothing overflows or collapses at any ratio
+    length = math.log(ratio)
+    gaps *= length / _TWO_53
+    np.sinh(gaps, out=gaps)
+    upper, middle, lower = gaps
+    upper *= 3.0 / math.sinh(length)
+    upper *= lower
+    return np.less(middle, upper, out=buffers.flag[:n])
 
-    The stream with any offset equals the offset-0 stream except for
-    float rounding at the existence boundary, which is what the affine
-    invariance property asserts.
-    """
-    return np.concatenate([ind.copy() for ind in _blocks(_euclid_indicators, seed, 0, n, (offset,))])
+
+def euclid_indicator_stream(n: int, seed: int) -> np.ndarray:
+    """Per-sample success booleans of estimate_pe(n, seed)."""
+    return np.concatenate([ind.copy() for ind in _blocks(_euclid_indicators, seed, 0, n, ())])
 
 
-def hyper_indicator_stream(n: int, seed: int, ratio: float, scale: float = 1.0) -> np.ndarray:
-    """Per-sample success booleans; scale multiplies all four heights."""
+def hyper_indicator_stream(n: int, seed: int, ratio: float) -> np.ndarray:
+    """Per-sample success booleans of estimate_ph(n, seed, HyperProbSetup(ratio))."""
     HyperProbSetup(ratio)  # validate
-    return np.concatenate(
-        [ind.copy() for ind in _blocks(_hyper_indicators, seed, 0, n, (ratio, scale))]
-    )
+    return np.concatenate([ind.copy() for ind in _blocks(_hyper_indicators, seed, 0, n, (ratio,))])
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,12 +8,21 @@ before the single rounding to floats that atan2 needs. Each angle is
 therefore correct to about an ulp at any scale, and a residual to about
 an ulp of the larger angle. With flat=True the vectors are the flat
 plane's rays (-x, h - y) instead, for the Euclidean residuals.
+
+exact_cross_ratio_hyper is the hyperbolic cross-ratio of the float
+heights in rationals, and hyper_cross_ratio_error measures a float one
+against it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+# fourpoint.cross_ratio_hyper rounds 15 times (four differences, four sums,
+# four quotients, three products), each within 2^-53 relative; compounded,
+# that stays below 16 units of 2^-53 while the heights are normal floats
+HYPER_CROSS_RATIO_BOUND = 16
 
 
 def exact_angle(x: float, y: float, h1: float, h2: float, flat: bool = False) -> float:
@@ -35,3 +44,21 @@ def exact_residuals(x: float, y: float, heights, flat: bool = False) -> tuple[fl
     """angle(h0 p h1) - angle(h1 p h2), ... for decreasing heights, as the judge orders them."""
     angles = [exact_angle(x, y, h1, h2, flat) for h1, h2 in zip(heights, heights[1:])]
     return tuple(first - second for first, second in zip(angles, angles[1:]))
+
+
+def exact_cross_ratio_hyper(heights) -> Fraction:
+    """(b^2-c^2)(a^2-d^2) / ((a^2-b^2)(c^2-d^2)) of the float heights, exactly."""
+    a, b, c, d = (Fraction(h) ** 2 for h in heights)
+    return (b - c) * (a - d) / ((a - b) * (c - d))
+
+
+def hyper_cross_ratio_error(value: float, heights) -> Fraction:
+    """|value - cr| / cr in units of 2^-53, cr = exact_cross_ratio_hyper(heights).
+
+    An infinite value stands for 2^1024, where rounding to float overflows.
+    """
+    exact = exact_cross_ratio_hyper(heights)
+    approx = Fraction(2) ** 1024 if value == math.inf else Fraction(value)
+    if value == math.inf and exact >= approx:
+        return Fraction(0)
+    return abs(approx - exact) / exact * 2**53

@@ -1,6 +1,7 @@
-"""Regenerate the golden CLI outputs under tests/golden/.
+"""The golden CLI cases, and a script that regenerates their files under tests/golden/.
 
-Run manually after an intentional output-format change:
+tests/test_cli.py checks every case against its file. Run manually after
+an intentional output-format change:
 
     python tests/_regen_goldens.py
 """
@@ -11,7 +12,7 @@ from apollonius.cli import run
 
 GOLDEN = Path(__file__).parent / "golden"
 
-CASES = {
+GOLDEN_CASES = {
     "classify_35_25_5.json": ["classify", "-a", "35", "-b", "25", "-c", "5"],
     "classify_4_2_1.json": ["classify", "-a", "4", "-b", "2", "-c", "1"],
     "sample_4_2_1_n16.csv": ["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "16"],
@@ -47,7 +48,7 @@ SVG_CASES = {
 
 def main() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name, argv in GOLDEN_CASES.items():
         rc = run(argv + ["-o", str(GOLDEN / name)])
         assert rc == 0, (name, rc)
         print("wrote", name)

@@ -38,6 +38,7 @@ from apollonius.probability import (
     pe_closed_form,
     pe_quadrature,
     ph_quadrature,
+    sample_config_hyper,
 )
 from apollonius.rng import SampleStream
 
@@ -118,10 +119,14 @@ def test_criterion_4_pe():
 
 @criterion(5, "P_h: scale invariance, estimator agreement, ratio calibration")
 def test_criterion_5_ph_calibration():
-    # indicator streams identical under joint scaling of (d, a)
-    base = hyper_indicator_stream(200_000, seed=1, ratio=2.0)
-    for scale in (4.0, 0.25, 1024.0):
-        assert (hyper_indicator_stream(200_000, seed=1, ratio=2.0, scale=scale) == base).all()
+    # the kernel's indicator stream is the library's existence test on the
+    # sampled configs, also under joint scaling of all four heights
+    setup = HyperProbSetup(2.0)
+    stream = hyper_indicator_stream(200_000, seed=1, ratio=2.0).tolist()
+    for i, indicator in enumerate(stream):
+        cfg = sample_config_hyper(SampleStream(1, i), setup)
+        for scale in (4.0, 0.25, 1024.0):
+            assert exists_hyper(cfg.scaled(scale)) == indicator, (i, scale)
 
     for ratio in (1.5, 2.0, 10.0, 32.0):
         setup = HyperProbSetup(ratio)

@@ -2,7 +2,6 @@
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,57 +14,17 @@ from apollonius.probability import HyperProbSetup, ph_quadrature
 from apollonius.serialize import render_json
 from apollonius.svg import render_svg
 
-GOLDEN = Path(__file__).parent / "golden"
-
-GOLDEN_CASES = [
-    ("classify_35_25_5.json", ["classify", "-a", "35", "-b", "25", "-c", "5"]),
-    ("classify_4_2_1.json", ["classify", "-a", "4", "-b", "2", "-c", "1"]),
-    ("sample_4_2_1_n16.csv", ["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "16"]),
-    ("euclid_locus_9_4_1.json", ["euclid-locus", "-a", "9", "-b", "4", "-c", "1"]),
-    ("euclid_locus_5_3_1.json", ["euclid-locus", "-a", "5", "-b", "3", "-c", "1"]),
-    (
-        "fourpoint_euclid_4_2_1_0.json",
-        ["fourpoint", "--geometry", "euclid", "-a", "4", "-b", "2", "-c", "1", "-d", "0", "--witness"],
-    ),
-    (
-        "fourpoint_hyper_10_6_5_1.json",
-        ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"],
-    ),
-    (
-        "fourpoint_hyper_8_4_2_1.json",
-        ["fourpoint", "--geometry", "hyper", "-a", "8", "-b", "4", "-c", "2", "-d", "1", "--witness"],
-    ),
-    ("prob_pe_n10000_seed7.json", ["prob", "pe", "-n", "10000", "--seed", "7"]),
-    (
-        "prob_ph_n10000_seed7_ratio2.json",
-        ["prob", "ph", "-n", "10000", "--seed", "7", "--ratio", "2"],
-    ),
-    (
-        "prob_ph_calibrate_reference.json",
-        ["prob", "ph", "--calibrate", "0.4201514931601543", "-n", "1"],
-    ),
-    ("dioph_quadratic.csv", ["dioph", "--family", "quadratic", "--m-range", "0:3", "--n-range", "1:2"]),
-    ("dioph_geometric.csv", ["dioph", "--family", "geometric", "--m-range", "1:4", "--n-range", "1:3"]),
-    ("dioph_harmonic.csv", ["dioph", "--family", "harmonic", "--m-range=-1:1", "--n-range", "0:1"]),
-]
+from _regen_goldens import GOLDEN, GOLDEN_CASES, SVG_CASES
 
 
-@pytest.mark.parametrize("golden_name,argv", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES])
+@pytest.mark.parametrize("golden_name,argv", GOLDEN_CASES.items(), ids=list(GOLDEN_CASES))
 def test_golden_output(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
     assert run(argv + ["-o", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "golden_name,argv",
-    [
-        ("sample_4_2_1_n64.svg", ["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "64"]),
-        ("sample_35_25_5_n64.svg", ["sample", "-a", "35", "-b", "25", "-c", "5", "-n", "64"]),
-        ("sample_35_7_5_n64.svg", ["sample", "-a", "35", "-b", "7", "-c", "5", "-n", "64"]),
-    ],
-    ids=["circle", "hyperbola", "lemniscate"],
-)
+@pytest.mark.parametrize("golden_name,argv", SVG_CASES.items(), ids=["circle", "hyperbola", "lemniscate"])
 def test_golden_svg(golden_name, argv, tmp_path):
     svg = tmp_path / golden_name
     csv = tmp_path / "out.csv"
@@ -404,3 +363,31 @@ def test_euclid_locus_past_the_float_range_exits_2(capsys):
     assert captured.err.startswith(
         "error: the Euclidean locus of (1.7e+308, 1e+308, 1e+307) does not fit in float64: the circle of center "
     )
+
+
+def test_prob_ph_far_above_one_exits_0_near_its_quadrature(capsys):
+    # squaring heights near 1e160 overflowed: every sample read False, and
+    # this printed "mean": 0 beside "quadrature": 0.00375, with numpy's
+    # overflow warnings (which the test run turns into errors)
+    assert run(["prob", "ph", "--ratio", "1e160", "-n", "2000", "--seed", "5"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["mean"] > 0
+    assert abs(record["mean"] - record["quadrature"]) <= 4 * record["stderr"]
+
+
+def test_hyper_cross_ratio_far_below_one_exits_0(capsys):
+    # the squares of 4e-200 .. 1e-200 underflow to 0: this exited 2 with
+    # "got (0.25, 0.0, 0.0, 0.0)", the squares rather than the input
+    argv = ["fourpoint", "--geometry", "hyper", "-a", "1", "-b", "4e-200", "-c", "2e-200", "-d", "1e-200"]
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["cross_ratio"], record["exists"]) == (4.0, False)
+
+
+def test_hyper_witness_through_underflowing_squares_exits_3_naming_the_cross_ratio(capsys):
+    # the cross-ratio is 0.75 (it read 0.750329 from the squares); the
+    # witness still goes through the square map, whose flat gaps near 1e-320
+    # keep too few bits for a point within the contract
+    argv = ["fourpoint", "--geometry", "hyper", "-a", "1", "-b", "2.5e-160", "-c", "2e-160", "-d", "1e-160"]
+    assert run(argv + ["--witness"]) == 3
+    assert capsys.readouterr().err.startswith("search failure: existence holds (cross-ratio 0.75 < 3) but ")

@@ -28,7 +28,7 @@ from apollonius.halfplane import AxisPoint, GeometryError, HPoint, OrderingError
 from apollonius.locus import euclidean_equal_angle_residual
 from apollonius.rng import SampleStream
 
-from _exact_residuals import exact_residuals
+from _exact_residuals import HYPER_CROSS_RATIO_BOUND, exact_residuals, hyper_cross_ratio_error
 
 
 def euclid(a, b, c, d):
@@ -93,21 +93,7 @@ COLLAPSING = [
         GeometryError,
         "hyperbolic heights must be positive, got d=0.0",
     ),
-    # gaps of a few subnormal steps
-    (
-        (0.5, 1.5e-323, 1e-323, 5e-324),
-        Geometry.HYPERBOLIC,
-        OrderingError,
-        "heights must satisfy a > b > c > d, got (0.25, 0.0, 0.0, 0.0)",
-    ),
     ((1.0, 0.5, 0.25, 5e-324), Geometry.HYPERBOLIC, GeometryError, "hyperbolic heights must be positive, got d=0.0"),
-    # the copy holds, its squares collapse
-    (
-        (1.5, 1.0, 1.5e-323, 1e-323),
-        Geometry.HYPERBOLIC,
-        OrderingError,
-        "heights must satisfy a > b > c > d, got (0.5625, 0.25, 0.0, 0.0)",
-    ),
 ]
 
 
@@ -122,6 +108,21 @@ def test_collapsing_unit_copy_constructs_and_raises_in_the_search(heights, geome
             function(cfg)
         assert type(caught.value) is error
         assert str(caught.value) == message
+
+
+def test_heights_whose_squares_underflow_are_decided_without_them():
+    # the copy holds, its squares collapse: both configs were OrderingErrors
+    # naming the squares, (0.25, 0.0, 0.0, 0.0) and (0.5625, 0.25, 0.0, 0.0)
+    # gaps of one subnormal step: the exact cross-ratio is 5/3, and the
+    # witness would need the flat gaps (c-d)(c+d) and (b-c)(b+c), both 0
+    cfg = hyper(0.5, 1.5e-323, 1e-323, 5e-324)
+    assert cross_ratio_hyper(cfg) == 5 / 3 and exists_hyper(cfg)
+    with pytest.raises(WitnessSearchError, match=r"\(cross-ratio 1\.66667 < 3\) but the flat gap \(c-d\)\(c\+d\) rounds to 0$"):
+        find_witness_hyper(cfg)
+    # the exact cross-ratio is about 1e645, past the float range
+    cfg = hyper(1.5, 1.0, 1.5e-323, 1e-323)
+    assert cross_ratio_hyper(cfg) == math.inf and not exists_hyper(cfg)
+    assert find_witness_hyper(cfg) is None
 
 
 @pytest.mark.parametrize("geometry", list(Geometry), ids=lambda g: g.value)
@@ -237,18 +238,19 @@ class TestCrossRatioHyper:
         assert cross_ratio_hyper(cfg) == pytest.approx(expected, rel=1e-12)
         assert not exists_hyper(cfg)
 
-    def test_reduction_to_squared_heights_is_exact(self):
-        for cfg in (hyper(10, 6, 5, 1), hyper(7.3, 2.2, 1.9, 0.4), hyper(100, 99, 98, 97)):
-            squares = euclid(cfg.a**2, cfg.b**2, cfg.c**2, cfg.d**2)
-            assert cross_ratio_hyper(cfg) == cross_ratio_euclid(squares)
+    def test_within_its_rounding_bound_of_the_exact_value(self):
+        for heights in ((10, 6, 5, 1), (7.3, 2.2, 1.9, 0.4), (100, 99, 98, 97)):
+            error = hyper_cross_ratio_error(cross_ratio_hyper(hyper(*heights)), heights)
+            assert error <= HYPER_CROSS_RATIO_BOUND, heights
+        assert cross_ratio_hyper(hyper(10, 6, 5, 1)) == 1089 / 1536  # exactly
 
     def test_scale_invariance(self):
         cfg = hyper(10, 6, 5, 1)
         base = cross_ratio_hyper(cfg)
         for lam in (0.25, 3.0, 1e3):
             assert cross_ratio_hyper(cfg.scaled(lam)) == pytest.approx(base, rel=1e-12)
-        # powers of two scale the squares exactly, also where squaring the
-        # scaled heights directly would overflow or underflow
+        # powers of two scale every height exactly, also where squaring the
+        # scaled heights would overflow or underflow
         for k in (2, 500, 1000, -500, -1000):
             assert cross_ratio_hyper(cfg.scaled(2.0**k)) == base
 
@@ -357,6 +359,14 @@ class TestFindWitnessEuclid:
         cfg = euclid(0.5, 1.5e-323, 1e-323, 5e-324)
         assert exists_euclid(cfg)
         with pytest.raises(WitnessSearchError, match=r"the loci meet at residual 7\.854e-01 > 1e-10$"):
+            find_witness_euclid(cfg)
+
+    def test_witness_past_the_float_range_is_a_search_failure(self):
+        # the witness of the unit copy, times 2^1024, overflows: this raised a
+        # bare OverflowError from math.ldexp (exit 1 at the CLI)
+        cfg = euclid(1.7649241525847572e308, 1.3295112602789705e308, 7.698612121399148e307, 0.0)
+        assert exists_euclid(cfg)
+        with pytest.raises(WitnessSearchError, match=r"\(cross-ratio 2\.94665 < 3\) but the witness scaled by 2\^1024 lies past the float range$"):
             find_witness_euclid(cfg)
 
     def test_witness_over_the_euclidean_contract_is_a_search_failure(self):

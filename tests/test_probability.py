@@ -170,19 +170,16 @@ class TestSamplers:
         assert 1.0 < cfg.c < cfg.b < setup.ratio
 
     def test_order_statistics_mean(self):
-        # E[max(U, V)] = 2/3; three-sigma band at one million draws
+        # E[1 - max(U, V)] = 1/3, the top gap; three-sigma band at one million draws
         n = 1_000_000
-        stream_means = np.empty(0)
         total = 0.0
         for lo in range(0, n, 1 << 19):
             hi = min(lo + (1 << 19), n)
-            from apollonius.probability import _ordered_uniforms
-
-            b, _ = _ordered_uniforms(1, lo, hi, PairBuffers(hi - lo))
-            total += b.sum() * 2.0**-53
-        mean_b = total / n
+            top, _, _ = probability._ordered_gaps(1, lo, hi, PairBuffers(hi - lo))
+            total += top.sum() * 2.0**-53
+        mean_top = total / n
         sigma = math.sqrt(1.0 / 18.0 / n)
-        assert abs(mean_b - 2.0 / 3.0) <= 3 * sigma
+        assert abs(mean_top - 1.0 / 3.0) <= 3 * sigma
 
     def test_log_uniform_ks(self):
         # Kolmogorov-Smirnov on ln(height)/L against U(0,1), 1% critical value
@@ -190,9 +187,8 @@ class TestSamplers:
         setup = HyperProbSetup(2.0)
         length = math.log(setup.ratio)
         values = np.empty(2 * n)
-        from apollonius.probability import _ordered_uniforms
-
-        b, c = (row * 2.0**-53 for row in _ordered_uniforms(3, 0, n, PairBuffers(n)))
+        top, _, lower = probability._ordered_gaps(3, 0, n, PairBuffers(n))
+        b, c = 1.0 - top * 2.0**-53, lower * 2.0**-53
         values[:n] = np.log(np.exp(b * length)) / length
         values[n:] = np.log(np.exp(c * length)) / length
         values.sort()
@@ -301,30 +297,14 @@ class TestEstimators:
             for i in range(n):
                 assert vector_h[i] == exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
 
-    def test_collapsed_exp_redraw_matches_scalar_sampling_path(self, monkeypatch):
-        # 16 ulps above 1: exp maps many distinct draws onto
-        # the same height or onto an endpoint, and those samples take the
-        # scalar redraw inside the vectorized kernel
-        n, seed = 3_000, 17
-        setup = HyperProbSetup(1 + 16 * 2**-52)
-        redraws = []
-        scalar_sampler = probability.sample_config_hyper
-
-        def counted(stream, s):
-            redraws.append(stream.index)
-            return scalar_sampler(stream, s)
-
-        monkeypatch.setattr(probability, "sample_config_hyper", counted)
-        vector = hyper_indicator_stream(n, seed, setup.ratio)
-        monkeypatch.undo()
-        assert len(redraws) > n // 10
-        # one sample per block, so each kind of collapse is also the only
-        # thing its block's checks can find
-        monkeypatch.setattr(probability, "_CHUNK", 1)
-        single = hyper_indicator_stream(n, seed, setup.ratio)
-        for i in range(n):
-            expected = exists_hyper(sample_config_hyper(SampleStream(seed, i), setup))
-            assert vector[i] == single[i] == expected
+    @pytest.mark.parametrize("ratio", [1e160, 1e300, 1 + 16 * 2**-52])
+    def test_ph_close_to_quadrature_at_extreme_ratios(self, ratio):
+        # heights near 1e160 once squared past the float range, so every sample
+        # read False; 16 ulps above 1, exp rounded the heights onto 15 doubles,
+        # 46.8 stderr above the quadrature at 2^20 samples
+        setup = HyperProbSetup(ratio)
+        est = estimate_ph(1 << 18, 1, setup)
+        assert abs(est.mean - ph_quadrature(setup, 1e-10)) <= 4 * est.stderr
 
     def test_tie_and_zero_draws_are_redrawn_from_the_stream(self, monkeypatch):
         # a tie and a zero never come out of the generator at these seeds, so
@@ -357,10 +337,9 @@ class TestEstimators:
         assert scalar_e[:2] == scalar_h[:2] == [False, True]
         for lo, hi in ((40, 41), (41, 42), (40, 44)):
             buffers = PairBuffers(hi - lo)
-            for offset in (0.0, 0.5):
-                euclid = probability._euclid_indicators(seed, lo, hi, offset, buffers)
-                assert euclid.tolist() == scalar_e[lo - 40 : hi - 40]
-            hyper = probability._hyper_indicators(seed, lo, hi, setup.ratio, 1.0, buffers)
+            euclid = probability._euclid_indicators(seed, lo, hi, buffers)
+            assert euclid.tolist() == scalar_e[lo - 40 : hi - 40]
+            hyper = probability._hyper_indicators(seed, lo, hi, setup.ratio, buffers)
             assert hyper.tolist() == scalar_h[lo - 40 : hi - 40]
 
     @pytest.mark.parametrize("threads", [1, 2])
@@ -371,22 +350,32 @@ class TestEstimators:
             assert estimate_pe(1 << 20, seed, threads=threads).mean == pe
             assert estimate_ph(1 << 20, seed, setup, threads=threads).mean == ph
 
-    def test_invalid_counts_rejected(self):
-        with pytest.raises(GeometryError):
-            estimate_pe(0, 1)
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda n: estimate_pe(n, 1),
+            lambda n: estimate_ph(n, 1, HyperProbSetup(2.0), threads=2),
+            lambda n: euclid_indicator_stream(n, 1),
+            lambda n: hyper_indicator_stream(n, 1, 2.0),
+        ],
+        ids=["estimate_pe", "estimate_ph", "euclid_stream", "hyper_stream"],
+    )
+    def test_invalid_counts_rejected(self, count, n):
+        # the streams raised numpy's bare ValueErrors here
+        with pytest.raises(GeometryError, match=rf"^need at least one sample, got n={n}$"):
+            count(n)
 
 
 class TestInvariance:
     def test_euclid_affine_invariance_of_indicators(self):
-        base = euclid_indicator_stream(100_000, 5)
-        for offset in (0.5, 1.0, 10.0):
-            assert (euclid_indicator_stream(100_000, 5, offset=offset) == base).all()
-
-    def test_hyper_scale_invariance_of_indicators(self):
-        base = hyper_indicator_stream(100_000, 5, 2.0)
-        # powers of two scale every squared height exactly
-        for scale in (0.5, 4.0, 1024.0):
-            assert (hyper_indicator_stream(100_000, 5, 2.0, scale=scale) == base).all()
+        # the kernel's stream is the library's existence test on the sampled
+        # configs translated by each offset
+        stream = euclid_indicator_stream(100_000, 5).tolist()
+        for i, indicator in enumerate(stream):
+            cfg = sample_config_euclid(SampleStream(5, i))
+            for offset in (0.5, 1.0, 10.0):
+                assert exists_euclid(cfg.shifted(offset)) == indicator, (i, offset)
 
     def test_cross_ratio_affine_invariant_in_exact_arithmetic(self):
         from fractions import Fraction
