@@ -43,7 +43,7 @@ for ratio in (1.1, 1.5, 2.0, 2.17765045, 5.0, 10.0, 32.0, 100.0):
 print()
 target = 0.4201514924
 print(f"calibration: which ratio reproduces the reference value {target}?")
-found = calibrate_ratio(target, bracket=(1.01, 1000.0), tol=1e-9)
+found = calibrate_ratio(target, bracket=(1.01, 1000.0))
 if found is None:
     print("  no ratio in (1.01, 1000) reproduces it")
 else:

@@ -72,13 +72,12 @@ from .locus import (
 )
 # Names whose modules import numpy resolve on first use (PEP 562), so
 # that the subcommands computing without numpy start without it. The
-# submodules that no eager import binds resolve the same way.
+# submodules that no eager import binds resolve the same way, and so do
+# the calibration names, whose module is only needed by prob ph.
 _LAZY = {
     **dict.fromkeys(
         (
-            "HyperProbSetup",
             "ProbEstimate",
-            "calibrate_ratio",
             "estimate_pe",
             "estimate_ph",
             "pe_closed_form",
@@ -90,6 +89,8 @@ _LAZY = {
         ),
         "probability",
     ),
+    "HyperProbSetup": "_calibrate",
+    "calibrate_ratio": "_calibrate",
     "SampleStream": "rng",
     "render_svg": "svg",
 }

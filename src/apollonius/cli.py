@@ -13,8 +13,11 @@ Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
 failure, 1 internal error. With APOLLONIUS_DEBUG=1 in the environment an
 internal error propagates with its traceback instead.
 
-Only sample and prob load numpy; their handlers import the modules that
-use it, so the other subcommands start without it.
+Only sample, prob pe and prob ph without --calibrate load numpy; their
+handlers import the modules that use it, so the other subcommands start
+without it. prob ph --calibrate solves on P_h in closed form, without
+numpy, and imports probability only to report a target that the
+bracket does not straddle.
 """
 
 from __future__ import annotations
@@ -135,16 +138,24 @@ def _cmd_fourpoint(args) -> int:
 
 
 def _cmd_prob(args) -> int:
-    from . import probability as prob
-
     if args.n < 1:
         raise ValidationError(f"-n must be at least 1, got {args.n}")
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
+    if args.kind == "pe" and args.calibrate is not None:
+        raise ValidationError("--calibrate applies to prob ph only")
+    if args.kind == "ph":
+        from ._calibrate import HyperProbSetup
+
+        if args.ratio <= 1.0:
+            raise ValidationError(f"--ratio must exceed 1, got {args.ratio}")
+        setup = HyperProbSetup(args.ratio)
+        if args.calibrate is not None:
+            return _cmd_calibrate(args)
+    from . import probability as prob
+
     qtol = args.quadrature
     if args.kind == "pe":
-        if args.calibrate is not None:
-            raise ValidationError("--calibrate applies to prob ph only")
         estimate = prob.estimate_pe(args.n, args.seed, threads=args.threads)
         record = {
             "kind": "pe",
@@ -157,27 +168,6 @@ def _cmd_prob(args) -> int:
             "quadrature": prob.pe_quadrature(qtol),
         }
         _write(render_json(record), args.output)
-        return 0
-    if args.ratio <= 1.0:
-        raise ValidationError(f"--ratio must exceed 1, got {args.ratio}")
-    setup = prob.HyperProbSetup(args.ratio)
-    if args.calibrate is not None:
-        found = prob.calibrate_ratio(args.calibrate, bracket=_CALIBRATION_BRACKET)
-        record = {
-            "kind": "ph-calibration",
-            "target": args.calibrate,
-            "bracket": list(_CALIBRATION_BRACKET),
-            "ratio": found,
-        }
-        _write(render_json(record), args.output)
-        if found is None:
-            lo, hi = _CALIBRATION_BRACKET
-            p_lo, p_hi = (prob.ph_quadrature(prob.HyperProbSetup(r), qtol) for r in (lo, hi))
-            sys.stderr.write(
-                f"calibration target {args.calibrate!r} not bracketed on ({lo!r}, {hi!r}): "
-                f"P_h({lo!r}) = {p_lo!r}, P_h({hi!r}) = {p_hi!r}\n"
-            )
-            return 3
         return 0
     estimate = prob.estimate_ph(args.n, args.seed, setup, threads=args.threads)
     record = {
@@ -192,6 +182,30 @@ def _cmd_prob(args) -> int:
     }
     _write(render_json(record), args.output)
     return 0
+
+
+def _cmd_calibrate(args) -> int:
+    from ._calibrate import calibrate_ratio
+
+    found = calibrate_ratio(args.calibrate, bracket=_CALIBRATION_BRACKET)
+    record = {
+        "kind": "ph-calibration",
+        "target": args.calibrate,
+        "bracket": list(_CALIBRATION_BRACKET),
+        "ratio": found,
+    }
+    _write(render_json(record), args.output)
+    if found is not None:
+        return 0
+    from . import probability as prob
+
+    lo, hi = _CALIBRATION_BRACKET
+    p_lo, p_hi = (prob.ph_quadrature(prob.HyperProbSetup(r), args.quadrature) for r in (lo, hi))
+    sys.stderr.write(
+        f"calibration target {args.calibrate!r} not bracketed on ({lo!r}, {hi!r}): "
+        f"P_h({lo!r}) = {p_lo!r}, P_h({hi!r}) = {p_hi!r}\n"
+    )
+    return 3
 
 
 # each --family: its identity and its generator of (m, n)

@@ -391,14 +391,19 @@ def _overflow_error(cross_ratio: float, k: int) -> WitnessSearchError:
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:
-    """JSON-ready record of an existence test and optional witness."""
+    """JSON-ready record of an existence test and optional witness.
+
+    A cross-ratio past the float range (inf, where a gap underflows
+    against the others) has no JSON number, so it is reported as null;
+    no witness exists there.
+    """
     return {
         "geometry": "hyperbolic" if cfg.geometry is Geometry.HYPERBOLIC else "euclidean",
         "a": cfg.a,
         "b": cfg.b,
         "c": cfg.c,
         "d": cfg.d,
-        "cross_ratio": cross_ratio,
+        "cross_ratio": None if cross_ratio == math.inf else cross_ratio,
         "exists": exists,
         "witness": None if witness is None else {"x": witness.x, "y": witness.y},
     }

@@ -37,7 +37,10 @@ reduction
 
 P(R) decreases from the Euclidean value (15 - 16 ln 2)/9 as R -> 1+ to 0
 as R -> infinity, so any target below the Euclidean value is reproduced
-by exactly one ratio; calibrate_ratio finds it.
+by exactly one ratio; calibrate_ratio finds it. It lives in _calibrate,
+re-exported here with HyperProbSetup, and takes the integral in closed
+form (dilogarithms in Python-int fixed point), without numpy or long
+double; ph_quadrature stays the independent Gauss-Legendre value.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ import os
 
 import numpy as np
 
+from ._calibrate import HyperProbSetup, calibrate_ratio
 from .fourpoint import FourConfig, Geometry
 from .halfplane import GeometryError, _Record
 from .rng import PairBuffers, SampleStream, _pair_integers
@@ -90,18 +94,11 @@ _CHUNK = 1 << 15
 _GAUSS_MIN_NODES = 16
 _GAUSS_MAX_NODES = 512
 
-# cap on regula falsi steps; the Illinois rule converges in about a dozen
-_ROOT_MAX_STEPS = 100
-
-# 1 + 2**-51: the smallest ratio with two doubles strictly inside (1, ratio) is
-# the next double above it
-_TWO_ULPS_ABOVE_ONE = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
-
 # the pair kernel's draws are 53-bit integers, the variates times this
 _TWO_53 = 2.0**53
 
-# quadrature and calibration work in extended precision so that the
-# float64 results are correctly rounded (x87 80-bit where numpy has it)
+# the quadrature works in extended precision so that the float64 results
+# are correctly rounded (x87 80-bit where numpy has it)
 _LD = np.longdouble
 
 
@@ -112,24 +109,6 @@ class ProbEstimate(_Record):
 
     def __init__(self, mean: float, stderr: float, n: int, seed: int):
         self.__dict__.update(mean=mean, stderr=stderr, n=n, seed=seed)
-
-
-class HyperProbSetup(_Record):
-    """Endpoint ratio a/d of the hyperbolic sampling interval."""
-
-    _fields = ("ratio",)
-
-    def __init__(self, ratio: float):
-        self.__dict__.update(ratio=ratio)
-        if not (math.isfinite(ratio) and ratio > 1.0):
-            raise GeometryError(f"ratio must be finite and > 1, got {ratio!r}")
-        # the two interior heights must be distinct doubles strictly inside
-        # (1, ratio); with fewer than two there, sampling could never stop
-        if ratio <= _TWO_ULPS_ABOVE_ONE:
-            raise GeometryError(
-                f"ratio {ratio!r} leaves fewer than two doubles strictly inside "
-                f"(1, ratio) for the interior heights"
-            )
 
 
 def pe_closed_form() -> float:
@@ -392,11 +371,7 @@ def ph_quadrature(setup: HyperProbSetup, tol: float) -> float:
     against C itself). It is integrated like pe_quadrature: Gauss-Legendre
     rules of doubling size until two successive ones agree to tol.
     """
-    return float(_ph_integral(setup.ratio, tol))
-
-
-def _ph_integral(ratio: float, tol: float) -> np.longdouble:
-    r = _LD(ratio)
+    r = _LD(setup.ratio)
     s1 = (r - 1) * (r + 1)
     length = np.log(r)
 
@@ -405,58 +380,4 @@ def _ph_integral(ratio: float, tol: float) -> np.longdouble:
         t = 3 * em * (s1 - em) / ((1 + em) * (s1 + 3 * em))  # (B* - C)/C
         return np.log1p(t) / length  # 2 (u*(v) - v), the -v already folded in
 
-    return _gauss_integral(band, tol)
-
-
-def calibrate_ratio(
-    target: float, bracket: tuple[float, float], tol: float = 1e-9
-) -> float | None:
-    """Endpoint ratio at which ph_quadrature hits the target, or None.
-
-    Returns None when the bracket endpoints do not straddle the target
-    (the probability is monotone decreasing in the ratio, so a straddle
-    is also necessary for a root to exist inside). Otherwise the root is
-    solved to the last bit of the ratio, on long-double probabilities,
-    by regula falsi with the Illinois rule.
-    """
-    lo, hi = bracket
-    HyperProbSetup(lo)
-    HyperProbSetup(hi)
-    qtol = min(1e-10, tol / 10.0)
-    goal = _LD(target)
-
-    def f(ratio: float) -> np.longdouble:
-        return _ph_integral(ratio, qtol) - goal
-
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0.0) == (f_hi > 0.0):
-        return None
-    return _illinois(f, lo, hi, f_lo, f_hi)
-
-
-def _illinois(f, a: float, b: float, fa, fb) -> float:
-    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
-
-    Regula falsi keeps the newest point b and an end a of opposite sign;
-    when a survives a step its value is halved (the Illinois rule), so
-    both ends close in superlinearly. Stops when the secant point rounds
-    onto an end, which happens once a and b are adjacent doubles, or f
-    vanishes. (Dowell and Jarratt, BIT 11, 1971.)
-    """
-    for _ in range(_ROOT_MAX_STEPS):
-        x = float((a * fb - b * fa) / (fb - fa))
-        if not min(a, b) < x < max(a, b):
-            return x
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fx > 0.0) == (fb > 0.0):
-            fa = fa / 2
-        else:
-            a, fa = b, fb
-        b, fb = x, fx
-    raise GeometryError(f"root solve did not converge in {_ROOT_MAX_STEPS} steps")
+    return float(_gauss_integral(band, tol))

@@ -340,6 +340,25 @@ def test_euclid_witness_failure_exits_3_naming_the_cause(heights, cause, capsys)
 
 
 @pytest.mark.parametrize(
+    "geometry, heights",
+    [
+        ("euclid", ("1", "0.5", "1e-323", "5e-324")),
+        ("hyper", ("1.5", "1", "1.5e-323", "1e-323")),
+    ],
+)
+def test_cross_ratio_past_the_float_range_is_null(geometry, heights, capsys):
+    # the cross-ratio overflows to inf, which JSON cannot hold: this exited 1
+    # with "JSON has no form for the non-finite float inf"
+    argv = ["fourpoint", "--geometry", geometry]
+    for flag, value in zip(("-a", "-b", "-c", "-d"), heights):
+        argv += [flag, value]
+    for extra in ([], ["--witness"]):
+        assert run(argv + extra) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert (record["cross_ratio"], record["exists"], record["witness"]) == (None, False, None)
+
+
+@pytest.mark.parametrize(
     "heights, radius",
     [(("4e-200", "2e-200", "1e-200"), 2e-200), (("4e200", "2e200", "1e200"), 2e200)],
     ids=["far-below-one", "far-above-one"],

@@ -80,6 +80,16 @@ def test_import_loads_no_numpy_or_scipy(module):
     assert fresh_python(f"import sys, {module}; {PRINT_LOADED}") == "[]\n[]\n"
 
 
+def test_calibration_names_resolve_without_numpy():
+    # the root solve evaluates P_h in closed form, so neither name needs
+    # numpy or the probability module that imports it
+    code = (
+        "import sys, apollonius; apollonius.calibrate_ratio, apollonius.HyperProbSetup; "
+        f"{PRINT_LOADED}; print('apollonius.probability' in sys.modules)"
+    )
+    assert fresh_python(code) == "[]\n[]\nFalse\n"
+
+
 NUMPY_FREE_CASES = [
     ("classify_35_25_5.json", ["classify", "-a", "35", "-b", "25", "-c", "5"]),
     ("euclid_locus_9_4_1.json", ["euclid-locus", "-a", "9", "-b", "4", "-c", "1"]),
@@ -88,13 +98,15 @@ NUMPY_FREE_CASES = [
         ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"],
     ),
     ("dioph_quadratic.csv", ["dioph", "--family", "quadratic", "--m-range", "0:3", "--n-range", "1:2"]),
+    ("prob_ph_calibrate_reference.json", ["prob", "ph", "--calibrate", "0.4201514931601543", "-n", "1"]),
 ]
 
 
 @pytest.mark.parametrize("golden_name,argv", NUMPY_FREE_CASES, ids=[c[1][0] for c in NUMPY_FREE_CASES])
 def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
-    assert fresh_python(RUN_CLI, *argv, "-o", str(out)) == "[]\n[]\n"
+    code = RUN_CLI + "; print('apollonius.probability' in sys.modules)"
+    assert fresh_python(code, *argv, "-o", str(out)) == "[]\n[]\nFalse\n"
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
 
 

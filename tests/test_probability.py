@@ -389,7 +389,7 @@ class TestInvariance:
 class TestCalibration:
     def test_self_consistency(self):
         target = ph_quadrature(HyperProbSetup(2.0), 1e-10)
-        found = calibrate_ratio(target, (1.5, 3.0), tol=1e-9)
+        found = calibrate_ratio(target, (1.5, 3.0))
         assert found == pytest.approx(2.0, abs=1e-6)
 
     def test_impossible_target(self):
@@ -405,6 +405,6 @@ class TestCalibration:
 
     def test_found_ratio_hits_target(self):
         target = ph_reference_constant()
-        found = calibrate_ratio(target, (1.01, 1000.0), tol=1e-9)
+        found = calibrate_ratio(target, (1.01, 1000.0))
         assert found is not None
         assert abs(ph_quadrature(HyperProbSetup(found), 1e-11) - target) <= 1e-9
