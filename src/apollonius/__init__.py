@@ -12,91 +12,36 @@ boundary shapes exactly.
 
 from importlib import import_module as _import_module
 
-from .diophantine import (
-    FamilyKind,
-    IntTriple,
-    geometric_family,
-    normalize_triple,
-    pythagorean_family,
-    quadratic_form_family,
-    verify_identity,
-)
-from .fourpoint import (
-    FourConfig,
-    Geometry,
-    Witness,
-    WitnessSearchError,
-    cross_ratio_euclid,
-    cross_ratio_hyper,
-    exists_euclid,
-    exists_hyper,
-    find_witness_euclid,
-    find_witness_hyper,
-)
-from .halfplane import (
-    AngleResidual,
-    Arc,
-    AxisPoint,
-    DegenerateInputError,
-    Geodesic,
-    GeometryError,
-    HPoint,
-    OffCurveError,
-    OnAxisError,
-    OrderingError,
-    VerticalRay,
-    axis_center,
-    equal_angle_residual,
-    geodesic_through,
-    hyp_angle,
-    hyp_distance,
-    tangent_direction,
-)
-from .locus import (
-    AxisCircle,
-    Curve,
-    EuclideanLocus,
-    HorizontalLine,
-    LocusClass,
-    QuarticCoeffs,
-    TripleConfig,
-    classify,
-    coefficients,
-    euclidean_equal_angle_residual,
-    euclidean_locus,
-    eval_quartic,
-    sample_curve,
-    samples_to_csv,
-    solve_r2,
-    theta_grid,
-)
-# Names whose modules import numpy resolve on first use (PEP 562), so
-# that the subcommands computing without numpy start without it. The
-# submodules that no eager import binds resolve the same way, and so do
-# the calibration names, whose module is only needed by prob ph.
+# Every public name resolves on first use (PEP 562) from the module named
+# here, so `import apollonius` loads no submodule: a CLI subcommand
+# imports, and without a bytecode cache compiles, only the modules it
+# runs, and numpy loads only with a module that uses it. The error
+# classes resolve from _base, their home, which halfplane and fourpoint
+# re-export.
 _LAZY = {
-    **dict.fromkeys(
-        (
-            "ProbEstimate",
-            "estimate_pe",
-            "estimate_ph",
-            "pe_closed_form",
-            "pe_quadrature",
-            "ph_reference_constant",
-            "ph_quadrature",
-            "sample_config_euclid",
-            "sample_config_hyper",
-        ),
-        "probability",
-    ),
-    "HyperProbSetup": "_calibrate",
-    "calibrate_ratio": "_calibrate",
-    "SampleStream": "rng",
-    "render_svg": "svg",
+    name: module
+    for module, names in {
+        "_base": "DegenerateInputError GeometryError OffCurveError OnAxisError OrderingError WitnessSearchError",
+        "_calibrate": "HyperProbSetup calibrate_ratio",
+        "diophantine": "FamilyKind IntTriple geometric_family normalize_triple pythagorean_family "
+        "quadratic_form_family verify_identity",
+        "fourpoint": "FourConfig Geometry Witness cross_ratio_euclid cross_ratio_hyper exists_euclid "
+        "exists_hyper find_witness_euclid find_witness_hyper",
+        "halfplane": "AngleResidual Arc AxisPoint Geodesic HPoint VerticalRay axis_center "
+        "equal_angle_residual geodesic_through hyp_angle hyp_distance tangent_direction",
+        "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
+        "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
+        "samples_to_csv solve_r2 theta_grid",
+        "probability": "ProbEstimate estimate_pe estimate_ph pe_closed_form pe_quadrature "
+        "ph_reference_constant ph_quadrature sample_config_euclid sample_config_hyper",
+        "rng": "SampleStream",
+        "svg": "render_svg",
+    }.items()
+    for name in names.split()
 }
-_LAZY_MODULES = ("probability", "rng", "serialize", "svg")
+_LAZY_MODULES = ("diophantine", "fourpoint", "halfplane", "locus", "probability", "rng", "serialize", "svg")
 
-__all__ = sorted({n for n in globals() if not n.startswith("_")} | {*_LAZY, *_LAZY_MODULES})
+__all__ = sorted({*_LAZY, *_LAZY_MODULES})
 
 __version__ = "0.1.0"
 

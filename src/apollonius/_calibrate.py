@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from .halfplane import GeometryError, _Record
+from ._base import GeometryError, _Record
 
 __all__ = ["HyperProbSetup", "calibrate_ratio"]
 

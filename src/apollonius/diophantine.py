@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 
-from .halfplane import GeometryError, _Record
+from ._base import GeometryError, _Record
 
 __all__ = [
     "IntTriple",

@@ -53,8 +53,8 @@ import enum
 import math
 import sys
 
-from .halfplane import GeometryError, OrderingError, _axis_residuals, _Record
-from .locus import _euclid_angle
+from ._base import GeometryError, OrderingError, WitnessSearchError, _euclid_angle, _Record
+from .halfplane import _axis_residuals
 
 __all__ = [
     "Geometry",
@@ -87,10 +87,6 @@ class Geometry(enum.Enum):
 _EUCLIDEAN = Geometry.EUCLIDEAN
 _HYPERBOLIC = Geometry.HYPERBOLIC
 _INF = math.inf
-
-
-class WitnessSearchError(RuntimeError):
-    """A witness should exist but none passing the angle oracle was constructed."""
 
 
 class FourConfig(_Record):

@@ -22,6 +22,16 @@ from __future__ import annotations
 
 import math
 
+from ._base import (
+    DegenerateInputError,
+    GeometryError,
+    OffCurveError,
+    OnAxisError,
+    OrderingError,
+    _check_finite,
+    _Record,
+)
+
 __all__ = [
     "GeometryError",
     "DegenerateInputError",
@@ -51,72 +61,10 @@ VERTICAL_EPS = 1e-12
 ON_CURVE_RTOL = 1e-9
 
 
-class GeometryError(ValueError):
-    """Base class for domain errors raised by the geometry layer."""
-
-
-class DegenerateInputError(GeometryError):
-    """Two points that must be distinct coincide."""
-
-
-class OffCurveError(GeometryError):
-    """A point that must lie on a geodesic does not."""
-
-
-class OnAxisError(GeometryError):
-    """An operation that excludes the y-axis received a point with x = 0."""
-
-
-class OrderingError(GeometryError):
-    """Heights that must be strictly ordered are not."""
-
-
 def _scale(*values: float) -> float:
     # no absolute floor: every test that uses it must hold alike for a
     # configuration and its copy scaled by any power of two
     return max(abs(v) for v in values)
-
-
-def _check_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise GeometryError(f"{name} must be finite, got {value!r}")
-
-
-class _Record:
-    """A frozen value record: fields set once by __init__, then compared, hashed and shown by _fields.
-
-    Hand-written because every CLI run defines the records: a frozen class
-    from the standard library's record decorator costs ~1.2 ms to define
-    (a plain class 0.02 ms), and importing that module with inspect 8-14 ms.
-    Each subclass's own __init__ stores its fields straight into
-    self.__dict__, faster than a generic base __init__ or slot stores: with
-    one self.__dict__.update(...), or, on the witness path (FourConfig,
-    Witness), one item at a time, which is faster still.
-    """
-
-    _fields: tuple[str, ...] = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _values(self) -> tuple:
-        fields = self.__dict__
-        return tuple([fields[name] for name in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._values() == other._values()
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join([f"{name}={value!r}" for name, value in zip(self._fields, self._values())])
-        return f"{type(self).__qualname__}({fields})"
 
 
 class HPoint(_Record):

@@ -35,11 +35,12 @@ from __future__ import annotations
 import enum
 import math
 
-from .halfplane import (
+from ._base import (
     GeometryError,
     OnAxisError,
     OrderingError,
     _check_finite,
+    _euclid_angle,
     _Record,
 )
 
@@ -70,11 +71,6 @@ ALPHA_EPS = 1e-14
 # roots at or below this are the lemniscate's node at the origin, which
 # lies on the boundary axis, not in the half-plane
 ORIGIN_EPS = 1e-300
-
-# |cross| and |dot| of two flat angle vectors both below this: products of
-# their components can have lost digits in the subnormals (above it, such
-# a loss moves the angle by less than 2^-110)
-_SHORT_PRODUCTS = 2.0**-960
 
 
 class TripleConfig(_Record):
@@ -393,20 +389,6 @@ def euclidean_equal_angle_residual(p: tuple[float, float], a: float, b: float, c
     if x == 0.0:
         raise OnAxisError("the Euclidean locus predicate excludes the y-axis")
     return _euclid_angle(x, y, a, b) - _euclid_angle(x, y, b, c)
-
-
-def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
-    # the angle between the rays (-x, h1 - y) and (-x, h2 - y), from the
-    # cross and dot products of the two vectors, operation for operation
-    nx, dy1, dy2 = -x, h1 - y, h2 - y
-    cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
-    if cross < _SHORT_PRODUCTS and -_SHORT_PRODUCTS < dot < _SHORT_PRODUCTS:
-        # products may have lost digits in the subnormals: the same angle
-        # with the largest component brought into [0.5, 1)
-        k = math.frexp(max(abs(nx), abs(dy1), abs(dy2)))[1]
-        nx, dy1, dy2 = math.ldexp(nx, -k), math.ldexp(dy1, -k), math.ldexp(dy2, -k)
-        cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
-    return math.atan2(cross, dot)
 
 
 def samples_to_csv(curve: Curve) -> str:

@@ -41,6 +41,9 @@ by exactly one ratio; calibrate_ratio finds it. It lives in _calibrate,
 re-exported here with HyperProbSetup, and takes the integral in closed
 form (dilogarithms in Python-int fixed point), without numpy or long
 double; ph_quadrature stays the independent Gauss-Legendre value.
+
+The estimators never build a FourConfig, so only the two samplers that
+do import fourpoint, and prob pe and prob ph run without compiling it.
 """
 
 from __future__ import annotations
@@ -51,9 +54,8 @@ import os
 
 import numpy as np
 
+from ._base import GeometryError, _Record
 from ._calibrate import HyperProbSetup, calibrate_ratio
-from .fourpoint import FourConfig, Geometry
-from .halfplane import GeometryError, _Record
 from .rng import PairBuffers, SampleStream, _pair_integers
 
 __all__ = [
@@ -144,12 +146,16 @@ def sample_config_euclid(stream: SampleStream) -> FourConfig:
     unordered until sorted, so the ordered density is exactly 2 on the
     open triangle.
     """
+    from .fourpoint import FourConfig, Geometry
+
     b, c = _draw_ordered_pair(stream)
     return FourConfig(1.0, b, c, 0.0, Geometry.EUCLIDEAN)
 
 
 def sample_config_hyper(stream: SampleStream, setup: HyperProbSetup) -> FourConfig:
     """Random config with d=1, a=ratio and two log-uniform interior heights."""
+    from .fourpoint import FourConfig, Geometry
+
     length = math.log(setup.ratio)
     while True:
         hi, lo = _draw_ordered_pair(stream)

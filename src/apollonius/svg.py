@@ -15,8 +15,8 @@ import math
 
 import numpy as np
 
+from ._base import GeometryError
 from ._fmt17 import fmt17_rows
-from .halfplane import GeometryError
 from .locus import Curve
 from .serialize import fmt17
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from apollonius import cli
+from apollonius import locus
 from apollonius.cli import run
 from apollonius.halfplane import AxisPoint, HPoint, equal_angle_residual
 from apollonius.locus import Curve, TripleConfig, sample_curve
@@ -156,7 +156,8 @@ class TestValidation:
         # render_json refuses nan and infinities, so a report that carried one
         # past every check still writes no file
         monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)
-        monkeypatch.setattr(cli, "classification_report", lambda cfg, eps: {"alpha": math.nan})
+        # classify imports its report from locus when it runs
+        monkeypatch.setattr(locus, "classification_report", lambda cfg, eps: {"alpha": math.nan})
         out = tmp_path / "classify.json"
         assert run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", str(out)]) == 1
         assert "non-finite float nan" in capsys.readouterr().err

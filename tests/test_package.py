@@ -34,10 +34,13 @@ SUBMODULES = ("diophantine", "fourpoint", "halfplane", "locus", "probability", "
 
 # prints which of numpy and scipy the interpreter has loaded, then which of
 # the modules that start-up leaves out: dataclasses and the inspect it
-# imports (8-14 ms), and concurrent.futures, which imports logging (~10 ms)
+# imports (8-14 ms), and concurrent.futures, which imports logging (~10 ms),
+# then the package's submodules: where no bytecode cache is written, each
+# one loaded is compiled from source on every run
 PRINT_LOADED = (
     "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'})); "
-    "print(sorted(set(sys.modules) & {'concurrent.futures', 'dataclasses', 'inspect'}))"
+    "print(sorted(set(sys.modules) & {'concurrent.futures', 'dataclasses', 'inspect'})); "
+    "print(*sorted(m.split('.', 1)[1] for m in sys.modules if m.startswith('apollonius.')))"
 )
 
 RUN_CLI = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 0; " + PRINT_LOADED
@@ -74,21 +77,67 @@ class TestNamespace:
         assert set(apollonius.__all__) | {"__version__"} <= set(dir(apollonius))
 
 
-@pytest.mark.parametrize("module", ["apollonius", "apollonius.cli"])
-def test_import_loads_no_numpy_or_scipy(module):
+class TestSharedBase:
+    # the error classes and the record base live in _base; each module
+    # that uses one imports it from there, and halfplane and fourpoint
+    # re-export theirs
+    NAMES = (
+        "GeometryError",
+        "DegenerateInputError",
+        "OffCurveError",
+        "OnAxisError",
+        "OrderingError",
+        "WitnessSearchError",
+        "_Record",
+    )
+
+    def test_each_error_class_and_the_record_base_is_one_object(self):
+        base = importlib.import_module("apollonius._base")
+        modules = [importlib.import_module(f"apollonius.{m}") for m in (*SUBMODULES, "_calibrate", "cli")]
+        for module in (apollonius, *modules):
+            for name in self.NAMES:
+                if hasattr(module, name):
+                    assert getattr(module, name) is getattr(base, name), (module.__name__, name)
+        assert apollonius.halfplane.GeometryError is apollonius.locus.GeometryError is apollonius.GeometryError
+        assert apollonius.fourpoint.WitnessSearchError is apollonius.WitnessSearchError
+        assert set(self.NAMES[:5]) <= set(apollonius.halfplane.__all__)
+        assert "WitnessSearchError" in apollonius.fourpoint.__all__
+
+    def test_geometry_error_from_a_module_without_halfplane_exits_2(self):
+        # locus raises it for a negative --eps, and classify never loads halfplane
+        code = (
+            "import sys; sys.stderr = sys.stdout; from apollonius.cli import run; "
+            "print(run(sys.argv[1:])); print('apollonius.halfplane' in sys.modules)"
+        )
+        out = fresh_python(code, "classify", "-a", "4", "-b", "2", "-c", "1", "--eps", "-1")
+        assert out == "error: eps must be finite and nonnegative, got -1.0\n2\nFalse\n"
+
+
+@pytest.mark.parametrize(
+    "module,submodules", [("apollonius", ""), ("apollonius.cli", "_base cli")], ids=["apollonius", "apollonius.cli"]
+)
+def test_import_loads_no_numpy_or_scipy(module, submodules):
     # numpy's import was about 70% of a CLI run for the subcommands that never use it
-    assert fresh_python(f"import sys, {module}; {PRINT_LOADED}") == "[]\n[]\n"
+    assert fresh_python(f"import sys, {module}; {PRINT_LOADED}") == f"[]\n[]\n{submodules}\n"
 
 
 def test_calibration_names_resolve_without_numpy():
     # the root solve evaluates P_h in closed form, so neither name needs
     # numpy or the probability module that imports it
-    code = (
-        "import sys, apollonius; apollonius.calibrate_ratio, apollonius.HyperProbSetup; "
-        f"{PRINT_LOADED}; print('apollonius.probability' in sys.modules)"
-    )
-    assert fresh_python(code) == "[]\n[]\nFalse\n"
+    code = f"import sys, apollonius; apollonius.calibrate_ratio, apollonius.HyperProbSetup; {PRINT_LOADED}"
+    assert fresh_python(code) == "[]\n[]\n_base _calibrate\n"
 
+
+# the submodules each subcommand loads: only those it runs
+SUBCOMMAND_MODULES = {
+    "classify_35_25_5.json": "_base cli locus serialize",
+    "euclid_locus_9_4_1.json": "_base cli locus serialize",
+    "fourpoint_hyper_10_6_5_1.json": "_base cli fourpoint halfplane serialize",
+    "dioph_quadratic.csv": "_base cli diophantine",
+    "prob_ph_calibrate_reference.json": "_base _calibrate cli serialize",
+    "sample_4_2_1_n64.svg": "_base _fmt17 cli locus serialize svg",
+    "prob_pe_n10000_seed7.json": "_base _calibrate cli probability rng serialize",
+}
 
 NUMPY_FREE_CASES = [
     ("classify_35_25_5.json", ["classify", "-a", "35", "-b", "25", "-c", "5"]),
@@ -105,8 +154,8 @@ NUMPY_FREE_CASES = [
 @pytest.mark.parametrize("golden_name,argv", NUMPY_FREE_CASES, ids=[c[1][0] for c in NUMPY_FREE_CASES])
 def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
-    code = RUN_CLI + "; print('apollonius.probability' in sys.modules)"
-    assert fresh_python(code, *argv, "-o", str(out)) == "[]\n[]\nFalse\n"
+    loaded = fresh_python(RUN_CLI, *argv, "-o", str(out))
+    assert loaded == f"[]\n[]\n{SUBCOMMAND_MODULES[golden_name]}\n"
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
 
 
@@ -123,8 +172,9 @@ NUMPY_CASES = [
 @pytest.mark.parametrize("golden_name,argv", NUMPY_CASES, ids=[c[1][0] for c in NUMPY_CASES])
 def test_numpy_subcommand_imports_it_on_first_use(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
-    numpy_loaded, start_up_loaded = fresh_python(RUN_CLI, *argv, str(out)).splitlines()
+    numpy_loaded, start_up_loaded, submodules = fresh_python(RUN_CLI, *argv, str(out)).splitlines()
     assert numpy_loaded == "['numpy']"
+    assert submodules == SUBCOMMAND_MODULES[golden_name]
     # numpy itself may import inspect; the thread pool waits for --threads > 1
     assert "concurrent.futures" not in start_up_loaded
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
