@@ -6,23 +6,24 @@ computes the analogous locus in the half-plane model of the hyperbolic
 plane (a polar quartic with seven shape regimes), decides the four-point
 version of the question via cross-ratios in both geometries, estimates
 the associated geometric probabilities with reproducible Monte Carlo and
-quadrature, and generates the integer height triples that realize the
+in closed form, and generates the integer height triples that realize the
 boundary shapes exactly.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
 
 # Every public name resolves on first use (PEP 562) from the module named
 # here, so `import apollonius` loads no submodule: a CLI subcommand
 # imports, and without a bytecode cache compiles, only the modules it
 # runs, and numpy loads only with a module that uses it. The error
 # classes resolve from _base, their home, which halfplane and fourpoint
-# re-export.
+# re-export, and the closed forms and the calibration from _calibrate,
+# which probability re-exports.
 _LAZY = {
     name: module
     for module, names in {
         "_base": "DegenerateInputError GeometryError OffCurveError OnAxisError OrderingError WitnessSearchError",
-        "_calibrate": "HyperProbSetup calibrate_ratio",
+        "_calibrate": "HyperProbSetup calibrate_ratio pe_quadrature ph_quadrature",
         "diophantine": "FamilyKind IntTriple geometric_family normalize_triple pythagorean_family "
         "quadratic_form_family verify_identity",
         "fourpoint": "FourConfig Geometry Witness cross_ratio_euclid cross_ratio_hyper exists_euclid "
@@ -32,8 +33,8 @@ _LAZY = {
         "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
         "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
         "samples_to_csv solve_r2 theta_grid",
-        "probability": "ProbEstimate estimate_pe estimate_ph pe_closed_form pe_quadrature "
-        "ph_reference_constant ph_quadrature sample_config_euclid sample_config_hyper",
+        "probability": "ProbEstimate estimate_pe estimate_ph pe_closed_form ph_reference_constant "
+        "sample_config_euclid sample_config_hyper",
         "rng": "SampleStream",
         "svg": "render_svg",
     }.items()
@@ -46,11 +47,18 @@ __all__ = sorted({*_LAZY, *_LAZY_MODULES})
 __version__ = "0.1.0"
 
 
+def _submodule(name):
+    # through __import__, as an import statement loads, which python
+    # -X importtime logs; importlib.import_module bypasses that log
+    __import__(f"{__name__}.{name}")
+    return _sys.modules[f"{__name__}.{name}"]
+
+
 def __getattr__(name):
     if name in _LAZY:
-        value = getattr(_import_module(f".{_LAZY[name]}", __name__), name)
+        value = getattr(_submodule(_LAZY[name]), name)
     elif name in _LAZY_MODULES:
-        value = _import_module(f".{name}", __name__)
+        value = _submodule(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value

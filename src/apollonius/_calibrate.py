@@ -1,4 +1,4 @@
-"""P_h in closed form, and the endpoint ratio at which it meets a target.
+"""P_e and P_h in closed form, and the endpoint ratio at which P_h meets a target.
 
 With S = R^2, L = ln R and p = 4S - 1, the integral of probability's
 one-dimensional reduction, P_h(R) = (1/(2L^2)) * integral_1^S ln B*(C)
@@ -14,8 +14,9 @@ evaluated in Python-int fixed point: ln by an atanh series and Li2 by
 its power series, each after an exact argument reduction (Brent and
 Zimmermann, Modern Computer Arithmetic, 2010, ch. 4). F(S) - F(1) is
 about L^2 times the size of its terms as R -> 1, so the fixed point
-carries that many guard bits. Nothing here imports numpy, so
-`prob ph --calibrate` starts without it.
+carries that many guard bits. P_e = (15 - 16 ln 2)/9 takes the same
+ln 2. Each value is rounded to a double once, from the fixed point.
+Nothing here imports numpy, so `prob ph --calibrate` starts without it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 
 from ._base import GeometryError, _Record
 
-__all__ = ["HyperProbSetup", "calibrate_ratio"]
+__all__ = ["HyperProbSetup", "calibrate_ratio", "pe_quadrature", "ph_quadrature"]
 
 # bits of P_h that the root solve compares; a few more absorb the rounding
 # of the series, and the guard bits the cancellation near R = 1
@@ -142,6 +143,18 @@ def _ph(ratio: float, fx: _Fixed) -> int:
         + fx.li2(c, 3 * d)
     )
     return (diff << 2 * fx.bits) // (2 * length * length) - (1 << fx.bits)
+
+
+def pe_quadrature() -> float:
+    """P_e = (15 - 16 ln 2)/9, with ln 2 to 2^-128, rounded once to a double."""
+    fx = _Fixed(_BITS)
+    return ((15 << fx.bits) - 16 * fx.ln2) / (9 << fx.bits)
+
+
+def ph_quadrature(setup: HyperProbSetup) -> float:
+    """P_h at the setup's ratio, from the closed form to 2^-128, rounded once to a double."""
+    fx = _fixed_for(setup.ratio)
+    return _ph(setup.ratio, fx) / (1 << fx.bits)
 
 
 def calibrate_ratio(target: float, bracket: tuple[float, float]) -> float | None:

@@ -6,7 +6,7 @@ Subcommands map one-to-one onto library operations:
     sample        curve samples as CSV, optionally an SVG plot
     euclid-locus  the flat-plane locus as JSON
     fourpoint     cross-ratio existence test, optional witness search
-    prob          Monte Carlo estimates, quadrature and ratio calibration
+    prob          Monte Carlo estimates, closed forms and ratio calibration
     dioph         integer family generation as CSV
 
 Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
@@ -16,8 +16,8 @@ internal error propagates with its traceback instead.
 Only sample, prob pe and prob ph without --calibrate load numpy; their
 handlers import the modules that use it, so the other subcommands start
 without it. prob ph --calibrate solves on P_h in closed form, without
-numpy, and imports probability only to report a target that the
-bracket does not straddle.
+numpy, and reports a target that the bracket does not straddle from
+the same closed form.
 
 Each handler imports the modules it runs, and import apollonius loads
 no submodule, so besides this module and _base a subcommand loads only:
@@ -28,10 +28,6 @@ no submodule, so besides this module and _base a subcommand loads only:
     prob                    probability, rng, _calibrate, serialize
     prob ph --calibrate     _calibrate, serialize
     dioph                   diophantine
-
-Handlers import names from their modules (from .locus import ...), not
-modules through the package (from . import locus): the package resolves
-those with importlib, which python -X importtime does not list.
 
 That matters where no bytecode cache is written (PYTHONDONTWRITEBYTECODE
 set, or a checkout the interpreter cannot write to): each module loaded
@@ -189,7 +185,6 @@ def _cmd_prob(args) -> int:
         ph_reference_constant,
     )
 
-    qtol = args.quadrature
     if args.kind == "pe":
         estimate = estimate_pe(args.n, args.seed, threads=args.threads)
         record = {
@@ -200,7 +195,7 @@ def _cmd_prob(args) -> int:
             "mean": estimate.mean,
             "stderr": estimate.stderr,
             "closed_form": pe_closed_form(),
-            "quadrature": pe_quadrature(qtol),
+            "quadrature": pe_quadrature(),
         }
         _write_json(record, args.output)
         return 0
@@ -213,14 +208,14 @@ def _cmd_prob(args) -> int:
         "mean": estimate.mean,
         "stderr": estimate.stderr,
         "closed_form": ph_reference_constant(),
-        "quadrature": ph_quadrature(setup, qtol),
+        "quadrature": ph_quadrature(setup),
     }
     _write_json(record, args.output)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    from ._calibrate import HyperProbSetup, calibrate_ratio
+    from ._calibrate import HyperProbSetup, calibrate_ratio, ph_quadrature
 
     found = calibrate_ratio(args.calibrate, bracket=_CALIBRATION_BRACKET)
     record = {
@@ -232,10 +227,8 @@ def _cmd_calibrate(args) -> int:
     _write_json(record, args.output)
     if found is not None:
         return 0
-    from .probability import ph_quadrature
-
     lo, hi = _CALIBRATION_BRACKET
-    p_lo, p_hi = (ph_quadrature(HyperProbSetup(r), args.quadrature) for r in (lo, hi))
+    p_lo, p_hi = (ph_quadrature(HyperProbSetup(r)) for r in (lo, hi))
     sys.stderr.write(
         f"calibration target {args.calibrate!r} not bracketed on ({lo!r}, {hi!r}): "
         f"P_h({lo!r}) = {p_lo!r}, P_h({hi!r}) = {p_hi!r}\n"
@@ -335,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, default=1_000_000, help="Monte Carlo sample count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ratio", type=float, default=2.0, help="endpoint ratio a/d (ph only)")
-    p.add_argument("--quadrature", type=float, default=1e-10, metavar="TOL")
     p.add_argument("--calibrate", type=float, default=None, metavar="TARGET",
                    help="find the ratio whose probability equals TARGET (ph only)")
     p.add_argument("--threads", type=int, default=1)
@@ -372,7 +364,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _check_format_flags(args)
-        for name in ("a", "b", "c", "d", "eps", "ratio", "quadrature", "calibrate"):
+        for name in ("a", "b", "c", "d", "eps", "ratio", "calibrate"):
             value = getattr(args, name, None)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(f"-{name if len(name) == 1 else '-' + name} must be finite")

@@ -24,7 +24,7 @@ sinh(d_bc) sinh(L) / (sinh(d_ab) sinh(d_cd)) is below 3 (see fourpoint).
 The Monte Carlo kernel tests exactly that, on the draws' 53-bit
 integers, so it forms no height and behaves alike at every ratio.
 
-For the quadrature, the same condition in heights (2 pq sinh(d_pq) =
+For the exact value, the same condition in heights (2 pq sinh(d_pq) =
 p^2 - q^2) solves in closed form for the upper point: writing S = R^2
 and C = c^2 = e^(2Lv), success iff b^2 < B*(C) with
 
@@ -37,10 +37,10 @@ reduction
 
 P(R) decreases from the Euclidean value (15 - 16 ln 2)/9 as R -> 1+ to 0
 as R -> infinity, so any target below the Euclidean value is reproduced
-by exactly one ratio; calibrate_ratio finds it. It lives in _calibrate,
-re-exported here with HyperProbSetup, and takes the integral in closed
-form (dilogarithms in Python-int fixed point), without numpy or long
-double; ph_quadrature stays the independent Gauss-Legendre value.
+by exactly one ratio; calibrate_ratio finds it. The integral has a
+closed form in dilogarithms, which _calibrate evaluates in Python-int
+fixed point, without numpy; pe_quadrature, ph_quadrature and
+calibrate_ratio live there with HyperProbSetup and are re-exported here.
 
 The estimators never build a FourConfig, so only the two samplers that
 do import fourpoint, and prob pe and prob ph run without compiling it.
@@ -48,14 +48,13 @@ do import fourpoint, and prob pe and prob ph run without compiling it.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 
 import numpy as np
 
 from ._base import GeometryError, _Record
-from ._calibrate import HyperProbSetup, calibrate_ratio
+from ._calibrate import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature
 from .rng import PairBuffers, SampleStream, _pair_integers
 
 __all__ = [
@@ -90,18 +89,8 @@ __all__ = [
 # ufunc call; from 2^16 the buffers outgrow L2.
 _CHUNK = 1 << 15
 
-# Gauss-Legendre rules double in size from _GAUSS_MIN_NODES until two
-# successive rules agree; past _GAUSS_MAX_NODES the integral is reported
-# as unresolved rather than returned
-_GAUSS_MIN_NODES = 16
-_GAUSS_MAX_NODES = 512
-
 # the pair kernel's draws are 53-bit integers, the variates times this
 _TWO_53 = 2.0**53
-
-# the quadrature works in extended precision so that the float64 results
-# are correctly rounded (x87 80-bit where numpy has it)
-_LD = np.longdouble
 
 
 class ProbEstimate(_Record):
@@ -293,97 +282,3 @@ def hyper_indicator_stream(n: int, seed: int, ratio: float) -> np.ndarray:
     """Per-sample success booleans of estimate_ph(n, seed, HyperProbSetup(ratio))."""
     HyperProbSetup(ratio)  # validate
     return np.concatenate([ind.copy() for ind in _blocks(_hyper_indicators, seed, 0, n, (ratio,))])
-
-
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n(x) and P_n'(x) by the three-term recurrence."""
-    p_prev, p = np.ones_like(x), x
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
-    return p, n * (x * p - p_prev) / (x * x - 1)
-
-
-@functools.cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point Gauss-Legendre rule on (0, 1), n even.
-
-    Newton's method on the Legendre recurrence, in long double, from
-    Tricomi's asymptotic nodes; three steps take them below long-double
-    resolution. numpy.polynomial.legendre.leggauss gives the same rule,
-    but only in float64, which leaves the sums a few ulp off, and its
-    eigenvalue solve costs 16 ms at 128 nodes and over 100 ms at 512.
-    """
-    k = np.arange(1, n // 2 + 1, dtype=_LD)
-    x = (1 - _LD(n - 1) / (8 * _LD(n) ** 3)) * np.cos(_LD(np.pi) * (4 * k - 1) / (4 * n + 2))
-    for _ in range(3):
-        p, dp = _legendre(n, x)
-        x = x - p / dp
-    _, dp = _legendre(n, x)
-    w = 1 / ((1 - x * x) * dp * dp)  # half the [-1, 1] weight 2 / ((1 - x^2) P_n'^2)
-    nodes = np.concatenate([1 - x, 1 + x[::-1]]) / 2
-    weights = np.concatenate([w, w[::-1]])
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
-
-
-def _gauss_integral(band, tol: float) -> np.longdouble:
-    """Integral of band over (0, 1) by Gauss-Legendre rules of doubling size.
-
-    band maps a long-double node array to integrand values. A value
-    counts only once two successive rules agree to tol; the larger rule's
-    value is returned. Agreement finer than the long-double spacing of
-    the value is rounding luck, so it never counts. Raises GeometryError
-    naming tol when no two rules up to _GAUSS_MAX_NODES nodes agree.
-    """
-    if not tol > 0:
-        raise GeometryError(f"tol must be positive, got {tol!r}")
-    previous = None
-    n = _GAUSS_MIN_NODES
-    while n <= _GAUSS_MAX_NODES:
-        nodes, weights = _gauss_legendre(n)
-        value = np.dot(weights, band(nodes))
-        if previous is not None and max(abs(value - previous), np.spacing(value)) <= tol:
-            return value
-        previous = value
-        n *= 2
-    raise GeometryError(
-        f"Gauss-Legendre rules up to {_GAUSS_MAX_NODES} nodes do not agree to tol={tol!r}"
-    )
-
-
-def pe_quadrature(tol: float) -> float:
-    """Euclidean probability by Gauss-Legendre quadrature of the success band.
-
-    The band 2 (4c/(1 + 3c) - c) = 6c(1 - c)/(1 + 3c) is integrated over
-    (0, 1) by rules of 16, 32, ... nodes until two successive rules agree
-    to tol (GeometryError if none up to 512 do).
-    """
-    return float(_gauss_integral(lambda c: 6 * c * (1 - c) / (1 + 3 * c), tol))
-
-
-def ph_quadrature(setup: HyperProbSetup, tol: float) -> float:
-    """Hyperbolic probability at the given ratio, by the 1-D reduction.
-
-    The success boundary is solved in closed form for the upper point
-    (see the module docstring), leaving a smooth integrand that vanishes
-    at both endpoints; no indicator discontinuity survives. The band
-    width is computed as
-
-        u*(v) - v = log1p(3 (C-1)(S-C) / (C (S + 3C - 4))) / (2L)
-
-    with C - 1 = expm1(2Lv), S - 1 = (R - 1)(R + 1), S - C = (S - 1) -
-    (C - 1) and S + 3C - 4 = (S - 1) + 3 (C - 1), which stays fully
-    conditioned as the ratio approaches 1 (where B* - C underflows
-    against C itself). It is integrated like pe_quadrature: Gauss-Legendre
-    rules of doubling size until two successive ones agree to tol.
-    """
-    r = _LD(setup.ratio)
-    s1 = (r - 1) * (r + 1)
-    length = np.log(r)
-
-    def band(v):
-        em = np.expm1(2 * length * v)  # C - 1
-        t = 3 * em * (s1 - em) / ((1 + em) * (s1 + 3 * em))  # (B* - C)/C
-        return np.log1p(t) / length  # 2 (u*(v) - v), the -v already folded in
-
-    return float(_gauss_integral(band, tol))

@@ -111,7 +111,7 @@ def test_criterion_3_euclidean_baseline():
 def test_criterion_4_pe():
     started = time.perf_counter()
     closed = pe_closed_form()
-    assert abs(pe_quadrature(1e-10) - closed) <= 1e-8
+    assert abs(pe_quadrature() - closed) <= 1e-8
     estimate = estimate_pe(10_000_000, seed=1)
     assert abs(estimate.mean - closed) <= 4.0 * estimate.stderr
     assert time.perf_counter() - started < 60.0
@@ -131,7 +131,7 @@ def test_criterion_5_ph_calibration():
     for ratio in (1.5, 2.0, 10.0, 32.0):
         setup = HyperProbSetup(ratio)
         estimate = estimate_ph(1_000_000, seed=1, setup=setup)
-        reference = ph_quadrature(setup, 1e-6)
+        reference = ph_quadrature(setup)
         assert abs(estimate.mean - reference) <= 4.0 * estimate.stderr, (ratio, estimate, reference)
 
     target = 0.4201514924  # the printed ten-digit constant
@@ -141,7 +141,7 @@ def test_criterion_5_ph_calibration():
               f"{target} to 1e-6; the printed constant does not arise from "
               "this sampling model at any tested endpoint ratio")
         raise AssertionError("calibration found no ratio; verdict recorded above")
-    achieved = ph_quadrature(HyperProbSetup(found), 1e-10)
+    achieved = ph_quadrature(HyperProbSetup(found))
     assert abs(achieved - target) <= 1e-6
     print(f"calibration report: endpoint ratio a/d = {found:.9f} reproduces the "
           f"printed constant {target} (quadrature gives {achieved:.12f}); "

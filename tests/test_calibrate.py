@@ -7,11 +7,11 @@ import pytest
 
 import _dilog
 from apollonius import _calibrate
-from apollonius._calibrate import HyperProbSetup, calibrate_ratio
+from apollonius._calibrate import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature
 from apollonius.halfplane import GeometryError
-from apollonius.probability import ph_quadrature, ph_reference_constant
+from apollonius.probability import ph_reference_constant
 
-RATIOS = [1 + 2.0**-10, 1.01, 2.0, 2.1776504042297176, 1000.0, 1e150]
+RATIOS = [1 + 2.0**-50, 1 + 2.0**-10, 1.01, 2.0, 2.1776504042297176, 1000.0, 1e150, 1e160, 1.7e308]
 
 # the ratio in tests/golden/prob_ph_calibrate_reference.json
 GOLDEN_RATIO = 2.1776504042297176
@@ -22,14 +22,23 @@ def closed_form(ratio: float) -> Fraction:
     return Fraction(_calibrate._ph(ratio, fx), 1 << fx.bits)
 
 
-@pytest.mark.parametrize("ratio", RATIOS + [1 + 2.0**-50, 1.7e308])
+def assert_correctly_rounded(value: float, exact: Fraction) -> None:
+    assert abs(Fraction(value) - exact) <= Fraction(math.ulp(value)) / 2, (value, float(exact))
+
+
+@pytest.mark.parametrize("ratio", RATIOS)
 def test_closed_form_matches_the_reference(ratio):
     assert abs(closed_form(ratio) - _dilog.ph(ratio)) <= Fraction(1, 1 << 120)
 
 
 @pytest.mark.parametrize("ratio", RATIOS)
-def test_quadrature_within_its_tolerance_of_the_reference(ratio):
-    assert abs(Fraction(ph_quadrature(HyperProbSetup(ratio), 1e-10)) - _dilog.ph(ratio)) <= 1e-10
+def test_ph_quadrature_is_the_reference_correctly_rounded(ratio):
+    assert_correctly_rounded(ph_quadrature(HyperProbSetup(ratio)), _dilog.ph(ratio))
+
+
+def test_pe_quadrature_is_the_reference_correctly_rounded():
+    exact = Fraction((15 << _dilog.BITS) - 16 * _dilog.ln2(), 9 << _dilog.BITS)
+    assert_correctly_rounded(pe_quadrature(), exact)
 
 
 @pytest.mark.parametrize(

@@ -75,7 +75,7 @@ class TestValidation:
         out = tmp_path / "cal.json"
         assert run(["prob", "ph", "--calibrate", "1.5", "-n", "1", "-o", str(out)]) == 3
         assert '"ratio": null' in out.read_text()
-        ends = [ph_quadrature(HyperProbSetup(r), 1e-10) for r in (1.01, 1000.0)]
+        ends = [ph_quadrature(HyperProbSetup(r)) for r in (1.01, 1000.0)]
         assert capsys.readouterr().err == (
             "calibration target 1.5 not bracketed on (1.01, 1000.0): "
             f"P_h(1.01) = {ends[0]!r}, P_h(1000.0) = {ends[1]!r}\n"

@@ -46,13 +46,18 @@ PRINT_LOADED = (
 RUN_CLI = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 0; " + PRINT_LOADED
 
 
-def fresh_python(code: str, *args: str) -> str:
-    """stdout of `python -c code args...` in a new interpreter importing this checkout."""
+def run_python(*argv: str) -> subprocess.CompletedProcess:
+    """`python argv...` in a new interpreter importing this checkout; it must exit 0."""
     src = str(Path(apollonius.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    return proc
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """stdout of `python -c code args...` in a new interpreter importing this checkout."""
+    return run_python("-c", code, *args).stdout
 
 
 class TestNamespace:
@@ -122,10 +127,18 @@ def test_import_loads_no_numpy_or_scipy(module, submodules):
 
 
 def test_calibration_names_resolve_without_numpy():
-    # the root solve evaluates P_h in closed form, so neither name needs
-    # numpy or the probability module that imports it
-    code = f"import sys, apollonius; apollonius.calibrate_ratio, apollonius.HyperProbSetup; {PRINT_LOADED}"
+    # P_e and P_h are evaluated in closed form, so none of these names
+    # needs numpy or the probability module that imports it
+    names = "apollonius.calibrate_ratio, apollonius.HyperProbSetup, apollonius.pe_quadrature, apollonius.ph_quadrature"
+    code = f"import sys, apollonius; {names}; {PRINT_LOADED}"
     assert fresh_python(code) == "[]\n[]\n_base _calibrate\n"
+
+
+def test_importtime_lists_modules_loaded_on_first_use():
+    # the package loads through __import__, which -X importtime logs;
+    # importlib.import_module would bypass the log
+    log = run_python("-X", "importtime", "-c", "import apollonius; apollonius.svg").stderr
+    assert [line.split("|")[-1].strip() for line in log.splitlines()].count("apollonius.svg") == 1
 
 
 # the submodules each subcommand loads: only those it runs
@@ -157,6 +170,14 @@ def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     loaded = fresh_python(RUN_CLI, *argv, "-o", str(out))
     assert loaded == f"[]\n[]\n{SUBCOMMAND_MODULES[golden_name]}\n"
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
+
+
+def test_no_straddle_calibration_loads_no_numpy(tmp_path):
+    # P_h at the bracket ends, which the exit-3 message prints, comes from
+    # the same closed form as the root solve
+    code = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 3; " + PRINT_LOADED
+    argv = ["prob", "ph", "--calibrate", "1.5", "-n", "1", "-o", str(tmp_path / "cal.json")]
+    assert fresh_python(code, *argv) == "[]\n[]\n_base _calibrate cli serialize\n"
 
 
 # the last flag takes the output path

@@ -77,57 +77,37 @@ class TestClosedForms:
 
 class TestQuadratures:
     def test_pe_matches_closed_form_tight(self):
-        assert abs(pe_quadrature(1e-10) - pe_closed_form()) <= 1e-10
-
-    def test_pe_tolerance_contract(self):
-        assert abs(pe_quadrature(1e-3) - pe_closed_form()) <= 1e-3
+        assert abs(pe_quadrature() - pe_closed_form()) <= 1e-10
 
     def test_pe_integrand_vanishes_at_one(self):
         assert 4 * 1.0 / (1 + 3 * 1.0) - 1.0 == 0.0
 
     def test_ph_value_in_unit_interval(self):
         for ratio in (1.1, 2.0, 50.0):
-            value = ph_quadrature(HyperProbSetup(ratio), 1e-8)
+            value = ph_quadrature(HyperProbSetup(ratio))
             assert 0.0 < value < 1.0
 
     def test_ph_approaches_pe_as_ratio_shrinks(self):
-        assert ph_quadrature(HyperProbSetup(1.0001), 1e-10) == pytest.approx(
+        assert ph_quadrature(HyperProbSetup(1.0001)) == pytest.approx(
             pe_closed_form(), abs=1e-4
         )
 
     def test_ph_shrinks_for_huge_ratio(self):
         # decays like 1/ln(ratio); frozen oracle value 0.0926997254725939
-        value = ph_quadrature(HyperProbSetup(1e6), 1e-8)
+        value = ph_quadrature(HyperProbSetup(1e6))
         assert value == pytest.approx(0.0926997254725939, abs=1e-8)
 
     def test_ph_monotone_decreasing(self):
-        values = [ph_quadrature(HyperProbSetup(r), 1e-9) for r in (1.5, 2, 5, 10, 100)]
+        values = [ph_quadrature(HyperProbSetup(r)) for r in (1.5, 2, 5, 10, 100)]
         assert values == sorted(values, reverse=True)
-
-    def test_tolerance_validated(self):
-        with pytest.raises(GeometryError):
-            pe_quadrature(0.0)
 
     @pytest.mark.parametrize("ratio", sorted(PH_MPMATH))
     def test_ph_matches_mpmath_to_the_last_bit(self, ratio):
         exact = PH_MPMATH[ratio]
-        assert abs(ph_quadrature(HyperProbSetup(ratio), 1e-12) - exact) <= 0.5 * math.ulp(exact)
+        assert abs(ph_quadrature(HyperProbSetup(ratio)) - exact) <= 0.5 * math.ulp(exact)
 
     def test_pe_matches_closed_form_to_the_last_bit(self):
-        assert abs(pe_quadrature(1e-10) - PE_VALUE) <= 0.5 * math.ulp(PE_VALUE)
-
-    @pytest.mark.parametrize(
-        "integrate",
-        [
-            pe_quadrature,
-            lambda tol: ph_quadrature(HyperProbSetup(2.0), tol),
-            lambda tol: ph_quadrature(HyperProbSetup(1e12), tol),
-        ],
-        ids=["pe", "ph-2", "ph-1e12"],
-    )
-    def test_unreachable_tolerance_is_named(self, integrate):
-        with pytest.raises(GeometryError, match="do not agree to tol=1e-30"):
-            integrate(1e-30)
+        assert abs(pe_quadrature() - PE_VALUE) <= 0.5 * math.ulp(PE_VALUE)
 
 
 class TestSamplers:
@@ -282,7 +262,7 @@ class TestEstimators:
     def test_ph_close_to_quadrature(self):
         setup = HyperProbSetup(2.0)
         est = estimate_ph(500_000, 1, setup)
-        assert abs(est.mean - ph_quadrature(setup, 1e-8)) <= 4 * est.stderr
+        assert abs(est.mean - ph_quadrature(setup)) <= 4 * est.stderr
 
     def test_estimator_matches_scalar_sampling_path(self):
         # the vectorized indicator agrees sample by sample with the
@@ -304,7 +284,7 @@ class TestEstimators:
         # 46.8 stderr above the quadrature at 2^20 samples
         setup = HyperProbSetup(ratio)
         est = estimate_ph(1 << 18, 1, setup)
-        assert abs(est.mean - ph_quadrature(setup, 1e-10)) <= 4 * est.stderr
+        assert abs(est.mean - ph_quadrature(setup)) <= 4 * est.stderr
 
     def test_tie_and_zero_draws_are_redrawn_from_the_stream(self, monkeypatch):
         # a tie and a zero never come out of the generator at these seeds, so
@@ -388,7 +368,7 @@ class TestInvariance:
 
 class TestCalibration:
     def test_self_consistency(self):
-        target = ph_quadrature(HyperProbSetup(2.0), 1e-10)
+        target = ph_quadrature(HyperProbSetup(2.0))
         found = calibrate_ratio(target, (1.5, 3.0))
         assert found == pytest.approx(2.0, abs=1e-6)
 
@@ -407,4 +387,4 @@ class TestCalibration:
         target = ph_reference_constant()
         found = calibrate_ratio(target, (1.01, 1000.0))
         assert found is not None
-        assert abs(ph_quadrature(HyperProbSetup(found), 1e-11) - target) <= 1e-9
+        assert abs(ph_quadrature(HyperProbSetup(found)) - target) <= 1e-9
