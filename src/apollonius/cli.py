@@ -31,13 +31,7 @@ no submodule, so besides this module and _base a subcommand loads only:
 
 That matters where no bytecode cache is written (PYTHONDONTWRITEBYTECODE
 set, or a checkout the interpreter cannot write to): each module loaded
-is then compiled from source on every run, 0.3-1.8 ms apiece. Medians
-of 15 interleaved runs without a cache (Python 3.11.7, 2 vCPUs), when
-every subcommand loaded diophantine, fourpoint, halfplane and locus
-against now: classify 38.9 -> 35.1 ms, euclid-locus 39.0 -> 35.1,
-fourpoint 38.9 -> 36.4, dioph 38.9 -> 33.1, prob ph --calibrate
-40.8 -> 34.8, sample 83.1 -> 78.6, prob pe 85.1 -> 78.9; a bare
-interpreter takes 25.1 ms. With a cache the two differ by 0.5-1.1 ms.
+is then compiled from source on every run, 0.3-1.8 ms apiece.
 """
 
 from __future__ import annotations
@@ -133,8 +127,6 @@ def _cmd_fourpoint(args) -> int:
         Geometry,
         cross_ratio_euclid,
         cross_ratio_hyper,
-        exists_euclid,
-        exists_hyper,
         find_witness_euclid,
         find_witness_hyper,
         fourpoint_report,
@@ -152,12 +144,12 @@ def _cmd_fourpoint(args) -> int:
     geometry = Geometry.HYPERBOLIC if args.geometry == "hyper" else Geometry.EUCLIDEAN
     cfg = FourConfig(args.a, args.b, args.c, args.d, geometry)
     if geometry is Geometry.HYPERBOLIC:
-        cross_ratio, exists = cross_ratio_hyper(cfg), exists_hyper(cfg)
+        cross_ratio = cross_ratio_hyper(cfg)
         witness = find_witness_hyper(cfg) if args.witness else None
     else:
-        cross_ratio, exists = cross_ratio_euclid(cfg), exists_euclid(cfg)
+        cross_ratio = cross_ratio_euclid(cfg)
         witness = find_witness_euclid(cfg) if args.witness else None
-    _write_json(fourpoint_report(cfg, witness, exists, cross_ratio), args.output)
+    _write_json(fourpoint_report(cfg, witness, cross_ratio), args.output)
     return 0
 
 
@@ -288,9 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", action="store_true", help="emit JSON (where documented)")
-        fmt.add_argument("--csv", action="store_true", help="emit CSV (where documented)")
 
     def add_triple(p):
         p.add_argument("-a", type=float, required=True, help="largest height")
@@ -344,18 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# each subcommand has exactly one documented tabular format; the format
-# selectors exist so scripts can be explicit, not to add new formats
-_JSON_COMMANDS = frozenset({"classify", "euclid-locus", "fourpoint", "prob"})
-
-
-def _check_format_flags(args) -> None:
-    if getattr(args, "csv", False) and args.command in _JSON_COMMANDS:
-        raise ValidationError(f"--csv is not available: {args.command} output is JSON")
-    if getattr(args, "json", False) and args.command not in _JSON_COMMANDS:
-        raise ValidationError(f"--json is not available: {args.command} output is CSV")
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -363,7 +340,6 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        _check_format_flags(args)
         for name in ("a", "b", "c", "d", "eps", "ratio", "calibrate"):
             value = getattr(args, name, None)
             if value is not None and not math.isfinite(value):

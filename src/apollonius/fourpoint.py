@@ -273,18 +273,14 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
         return None
     a, b, c, d, k = cfg._unit
     x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
-    res1, res2 = _residuals(a, b, c, d, x, y)
+    # the two angle residuals share the middle angle
+    middle = _euclid_angle(x, y, b, c)
+    res1, res2 = _euclid_angle(x, y, a, b) - middle, middle - _euclid_angle(x, y, c, d)
     # chained comparisons, false for nan
     if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
         worst = max(abs(res1), abs(res2))
         raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
-    try:
-        x, y = math.ldexp(x, k), math.ldexp(y, k)
-    except OverflowError:
-        raise _overflow_error(cross_ratio, k) from None
-    if x < _FLOAT_MIN:
-        raise _subnormal_error(cross_ratio, x)
-    return Witness(x, y, (res1, res2))
+    return _scaled_witness(x, y, k, (res1, res2), cross_ratio)
 
 
 def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float) -> tuple[float, float]:
@@ -317,12 +313,6 @@ def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float)
     if x == 0.0:
         raise _search_error(cross_ratio, "the closed form's x underflows to 0")
     return x, y
-
-
-def _residuals(a: float, b: float, c: float, d: float, x: float, y: float) -> tuple[float, float]:
-    """The two Euclidean angle residuals at (x, y); they share the middle angle."""
-    middle = _euclid_angle(x, y, b, c)
-    return _euclid_angle(x, y, a, b) - middle, middle - _euclid_angle(x, y, c, d)
 
 
 def find_witness_hyper(cfg: FourConfig) -> Witness | None:
@@ -362,36 +352,33 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     res1, res2 = _axis_residuals(x, y, (a, b, c, d))
     if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
         raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
-    try:
-        x, y = math.ldexp(x, k), math.ldexp(y, k)
-    except OverflowError:
-        raise _overflow_error(cross_ratio, k) from None
-    if x < _FLOAT_MIN:
-        raise _subnormal_error(cross_ratio, x)
-    return Witness(x, y, (res1, res2))
+    return _scaled_witness(x, y, k, (res1, res2), cross_ratio)
 
 
 def _search_error(cross_ratio: float, cause: str) -> WitnessSearchError:
     return WitnessSearchError(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but {cause}")
 
 
-def _subnormal_error(cross_ratio: float, x: float) -> WitnessSearchError:
-    # the witness was found and judged on the unit copy; scaled back into
-    # the subnormals, x keeps too few bits to stand for it
-    return _search_error(cross_ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
+def _scaled_witness(x: float, y: float, k: int, residuals: tuple[float, float], cross_ratio: float) -> Witness:
+    """The witness (x, y) of the unit copy, judged there with these residuals, scaled back by 2^k."""
+    try:
+        x, y = math.ldexp(x, k), math.ldexp(y, k)
+    except OverflowError:
+        # scaled back past the float range, the judged witness has no float form
+        raise _search_error(cross_ratio, f"the witness scaled by 2^{k} lies past the float range") from None
+    if x < _FLOAT_MIN:
+        # scaled back into the subnormals, x keeps too few bits to stand for it
+        raise _search_error(cross_ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
+    return Witness(x, y, residuals)
 
 
-def _overflow_error(cross_ratio: float, k: int) -> WitnessSearchError:
-    # scaled back past the float range, the judged witness has no float form
-    return _search_error(cross_ratio, f"the witness scaled by 2^{k} lies past the float range")
-
-
-def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cross_ratio: float) -> dict:
+def fourpoint_report(cfg: FourConfig, witness: Witness | None, cross_ratio: float) -> dict:
     """JSON-ready record of an existence test and optional witness.
 
-    A cross-ratio past the float range (inf, where a gap underflows
-    against the others) has no JSON number, so it is reported as null;
-    no witness exists there.
+    exists is cross_ratio < EXISTENCE_THRESHOLD, as exists_euclid and
+    exists_hyper decide it. A cross-ratio past the float range (inf,
+    where a gap underflows against the others) has no JSON number, so it
+    is reported as null; no witness exists there.
     """
     return {
         "geometry": "hyperbolic" if cfg.geometry is Geometry.HYPERBOLIC else "euclidean",
@@ -400,6 +387,6 @@ def fourpoint_report(cfg: FourConfig, witness: Witness | None, exists: bool, cro
         "c": cfg.c,
         "d": cfg.d,
         "cross_ratio": None if cross_ratio == math.inf else cross_ratio,
-        "exists": exists,
+        "exists": cross_ratio < EXISTENCE_THRESHOLD,
         "witness": None if witness is None else {"x": witness.x, "y": witness.y},
     }

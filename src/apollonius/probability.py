@@ -202,10 +202,14 @@ def _blocks(indicator_fn, seed, lo, hi, extra):
     Each array is a view of the buffers' flag row, which the next block
     overwrites; copy it to keep it. Every estimate and indicator stream
     runs through here, with lo = 0 and hi = n where the count is
-    unsharded (a shard is never empty), so this is where n < 1 is named.
+    unsharded (a shard is never empty), so this is where n < 1 is named,
+    and a seed outside [0, 2^64), which the generator would reduce
+    modulo 2^64 onto another seed's stream.
     """
     if hi - lo < 1:
         raise GeometryError(f"need at least one sample, got n={hi - lo!r}")
+    if not 0 <= seed < 1 << 64:
+        raise GeometryError(f"seed must lie in [0, 2^64), got {seed!r}")
     buffers = PairBuffers(min(_CHUNK, hi - lo))
     return (
         indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers) for start in range(lo, hi, _CHUNK)

@@ -9,20 +9,19 @@ of another.
 
 A scalar path (Python integers) and a vectorized path (uint64 arrays)
 implement the identical mixing function; tests assert they agree bit for
-bit. A variate is a 53-bit integer times 2^-53. The vectorized path
-computes k draws of a block of samples as one (k, n) array, keys derived
-once and every step in place, and leaves the draws as those integers,
-exact as float64; uniform_block and uniform_pair scale them to [0, 1),
-while the Monte Carlo kernels fold 2^-53 into their own constants.
-uniform_pair computes in a PairBuffers that a loop over many blocks
-reuses.
+bit. A variate is a 53-bit integer times 2^-53. The vectorized path,
+_pair_integers, computes draws 0 and 1 of a block of samples as one
+(2, n) array in a PairBuffers that a loop over many blocks reuses, the
+keys derived once and every step in place, and leaves the draws as those
+integers, exact as float64; the Monte Carlo kernels fold 2^-53 into
+their own constants.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sample_uniform", "uniform_block", "uniform_pair", "PairBuffers", "SampleStream"]
+__all__ = ["sample_uniform", "PairBuffers", "SampleStream"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -48,101 +47,47 @@ def sample_uniform(seed: int, index: int, draw: int) -> float:
     return (word >> 11) * _INV_2_53
 
 
-def uniform_block(seed: int, lo: int, hi: int, draw: int) -> np.ndarray:
-    """Vectorized sample_uniform over sample indices lo..hi-1."""
-    n = _count(lo, hi)
-    word, out = np.empty((1, n), dtype=np.uint64), np.empty((1, n))
-    _uniforms(seed, lo, (draw,), _key_offsets(n), word, out)
-    out *= _INV_2_53
-    return out[0]
-
-
-def uniform_pair(
-    seed: int, lo: int, hi: int, buffers: PairBuffers | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draws 0 and 1 of sample indices lo..hi-1: uniform_block(seed, lo, hi, 0) and (.., 1).
-
-    The per-sample key is derived once for both draws, and both draws are
-    mixed in one pass over a (2, n) array. Given PairBuffers, the draws
-    are computed in them and returned as views of rows 0 and 1 of
-    buffers.out, which the next call with the same buffers overwrites; a
-    loop over many blocks then allocates nothing per block. Without,
-    fresh buffers are used. ValueError if hi < lo or if the buffers hold
-    fewer than hi - lo samples.
-    """
-    draws = _pair_integers(seed, lo, hi, PairBuffers(_count(lo, hi)) if buffers is None else buffers)
-    draws *= _INV_2_53
-    return draws[0], draws[1]
-
-
 def _pair_integers(seed: int, lo: int, hi: int, buffers: PairBuffers) -> np.ndarray:
     """Draws 0 and 1 of sample indices lo..hi-1 times 2^53, as rows 0 and 1 of buffers.out.
 
-    Each value is the variate's 53-bit integer, exact as a float64.
+    Each value is the variate's 53-bit integer, exact as a float64. The
+    caller sizes the buffers to hold hi - lo samples; nothing checks it.
+    The sample keys are built in word[0]; draw d's state is the key plus
+    (d + 1) * golden, as in sample_uniform, formed for row 1 first since
+    row 0 overwrites the keys. out, viewed as uint64, is the mix's
+    scratch until the draws overwrite it.
     """
-    n = _count(lo, hi)
-    size = len(buffers.offsets)
-    if n > size:
-        raise ValueError(f"{n} samples do not fit in PairBuffers of {size}")
-    return _uniforms(seed, lo, (0, 1), buffers.offsets[:n], buffers.word[:, :n], buffers.out[:2, :n])
-
-
-class PairBuffers:
-    """Working memory of one block of up to `size` samples, 49 bytes per sample.
-
-    offsets holds i * golden for i < size. word is (2, size) uint64, in
-    which uniform_pair mixes its two draws. out is (3, size) float64:
-    uniform_pair uses rows 0 and 1 as the mix's scratch and then writes
-    draws 0 and 1 there; row 2 is free for the caller, as is flag, a
-    bool row of `size`.
-    """
-
-    def __init__(self, size: int):
-        self.offsets = _key_offsets(size)
-        self.word = np.empty((2, size), dtype=np.uint64)
-        self.out = np.empty((3, size))
-        self.flag = np.empty(size, dtype=np.bool_)
-
-
-def _count(lo: int, hi: int) -> int:
-    if hi < lo:
-        raise ValueError(f"sample range ends before it starts: lo={lo}, hi={hi}")
-    return hi - lo
-
-
-def _key_offsets(n: int) -> np.ndarray:
-    """i * golden for i < n: index lo + i adds this to the key of index lo."""
-    offsets = np.arange(n, dtype=np.uint64)
-    offsets *= np.uint64(_GOLDEN)
-    return offsets
-
-
-def _uniforms(
-    seed: int,
-    lo: int,
-    draws: tuple[int, ...],
-    offsets: np.ndarray,
-    word: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Draws `draws` of sample indices lo..lo+n-1 times 2^53 into the rows of out, from _key_offsets.
-
-    word and out are (len(draws), n); word is scratch, and so is out,
-    viewed as uint64, until the draws overwrite it. The sample keys are
-    built in word[0] and turned into every row's state from the last row
-    back, so row 0 consumes them last.
-    """
+    n = hi - lo
+    word, out = buffers.word[:, :n], buffers.out[:2, :n]
     tmp = out.view(np.uint64)
     key = word[0]
-    np.add(offsets, np.uint64(((int(lo) + 1) * _GOLDEN + int(seed)) & _MASK), out=key)
+    np.add(buffers.offsets[:n], np.uint64(((int(lo) + 1) * _GOLDEN + int(seed)) & _MASK), out=key)
     _mix_inplace(key, tmp[0])
-    for row in range(len(draws) - 1, -1, -1):
-        np.add(key, np.uint64(((draws[row] + 1) * _GOLDEN) & _MASK), out=word[row])
+    np.add(key, np.uint64((2 * _GOLDEN) & _MASK), out=word[1])
+    np.add(key, np.uint64(_GOLDEN), out=key)
     _mix_inplace(word, tmp)
     word >>= np.uint64(11)
     # exact: word < 2^53; the cast from int64 is cheaper than from uint64
     np.copyto(out, word.view(np.int64))
     return out
+
+
+class PairBuffers:
+    """Working memory of one block of up to `size` samples, 49 bytes per sample.
+
+    offsets holds i * golden for i < size, which index lo + i adds to the
+    key of index lo. word is (2, size) uint64, in which _pair_integers
+    mixes its two draws. out is (3, size) float64: _pair_integers uses
+    rows 0 and 1 as the mix's scratch and then writes draws 0 and 1
+    there; row 2 is free for the caller, as is flag, a bool row of `size`.
+    """
+
+    def __init__(self, size: int):
+        self.offsets = np.arange(size, dtype=np.uint64)
+        self.offsets *= np.uint64(_GOLDEN)
+        self.word = np.empty((2, size), dtype=np.uint64)
+        self.out = np.empty((3, size))
+        self.flag = np.empty(size, dtype=np.bool_)
 
 
 def _mix_inplace(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:

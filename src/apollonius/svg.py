@@ -41,8 +41,8 @@ def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
-    """SVG document text for the sampled curve."""
+def render_svg(curve: Curve) -> str:
+    """SVG document text for the sampled curve, 800 x 600 pixels."""
     if not len(curve):
         raise GeometryError("cannot render an empty curve")
     x_lo, x_hi = float(curve.x.min()), float(curve.x.max())
@@ -56,7 +56,7 @@ def render_svg(curve: Curve, viewport: tuple[int, int] = (800, 600)) -> str:
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{viewport[0]}" height="{viewport[1]}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" '
         f'viewBox="{fmt17(x_lo)} {fmt17(-y_hi)} {fmt17(width)} {fmt17(height)}">',
         '<g transform="scale(1,-1)">',
         f'<line x1="{fmt17(x_lo)}" y1="0" x2="{fmt17(x_hi)}" y2="0" '

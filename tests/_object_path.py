@@ -82,7 +82,7 @@ def _split_on_jumps(branch: list[CurveSample]) -> list[list[CurveSample]]:
     return pieces
 
 
-def render_svg(samples: list[CurveSample], viewport: tuple[int, int] = (800, 600)) -> str:
+def render_svg(samples: list[CurveSample]) -> str:
     if not samples:
         raise GeometryError("cannot render an empty sample list")
     xs = [s.point.x for s in samples]
@@ -98,7 +98,7 @@ def render_svg(samples: list[CurveSample], viewport: tuple[int, int] = (800, 600
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{viewport[0]}" height="{viewport[1]}" '
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="600" '
         f'viewBox="{fmt17(x_lo)} {fmt17(-y_hi)} {fmt17(width)} {fmt17(height)}">',
         '<g transform="scale(1,-1)">',
         f'<line x1="{fmt17(x_lo)}" y1="0" x2="{fmt17(x_hi)}" y2="0" '

@@ -46,6 +46,9 @@ class TestValidation:
                 ["fourpoint", "--geometry", "hyper", "-a", "4", "-b", "2", "-c", "1", "-d", "0"],
                 "-d",
             ),
+            # the generator reduces seeds modulo 2^64, so these ran another seed's stream
+            (["prob", "pe", "-n", "10", "--seed", "-1"], "seed must lie in [0, 2^64), got -1"),
+            (["prob", "pe", "-n", "10", "--seed", str(1 << 64)], f"seed must lie in [0, 2^64), got {1 << 64}"),
         ],
     )
     def test_exit_2_and_flag_named(self, argv, flag, capsys):
@@ -60,16 +63,11 @@ class TestValidation:
     def test_unknown_arguments_exit_2(self):
         assert run(["classify", "-a", "4", "-b", "2"]) == 2
 
-    def test_format_selectors(self, tmp_path, capsys):
-        out = tmp_path / "o.txt"
-        assert run(["classify", "-a", "4", "-b", "2", "-c", "1", "--json", "-o", str(out)]) == 0
-        assert out.read_text().startswith("{")
-        assert run(["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "4", "--csv", "-o", str(out)]) == 0
-        assert out.read_text().startswith("theta,r,x,y")
-        assert run(["classify", "-a", "4", "-b", "2", "-c", "1", "--csv"]) == 2
-        assert "--csv" in capsys.readouterr().err
-        assert run(["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "4", "--json"]) == 2
-        assert "--json" in capsys.readouterr().err
+    def test_largest_seed_runs(self, tmp_path):
+        out = tmp_path / "pe.json"
+        assert run(["prob", "pe", "-n", "100000", "--seed", str((1 << 64) - 1), "-o", str(out)]) == 0
+        record = json.loads(out.read_text())
+        assert (record["seed"], record["mean"]) == ((1 << 64) - 1, 0.43435)
 
     def test_no_straddle_calibration_exits_3(self, tmp_path, capsys):
         out = tmp_path / "cal.json"

@@ -1,5 +1,6 @@
 """Closed forms, quadrature oracles, Monte Carlo estimators, calibration."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -345,6 +346,31 @@ class TestEstimators:
         # the streams raised numpy's bare ValueErrors here
         with pytest.raises(GeometryError, match=rf"^need at least one sample, got n={n}$"):
             count(n)
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda seed: estimate_pe(10, seed),
+            lambda seed: estimate_ph(1 << 17, seed, HyperProbSetup(2.0), threads=2),
+            lambda seed: euclid_indicator_stream(10, seed),
+            lambda seed: hyper_indicator_stream(10, seed, 2.0),
+        ],
+        ids=["estimate_pe", "estimate_ph", "euclid_stream", "hyper_stream"],
+    )
+    def test_seeds_outside_64_bits_rejected(self, count, seed):
+        # the generator reduces seeds modulo 2^64: -1 ran as 2^64 - 1 and
+        # 2^64 as 0, while the estimate reported the seed it was given
+        with pytest.raises(GeometryError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
+            count(seed)
+
+    def test_largest_seed_keeps_its_stream(self):
+        seed, setup = (1 << 64) - 1, HyperProbSetup(2.0)
+        assert estimate_pe(100_000, seed).mean == 0.43435
+        assert estimate_pe(100_000, seed, threads=2).mean == 0.43435
+        assert estimate_ph(100_000, seed, setup).mean == 0.42303
+        stream = euclid_indicator_stream(70_000, seed)
+        assert hashlib.sha256(stream.tobytes()).hexdigest()[:16] == "4d7dd6cdbc957fd5"
 
 
 class TestInvariance:

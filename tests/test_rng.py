@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from apollonius.probability import _CHUNK
-from apollonius.rng import PairBuffers, SampleStream, sample_uniform, uniform_block, uniform_pair
+from apollonius.rng import PairBuffers, SampleStream, _pair_integers, sample_uniform
+
+
+def _pair(seed, lo, hi, buffers=None):
+    """Draws 0 and 1 of samples lo..hi-1 as variates, rows 0 and 1; fresh buffers unless given."""
+    return _pair_integers(seed, lo, hi, PairBuffers(hi - lo) if buffers is None else buffers) * 2.0**-53
 
 
 def test_pure_function_of_key():
@@ -25,24 +30,15 @@ def test_distinct_keys_decorrelate():
     assert len(values) == 4
 
 
-def test_vector_matches_scalar_bitwise():
-    block = uniform_block(7, 100, 105, 1)
-    scalar = np.array([sample_uniform(7, i, 1) for i in range(100, 105)])
-    assert (block == scalar).all()
-
-
-def test_huge_seed_and_index():
-    seed = 2**64 - 1
-    block = uniform_block(seed, 10**7, 10**7 + 3, 0)
-    scalar = [sample_uniform(seed, 10**7 + i, 0) for i in range(3)]
-    assert (block == np.array(scalar)).all()
-
-
 def _pair_matches_scalar(seed, lo, hi):
-    first, second = uniform_pair(seed, lo, hi)
+    first, second = _pair(seed, lo, hi)
     assert first.dtype == second.dtype == np.float64
     assert (first == np.array([sample_uniform(seed, i, 0) for i in range(lo, hi)])).all()
     assert (second == np.array([sample_uniform(seed, i, 1) for i in range(lo, hi)])).all()
+
+
+def test_vector_matches_scalar_bitwise():
+    _pair_matches_scalar(7, 100, 105)
 
 
 def test_pair_matches_scalar_across_a_chunk_boundary():
@@ -53,36 +49,26 @@ def test_pair_matches_scalar_at_the_largest_seed():
     _pair_matches_scalar(2**64 - 1, 0, 6)
 
 
+def test_huge_seed_and_index():
+    _pair_matches_scalar(2**64 - 1, 10**7, 10**7 + 3)
+
+
 def test_pair_matches_scalar_at_a_large_index():
     _pair_matches_scalar(3, 10**12, 10**12 + 6)
 
 
-def test_pair_matches_block_and_splits_cleanly():
+def test_pair_splits_cleanly():
     lo, mid, hi = 1000, 1000 + 4099, 1000 + 9000
-    whole = uniform_pair(11, lo, hi)
-    halves = uniform_pair(11, lo, mid), uniform_pair(11, mid, hi)
+    whole = _pair(11, lo, hi)
+    halves = _pair(11, lo, mid), _pair(11, mid, hi)
     for draw in (0, 1):
-        assert (whole[draw] == uniform_block(11, lo, hi, draw)).all()
         assert (whole[draw] == np.concatenate([h[draw] for h in halves])).all()
 
 
 def test_pair_in_reused_buffers_matches_fresh():
     buffers = PairBuffers(4096)
     for lo, hi in ((0, 4096), (10**9, 10**9 + 37), (77, 4000)):
-        reused = uniform_pair(5, lo, hi, buffers)
-        fresh = uniform_pair(5, lo, hi)
-        assert all((r == f).all() for r, f in zip(reused, fresh))
-
-
-def test_pair_rejects_buffers_smaller_than_the_block():
-    with pytest.raises(ValueError, match="10 samples do not fit in PairBuffers of 4"):
-        uniform_pair(1, 0, 10, PairBuffers(4))
-
-
-@pytest.mark.parametrize("draws", [lambda: uniform_pair(1, 5, 2), lambda: uniform_block(1, 5, 2, 0)], ids=["pair", "block"])
-def test_ranges_ending_before_they_start_are_named(draws):
-    with pytest.raises(ValueError, match="lo=5, hi=2"):
-        draws()
+        assert (_pair(5, lo, hi, buffers) == _pair(5, lo, hi)).all()
 
 
 def test_stream_advances_draws():
@@ -94,7 +80,7 @@ def test_stream_advances_draws():
 
 
 def test_range_and_moments():
-    block = uniform_block(2024, 0, 200_000, 0)
-    assert (block >= 0.0).all() and (block < 1.0).all()
-    assert block.mean() == pytest.approx(0.5, abs=0.005)
-    assert block.var() == pytest.approx(1.0 / 12.0, abs=0.002)
+    for block in _pair(2024, 0, 200_000):
+        assert (block >= 0.0).all() and (block < 1.0).all()
+        assert block.mean() == pytest.approx(0.5, abs=0.005)
+        assert block.var() == pytest.approx(1.0 / 12.0, abs=0.002)
