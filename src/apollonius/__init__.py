@@ -22,14 +22,13 @@ import sys as _sys
 _LAZY = {
     name: module
     for module, names in {
-        "_base": "DegenerateInputError GeometryError OffCurveError OnAxisError OrderingError WitnessSearchError",
+        "_base": "DegenerateInputError GeometryError OnAxisError OrderingError WitnessSearchError",
         "_calibrate": "HyperProbSetup calibrate_ratio pe_quadrature ph_quadrature",
         "diophantine": "FamilyKind IntTriple geometric_family normalize_triple pythagorean_family "
         "quadratic_form_family verify_identity",
         "fourpoint": "FourConfig Geometry Witness cross_ratio_euclid cross_ratio_hyper exists_euclid "
         "exists_hyper find_witness_euclid find_witness_hyper",
-        "halfplane": "AngleResidual Arc AxisPoint Geodesic HPoint VerticalRay axis_center "
-        "equal_angle_residual geodesic_through hyp_angle hyp_distance tangent_direction",
+        "halfplane": "AngleResidual AxisPoint HPoint equal_angle_residual hyp_angle",
         "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
         "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
         "samples_to_csv solve_r2 theta_grid",

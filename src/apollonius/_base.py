@@ -24,10 +24,6 @@ class DegenerateInputError(GeometryError):
     """Two points that must be distinct coincide."""
 
 
-class OffCurveError(GeometryError):
-    """A point that must lie on a geodesic does not."""
-
-
 class OnAxisError(GeometryError):
     """An operation that excludes the y-axis received a point with x = 0."""
 

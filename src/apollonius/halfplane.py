@@ -1,6 +1,6 @@
 """Primitives of the upper half-plane model of the hyperbolic plane.
 
-Points live in {(x, y): y > 0}. Geodesics are vertical rays and
+Points live in {(x, y): y > 0}; the geodesics are vertical rays and
 semicircles centered on the boundary axis y = 0. The central trick of
 this module is the boundary-center reduction: the geodesic through
 P = (x, y) and an axis point (0, h) is the circle centered at
@@ -15,7 +15,10 @@ is the angle between two such vectors, with no center, no division and
 no unit vectors: atan2(|cross|, dot) needs none. The equal-angle
 residual built on this, equal_angle_residual, is the independent judge
 of every hyperbolic witness, and everything downstream (locus
-sampling, witness search) is checked against it.
+sampling, witness search) is checked against it. The module builds no
+geodesic and measures no distance: the circle through two points and
+the hyperbolic distance survive only as the test reference
+tests/_geodesics.py.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import math
 from ._base import (
     DegenerateInputError,
     GeometryError,
-    OffCurveError,
     OnAxisError,
     OrderingError,
     _check_finite,
@@ -35,36 +37,14 @@ from ._base import (
 __all__ = [
     "GeometryError",
     "DegenerateInputError",
-    "OffCurveError",
     "OnAxisError",
     "OrderingError",
     "HPoint",
     "AxisPoint",
-    "VerticalRay",
-    "Arc",
-    "Geodesic",
     "AngleResidual",
-    "geodesic_through",
-    "tangent_direction",
     "hyp_angle",
     "equal_angle_residual",
-    "hyp_distance",
-    "axis_center",
 ]
-
-# Abscissa gap, relative to the larger abscissa, at or below which
-# geodesic_through returns a vertical ray; the arc center diverges as the
-# abscissas coincide.
-VERTICAL_EPS = 1e-12
-
-# Relative tolerance for "P lies on G" checks.
-ON_CURVE_RTOL = 1e-9
-
-
-def _scale(*values: float) -> float:
-    # no absolute floor: every test that uses it must hold alike for a
-    # configuration and its copy scaled by any power of two
-    return max(abs(v) for v in values)
 
 
 class HPoint(_Record):
@@ -98,29 +78,6 @@ class AxisPoint(_Record):
             raise GeometryError(f"AxisPoint requires h > 0, got {h!r}")
 
 
-class VerticalRay(_Record):
-    """Geodesic {x = x0, y > 0}."""
-
-    _fields = ("x0",)
-
-    def __init__(self, x0: float):
-        self.__dict__.update(x0=x0)
-
-
-class Arc(_Record):
-    """Geodesic semicircle centered at (center, 0) with the given radius."""
-
-    _fields = ("center", "radius")
-
-    def __init__(self, center: float, radius: float):
-        self.__dict__.update(center=center, radius=radius)
-        if not radius > 0:
-            raise GeometryError(f"Arc radius must be positive, got {radius!r}")
-
-
-Geodesic = VerticalRay | Arc
-
-
 class AngleResidual(_Record):
     """Difference of two unsigned angles at a common vertex, in radians."""
 
@@ -128,59 +85,6 @@ class AngleResidual(_Record):
 
     def __init__(self, value: float):
         self.__dict__.update(value=value)
-
-
-def geodesic_through(p: HPoint, q: HPoint) -> Geodesic:
-    """Geodesic through two distinct points.
-
-    Near-equal abscissas (within VERTICAL_EPS relative) give a vertical
-    ray; otherwise the perpendicular-bisector construction places the
-    arc center at (q.x^2 + q.y^2 - p.x^2 - p.y^2) / (2 (q.x - p.x)). A
-    center beyond the float range also gives a vertical ray: that arc is
-    straight to double precision wherever it meets the points.
-    """
-    if p.x == q.x and p.y == q.y:
-        raise DegenerateInputError(f"cannot draw a geodesic through coincident points {p}")
-    center = _arc_center(p.x, p.y, q.x, q.y)
-    if center is None:
-        return VerticalRay(x0=p.x)
-    radius = math.hypot(p.x - center, p.y)
-    return Arc(center=center, radius=radius)
-
-
-def _arc_center(px: float, py: float, qx: float, qy: float) -> float | None:
-    """Center abscissa of the geodesic arc through two points, None for a vertical ray."""
-    if abs(px - qx) <= VERTICAL_EPS * max(abs(px), abs(qx)):  # <=: px == qx == 0 is vertical too
-        return None
-    center = (qx * qx + qy * qy - px * px - py * py) / (2.0 * (qx - px))
-    return center if math.isfinite(center) else None
-
-
-def axis_center(x: float, y: float, h: float) -> float:
-    """Center abscissa of the geodesic through (x, y) and the axis point (0, h)."""
-    return (x * x + y * y - h * h) / (2.0 * x)
-
-
-def _contains(g: Geodesic, p: HPoint) -> bool:
-    if isinstance(g, VerticalRay):
-        return abs(p.x - g.x0) <= ON_CURVE_RTOL * _scale(p.x, g.x0)
-    d = math.hypot(p.x - g.center, p.y)
-    return abs(d - g.radius) <= ON_CURVE_RTOL * g.radius
-
-
-def tangent_direction(g: Geodesic, p: HPoint) -> tuple[float, float]:
-    """Unit tangent of g at p; orientation sign is unspecified.
-
-    For an arc this is the radius vector (p.x - center, p.y) rotated a
-    quarter turn, so the dot product with the radius is zero.
-    """
-    if not _contains(g, p):
-        raise OffCurveError(f"{p} does not lie on {g}")
-    if isinstance(g, VerticalRay):
-        return (0.0, 1.0)
-    tx, ty = -p.y, p.x - g.center
-    norm = math.hypot(tx, ty)
-    return (tx / norm, ty / norm)
 
 
 def _oriented_tangent(px: float, py: float, qx: float, qy: float) -> tuple[float, float]:
@@ -301,9 +205,3 @@ def _rescaled_tangent(px: float, py: float, qx: float, qy: float) -> tuple[float
     tx, ty = _oriented_tangent(math.ldexp(px, k), math.ldexp(py, k), math.ldexp(qx, k), math.ldexp(qy, k))
     k = -math.frexp(max(abs(tx), abs(ty)))[1]
     return math.ldexp(tx, k), math.ldexp(ty, k)
-
-
-def hyp_distance(p: HPoint, q: HPoint) -> float:
-    """Hyperbolic distance arccosh(1 + |pq|^2 / (2 p.y q.y))."""
-    d2 = (q.x - p.x) ** 2 + (q.y - p.y) ** 2
-    return math.acosh(1.0 + d2 / (2.0 * p.y * q.y))

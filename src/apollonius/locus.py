@@ -168,19 +168,25 @@ class AxisCircle(_Record):
 EuclideanLocus = HorizontalLine | AxisCircle
 
 
-def coefficients(cfg: TripleConfig) -> QuarticCoeffs:
-    """Quartic coefficients, in the documented evaluation order.
+def _coefficient_values(cfg: TripleConfig) -> tuple[float, float, float]:
+    """alpha, beta and gamma as floats, inf or nan where one overflows float64.
 
     alpha = 2*b2 - a2 - c2, beta = a2*c2 - b2*b2,
-    gamma = b2*(2*a2*c2 - a2*b2 - c2*b2), where x2 = x*x. The same
-    ordering is used everywhere so recomputation is bit-identical.
-    Raises GeometryError naming each coefficient that overflows float64
-    (gamma, of degree six in the heights, does so from about 1e51).
+    gamma = b2*(2*a2*c2 - a2*b2 - c2*b2), where x2 = x*x. Every caller
+    forms them here, so recomputation is bit-identical.
     """
     a2, b2, c2 = cfg.a * cfg.a, cfg.b * cfg.b, cfg.c * cfg.c
-    alpha = 2.0 * b2 - a2 - c2
-    beta = a2 * c2 - b2 * b2
-    gamma = b2 * (2.0 * a2 * c2 - a2 * b2 - c2 * b2)
+    return 2.0 * b2 - a2 - c2, a2 * c2 - b2 * b2, b2 * (2.0 * a2 * c2 - a2 * b2 - c2 * b2)
+
+
+def coefficients(cfg: TripleConfig) -> QuarticCoeffs:
+    """Quartic coefficients, in the evaluation order of _coefficient_values.
+
+    Raises GeometryError naming each coefficient that overflows float64
+    (gamma, of degree six in the heights, does so from heights of about
+    1e51: (6e51, 4e51, 2e51) gives gamma = -inf).
+    """
+    alpha, beta, gamma = _coefficient_values(cfg)
     named = (("alpha", alpha), ("beta", beta), ("gamma", gamma))
     overflowed = ", ".join(f"{name} = {value!r}" for name, value in named if not math.isfinite(value))
     if overflowed:
@@ -192,7 +198,12 @@ def coefficients(cfg: TripleConfig) -> QuarticCoeffs:
 
 
 def eval_quartic(cfg: TripleConfig, r: float, theta: float) -> float:
-    """Residual r^4 alpha - 2 r^2 beta cos(2 theta) - gamma; zero on the locus."""
+    """Residual r^4 alpha - 2 r^2 beta cos(2 theta) - gamma; zero on the locus.
+
+    Takes the coefficients of the heights as given, so it raises
+    coefficients()'s GeometryError where one overflows (raw heights from
+    about 1e51); sample_curve, which solves on the unit copy, does not.
+    """
     q = coefficients(cfg)
     s = r * r
     return s * s * q.alpha - 2.0 * s * q.beta * math.cos(2.0 * theta) - q.gamma
@@ -245,7 +256,9 @@ def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
     Solves alpha s^2 - 2 beta cos(2 theta) s - gamma = 0 with the
     sign-stable quadratic form (larger root via the -sign trick, the
     other via the Vieta product), falling back to the linear equation
-    when alpha degenerates. Roots at the origin node are dropped.
+    when alpha degenerates. Roots at the origin node are dropped. Like
+    eval_quartic it raises coefficients()'s GeometryError where a
+    coefficient of the heights as given overflows (from about 1e51).
     """
     if not (0.0 < theta < math.pi):
         raise GeometryError(f"theta must lie in (0, pi), got {theta!r}")
@@ -399,14 +412,19 @@ def samples_to_csv(curve: Curve) -> str:
 
 
 def classification_report(cfg: TripleConfig, eps: float = 1e-12) -> dict:
-    """JSON-ready classification record for the triple."""
-    q = coefficients(cfg)
+    """JSON-ready classification record for the triple.
+
+    A coefficient past the float range (gamma from heights of about 1e51,
+    all three from about 1e154) has no JSON number, so it is reported as
+    null; classify decides the class exactly at every scale.
+    """
+    alpha, beta, gamma = (v if math.isfinite(v) else None for v in _coefficient_values(cfg))
     return {
         "a": cfg.a,
         "b": cfg.b,
         "c": cfg.c,
-        "alpha": q.alpha,
-        "beta": q.beta,
-        "gamma": q.gamma,
+        "alpha": alpha,
+        "beta": beta,
+        "gamma": gamma,
         "class": classify(cfg, eps).value,
     }

@@ -55,7 +55,7 @@ import numpy as np
 
 from ._base import GeometryError, _Record
 from ._calibrate import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature
-from .rng import PairBuffers, SampleStream, _pair_integers
+from .rng import PairBuffers, SampleStream, _check_seed, _pair_integers
 
 __all__ = [
     "ProbEstimate",
@@ -202,14 +202,12 @@ def _blocks(indicator_fn, seed, lo, hi, extra):
     Each array is a view of the buffers' flag row, which the next block
     overwrites; copy it to keep it. Every estimate and indicator stream
     runs through here, with lo = 0 and hi = n where the count is
-    unsharded (a shard is never empty), so this is where n < 1 is named,
-    and a seed outside [0, 2^64), which the generator would reduce
-    modulo 2^64 onto another seed's stream.
+    unsharded (a shard is never empty), so this is where n < 1 and a
+    seed outside [0, 2^64) are named.
     """
     if hi - lo < 1:
         raise GeometryError(f"need at least one sample, got n={hi - lo!r}")
-    if not 0 <= seed < 1 << 64:
-        raise GeometryError(f"seed must lie in [0, 2^64), got {seed!r}")
+    _check_seed(seed)
     buffers = PairBuffers(min(_CHUNK, hi - lo))
     return (
         indicator_fn(seed, start, min(start + _CHUNK, hi), *extra, buffers) for start in range(lo, hi, _CHUNK)

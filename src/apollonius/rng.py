@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._base import GeometryError
+
 __all__ = ["sample_uniform", "PairBuffers", "SampleStream"]
 
 _MASK = (1 << 64) - 1
@@ -28,6 +30,13 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
+
+
+def _check_seed(seed: int) -> None:
+    # the generator reduces a seed modulo 2^64, which would run another
+    # seed's stream
+    if not 0 <= seed < 1 << 64:
+        raise GeometryError(f"seed must lie in [0, 2^64), got {seed!r}")
 
 
 def _mix(z: int) -> int:
@@ -112,6 +121,7 @@ class SampleStream:
     """
 
     def __init__(self, seed: int, index: int):
+        _check_seed(seed)
         self.seed = seed
         self.index = index
         self._draw = 0

@@ -30,8 +30,6 @@ from apollonius.fourpoint import (
     WitnessSearchError,
 )
 from apollonius.halfplane import (
-    VERTICAL_EPS,
-    Arc,
     AngleResidual,
     AxisPoint,
     DegenerateInputError,
@@ -39,9 +37,10 @@ from apollonius.halfplane import (
     HPoint,
     OnAxisError,
     OrderingError,
-    VerticalRay,
 )
 from apollonius.locus import HorizontalLine, euclidean_equal_angle_residual, euclidean_locus
+
+from _geodesics import VERTICAL_EPS, Arc, VerticalRay
 
 # ------------------------------------------------------------ half-plane oracle
 

@@ -122,19 +122,22 @@ class TestValidation:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "heights,named",
+        "heights,nulls",
         [
-            (("6e51", "4e51", "2e51"), "gamma = -inf"),
-            (("1e200", "1e199", "1e198"), "alpha = nan, beta = nan, gamma = nan"),
+            (("6e51", "4e51", "2e51"), ["gamma"]),
+            (("1e200", "1e199", "1e198"), ["alpha", "beta", "gamma"]),
         ],
     )
-    def test_overflowing_coefficients_exit_2_naming_them(self, heights, named, tmp_path, capsys):
+    def test_overflowing_coefficients_are_null_beside_the_class(self, heights, nulls, tmp_path):
+        # these exited 2 on the overflow, although the class is decided
+        # exactly at every scale
         out = tmp_path / "classify.json"
         a, b, c = heights
-        assert run(["classify", "-a", a, "-b", b, "-c", c, "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert "quartic coefficients overflow" in err and err.rstrip().endswith(named)
-        assert not out.exists()
+        assert run(["classify", "-a", a, "-b", b, "-c", c, "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [name for name in ("alpha", "beta", "gamma") if report[name] is None] == nulls
+        assert all(math.isfinite(report[name]) for name in ("alpha", "beta", "gamma") if name not in nulls)
+        assert report["class"] == "BetweenGeometricAndQuadratic"
 
     @pytest.mark.parametrize(
         "heights,regime",

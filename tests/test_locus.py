@@ -74,6 +74,22 @@ class TestConfigAndCoefficients:
         scale = abs(coefficients(cfg).gamma)
         assert abs(eval_quartic(cfg, cfg.b, math.pi / 2)) <= 1e-14 * scale
 
+    @pytest.mark.parametrize(
+        "heights,named",
+        [
+            ((6e51, 4e51, 2e51), "gamma = -inf"),
+            ((1e200, 1e199, 1e198), "alpha = nan, beta = nan, gamma = nan"),
+        ],
+    )
+    def test_overflowing_coefficients_are_named(self, heights, named):
+        # eval_quartic and solve_r2 take the coefficients of the heights as
+        # given, so they raise where coefficients() does
+        cfg = TripleConfig(*heights)
+        for compute in (lambda: coefficients(cfg), lambda: eval_quartic(cfg, 1.0, 1.0), lambda: solve_r2(cfg, 1.0)):
+            with pytest.raises(GeometryError, match="^quartic coefficients overflow float64 at heights ") as caught:
+                compute()
+            assert str(caught.value).endswith(named)
+
 
 class TestEvalQuartic:
     def test_circle_zero_for_any_theta(self):

@@ -15,19 +15,19 @@ GOLDEN = Path(__file__).parent / "golden"
 # what `from apollonius import *` binds: the public names of the package
 # with every submodule imported, as they were when all were imported eagerly
 STAR_NAMES = """
-    AngleResidual Arc AxisCircle AxisPoint Curve DegenerateInputError EuclideanLocus
-    FamilyKind FourConfig Geodesic Geometry GeometryError HPoint HorizontalLine
-    HyperProbSetup IntTriple LocusClass OffCurveError OnAxisError OrderingError
-    ProbEstimate QuarticCoeffs SampleStream TripleConfig VerticalRay Witness
-    WitnessSearchError axis_center calibrate_ratio classify coefficients
+    AngleResidual AxisCircle AxisPoint Curve DegenerateInputError EuclideanLocus
+    FamilyKind FourConfig Geometry GeometryError HPoint HorizontalLine
+    HyperProbSetup IntTriple LocusClass OnAxisError OrderingError
+    ProbEstimate QuarticCoeffs SampleStream TripleConfig Witness
+    WitnessSearchError calibrate_ratio classify coefficients
     cross_ratio_euclid cross_ratio_hyper diophantine equal_angle_residual estimate_pe
     estimate_ph euclidean_equal_angle_residual euclidean_locus eval_quartic
     exists_euclid exists_hyper find_witness_euclid find_witness_hyper fourpoint
-    geodesic_through geometric_family halfplane hyp_angle hyp_distance locus
+    geometric_family halfplane hyp_angle locus
     normalize_triple pe_closed_form pe_quadrature ph_quadrature ph_reference_constant
     probability pythagorean_family quadratic_form_family render_svg rng
     sample_config_euclid sample_config_hyper sample_curve samples_to_csv serialize
-    solve_r2 svg tangent_direction theta_grid verify_identity
+    solve_r2 svg theta_grid verify_identity
 """.split()
 
 SUBMODULES = ("diophantine", "fourpoint", "halfplane", "locus", "probability", "rng", "serialize", "svg")
@@ -81,6 +81,27 @@ class TestNamespace:
     def test_dir_lists_lazy_names(self):
         assert set(apollonius.__all__) | {"__version__"} <= set(dir(apollonius))
 
+    def test_halfplane_keeps_only_the_judge(self):
+        # the geodesic objects, the tangent of a geodesic and the distance
+        # are the test reference tests/_geodesics.py, not the library's
+        halfplane = importlib.import_module("apollonius.halfplane")
+        assert halfplane.__all__ == [
+            "GeometryError",
+            "DegenerateInputError",
+            "OnAxisError",
+            "OrderingError",
+            "HPoint",
+            "AxisPoint",
+            "AngleResidual",
+            "hyp_angle",
+            "equal_angle_residual",
+        ]
+        removed = "Arc VerticalRay Geodesic geodesic_through tangent_direction axis_center hyp_distance OffCurveError"
+        for name in removed.split():
+            assert not hasattr(halfplane, name), name
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                getattr(apollonius, name)
+
 
 class TestSharedBase:
     # the error classes and the record base live in _base; each module
@@ -89,7 +110,6 @@ class TestSharedBase:
     NAMES = (
         "GeometryError",
         "DegenerateInputError",
-        "OffCurveError",
         "OnAxisError",
         "OrderingError",
         "WitnessSearchError",
@@ -105,7 +125,7 @@ class TestSharedBase:
                     assert getattr(module, name) is getattr(base, name), (module.__name__, name)
         assert apollonius.halfplane.GeometryError is apollonius.locus.GeometryError is apollonius.GeometryError
         assert apollonius.fourpoint.WitnessSearchError is apollonius.WitnessSearchError
-        assert set(self.NAMES[:5]) <= set(apollonius.halfplane.__all__)
+        assert set(self.NAMES[:4]) <= set(apollonius.halfplane.__all__)
         assert "WitnessSearchError" in apollonius.fourpoint.__all__
 
     def test_geometry_error_from_a_module_without_halfplane_exits_2(self):

@@ -355,12 +355,15 @@ class TestEstimators:
             lambda seed: estimate_ph(1 << 17, seed, HyperProbSetup(2.0), threads=2),
             lambda seed: euclid_indicator_stream(10, seed),
             lambda seed: hyper_indicator_stream(10, seed, 2.0),
+            lambda seed: sample_config_euclid(SampleStream(seed, 3)),
+            lambda seed: sample_config_hyper(SampleStream(seed, 3), HyperProbSetup(2.0)),
         ],
-        ids=["estimate_pe", "estimate_ph", "euclid_stream", "hyper_stream"],
+        ids=["estimate_pe", "estimate_ph", "euclid_stream", "hyper_stream", "euclid_sampler", "hyper_sampler"],
     )
     def test_seeds_outside_64_bits_rejected(self, count, seed):
         # the generator reduces seeds modulo 2^64: -1 ran as 2^64 - 1 and
-        # 2^64 as 0, while the estimate reported the seed it was given
+        # 2^64 as 0, while the estimate reported the seed it was given and
+        # the samplers drew another seed's config
         with pytest.raises(GeometryError, match=rf"^seed must lie in \[0, 2\^64\), got {seed}$"):
             count(seed)
 

@@ -23,17 +23,12 @@ from apollonius.fourpoint import (
 )
 from apollonius.halfplane import (
     AngleResidual,
-    Arc,
     AxisPoint,
     GeometryError,
     HPoint,
     OrderingError,
-    VerticalRay,
     equal_angle_residual,
-    geodesic_through,
     hyp_angle,
-    hyp_distance,
-    tangent_direction,
 )
 from apollonius.locus import (
     LocusClass,
@@ -57,6 +52,7 @@ from _exact_residuals import (
     exact_residuals,
     hyper_cross_ratio_error,
 )
+from _geodesics import Arc, VerticalRay, geodesic_through, hyp_distance, tangent_direction
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -769,6 +765,39 @@ def wide_heights(draw):
     for _ in range(3):
         logs.append(logs[-1] + draw(st.floats(min_value=1e-3, max_value=10.0)))
     return tuple(math.exp(v) for v in reversed(logs))
+
+
+def _sinh_error_bound(d):
+    # relative error of sinh(hyp_distance) for two points on the y-axis at
+    # distance d, to first order in u = 2^-53. hyp_distance forms
+    # x = (p - q)^2 / (2pq) = cosh d - 1 within 6u (the difference, doubled
+    # by the square, the square, the product and the quotient, with slack
+    # for pow), and 1 + x with one more rounding, so 1 + x is off by at most
+    # u (6x + 1) = u (6 cosh d - 5). acosh divides that by sinh d, and sinh
+    # multiplies the error of d by coth d, so it reaches sinh(d) as
+    # u cosh d (6 cosh d - 5) / sinh^2 d, about u / d^2 for small d: this
+    # is why the log gaps stay at least 1e-3, where it is about 1e-10. libm's
+    # acosh and sinh add at most 2 ulp (4u relative) each, the first as
+    # 4u d in d and so as 4u d coth d in sinh(d).
+    u = 2.0**-53
+    return u * math.cosh(d) * (6.0 * math.cosh(d) - 5.0) / math.sinh(d) ** 2 + 4.0 * u * d / math.tanh(d) + 4.0 * u
+
+
+class TestCrossRatioDefinition:
+    @given(wide_heights())
+    @settings(max_examples=300, deadline=None)
+    def test_hyper_is_its_sinh_of_distances_definition(self, heights):
+        # cross_ratio_hyper against sinh(d_bc) sinh(d_ad) / (sinh(d_ab) sinh(d_cd)),
+        # the d from the test reference's hyp_distance: the four factors'
+        # errors, 3 roundings of the reference's products and quotient, and
+        # the 15 roundings of cross_ratio_hyper's docstring
+        a, b, c, d = (HPoint(0.0, h) for h in heights)
+        distances = [hyp_distance(p, q) for p, q in ((b, c), (a, d), (a, b), (c, d))]
+        sinh_bc, sinh_ad, sinh_ab, sinh_cd = map(math.sinh, distances)
+        reference = sinh_bc * sinh_ad / (sinh_ab * sinh_cd)
+        bound = sum(map(_sinh_error_bound, distances)) + 18 * 2.0**-53
+        value = cross_ratio_hyper(FourConfig(*heights, Geometry.HYPERBOLIC))
+        assert abs(value - reference) <= bound * reference, (value, reference, bound)
 
 
 @st.composite

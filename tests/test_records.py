@@ -11,13 +11,10 @@ from apollonius.diophantine import IntTriple
 from apollonius.fourpoint import FourConfig, Geometry, Witness
 from apollonius.halfplane import (
     AngleResidual,
-    Arc,
     AxisPoint,
-    Geodesic,
     GeometryError,
     HPoint,
     OrderingError,
-    VerticalRay,
 )
 from apollonius.locus import (
     AxisCircle,
@@ -29,6 +26,8 @@ from apollonius.locus import (
 )
 from apollonius.probability import HyperProbSetup, ProbEstimate
 
+from _geodesics import Arc, VerticalRay
+
 NAN = math.nan
 EUCLID, HYPER = Geometry.EUCLIDEAN, Geometry.HYPERBOLIC
 
@@ -36,6 +35,7 @@ EUCLID, HYPER = Geometry.EUCLIDEAN, Geometry.HYPERBOLIC
 RECORDS = [
     (lambda: HPoint(1, 2.5), "HPoint(x=1.0, y=2.5)"),
     (lambda: AxisPoint(3), "AxisPoint(h=3.0)"),
+    # the test reference's geodesics, which the frozen witness path builds
     (lambda: VerticalRay(0.5), "VerticalRay(x0=0.5)"),
     (lambda: Arc(-1.5, 2.0), "Arc(center=-1.5, radius=2.0)"),
     (lambda: AngleResidual(-0.25), "AngleResidual(value=-0.25)"),
@@ -100,9 +100,7 @@ def test_records_differ_by_value():
 
 
 def test_records_of_one_shape_but_different_types_differ():
-    assert VerticalRay(1.0) != AngleResidual(1.0)
-    assert HorizontalLine(1.0) != VerticalRay(1.0)
-    assert Arc(2.0, 1.0) != AxisCircle(2.0, 1.0)
+    assert HorizontalLine(1.0) != AngleResidual(1.0)
     assert IntTriple(3, 2, 1) != TripleConfig(3, 2, 1)
     assert TripleConfig(3, 2, 1) != QuarticCoeffs(3.0, 2.0, 1.0)
 
@@ -111,16 +109,14 @@ def test_keyword_construction():
     assert HorizontalLine(height=3.0) == HorizontalLine(3.0)
     assert AxisCircle(center_y=2.5, radius=1.5) == AxisCircle(2.5, 1.5)
     assert ProbEstimate(mean=0.5, stderr=0.25, n=4, seed=7) == ProbEstimate(0.5, 0.25, 4, 7)
-    assert Arc(center=-1.5, radius=2.0) == Arc(-1.5, 2.0)
-    assert VerticalRay(x0=0.5) == VerticalRay(0.5)
     assert HPoint(x=1.0, y=2.0) == HPoint(1.0, 2.0)
     assert FourConfig(a=4, b=3, c=2, d=1, geometry=EUCLID) == FourConfig(4, 3, 2, 1, EUCLID)
     assert Witness(x=1.0, y=2.0, residuals=(0.0, 0.0)) == Witness(1.0, 2.0, (0.0, 0.0))
 
 
 def test_unconverted_fields_keep_their_type():
-    assert type(VerticalRay(1).x0) is int
-    assert type(Arc(0, 1).radius) is int
+    assert type(HorizontalLine(1).height) is int
+    assert type(AxisCircle(0, 1).radius) is int
     assert type(HPoint(1, 2).x) is float
     assert type(FourConfig(4, 3, 2, 1, EUCLID).d) is float
 
@@ -159,9 +155,6 @@ class TestCurve:
 
 
 def test_union_aliases_hold_their_members():
-    assert isinstance(Arc(0.0, 1.0), Geodesic)
-    assert isinstance(VerticalRay(0.0), Geodesic)
-    assert not isinstance(HPoint(0.0, 1.0), Geodesic)
     assert isinstance(HorizontalLine(1.0), EuclideanLocus)
     assert isinstance(AxisCircle(1.0, 1.0), EuclideanLocus)
 
