@@ -15,15 +15,13 @@ import sys as _sys
 # Every public name resolves on first use (PEP 562) from the module named
 # here, so `import apollonius` loads no submodule: a CLI subcommand
 # imports, and without a bytecode cache compiles, only the modules it
-# runs, and numpy loads only with a module that uses it. The error
+# runs, and numpy loads only where it is used. The error
 # classes resolve from _base, their home, which halfplane and fourpoint
-# re-export, and the closed forms and the calibration from _calibrate,
-# which probability re-exports.
+# re-export.
 _LAZY = {
     name: module
     for module, names in {
         "_base": "DegenerateInputError GeometryError OnAxisError OrderingError WitnessSearchError",
-        "_calibrate": "HyperProbSetup calibrate_ratio pe_quadrature ph_quadrature",
         "diophantine": "FamilyKind IntTriple geometric_family normalize_triple pythagorean_family "
         "quadratic_form_family verify_identity",
         "fourpoint": "FourConfig Geometry Witness cross_ratio_euclid cross_ratio_hyper exists_euclid "
@@ -32,8 +30,8 @@ _LAZY = {
         "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
         "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
         "samples_to_csv solve_r2 theta_grid",
-        "probability": "ProbEstimate estimate_pe estimate_ph pe_closed_form ph_reference_constant "
-        "sample_config_euclid sample_config_hyper",
+        "probability": "HyperProbSetup ProbEstimate calibrate_ratio estimate_pe estimate_ph pe_closed_form "
+        "pe_quadrature ph_quadrature ph_reference_constant sample_config_euclid sample_config_hyper",
         "rng": "SampleStream",
         "svg": "render_svg",
     }.items()

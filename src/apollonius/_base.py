@@ -1,19 +1,14 @@
-"""Errors, the value record and the flat angle that every layer shares.
+"""Errors, the value record and the flat angle residual that every layer shares.
 
 Kept apart from the geometry modules so that each CLI subcommand imports,
 and so compiles, only the modules it runs: classify needs TripleConfig's
 record base and OrderingError without the half-plane primitives, and the
-witness search needs the flat angle without the locus.
+witness search needs the flat residual without the locus.
 """
 
 from __future__ import annotations
 
 import math
-
-# |cross| and |dot| of two flat angle vectors both below this: products of
-# their components can have lost digits in the subnormals (above it, such
-# a loss moves the angle by less than 2^-110)
-_SHORT_PRODUCTS = 2.0**-960
 
 
 class GeometryError(ValueError):
@@ -78,15 +73,15 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-def _euclid_angle(x: float, y: float, h1: float, h2: float) -> float:
-    # the angle between the rays (-x, h1 - y) and (-x, h2 - y), from the
-    # cross and dot products of the two vectors, operation for operation
-    nx, dy1, dy2 = -x, h1 - y, h2 - y
-    cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
-    if cross < _SHORT_PRODUCTS and -_SHORT_PRODUCTS < dot < _SHORT_PRODUCTS:
-        # products may have lost digits in the subnormals: the same angle
-        # with the largest component brought into [0.5, 1)
-        k = math.frexp(max(abs(nx), abs(dy1), abs(dy2)))[1]
-        nx, dy1, dy2 = math.ldexp(nx, -k), math.ldexp(dy1, -k), math.ldexp(dy2, -k)
-        cross, dot = abs(nx * dy2 - dy1 * nx), nx * nx + dy1 * dy2
-    return math.atan2(cross, dot)
+def _flat_residual(x: float, y: float, h1: float, h2: float, h3: float) -> float:
+    """Flat angle(h1 p h2) - angle(h2 p h3) at p = (x, y), for heights h1 > h2 > h3.
+
+    The ray from p to the axis point (0, h) has the direction
+    atan2(h - y, |x|), which lies in (-pi/2, pi/2) and decreases with h.
+    So each angle is a difference of two directions and the residual a
+    second difference: no product of coordinates is formed, which could
+    lose digits in the subnormals or overflow.
+    """
+    ax = abs(x)
+    t2 = math.atan2(h2 - y, ax)
+    return (math.atan2(h1 - y, ax) - t2) - (t2 - math.atan2(h3 - y, ax))

@@ -13,11 +13,11 @@ Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
 failure, 1 internal error. With APOLLONIUS_DEBUG=1 in the environment an
 internal error propagates with its traceback instead.
 
-Only sample, prob pe and prob ph without --calibrate load numpy; their
-handlers import the modules that use it, so the other subcommands start
-without it. prob ph --calibrate solves on P_h in closed form, without
-numpy, and reports a target that the bracket does not straddle from
-the same closed form.
+Only sample, prob pe and prob ph without --calibrate load numpy; it is
+imported only where it is used, so the other subcommands start without
+it. prob ph --calibrate solves on P_h in closed form, without numpy,
+and reports a target that the bracket does not straddle from the same
+closed form.
 
 Each handler imports the modules it runs, and import apollonius loads
 no submodule, so besides this module and _base a subcommand loads only:
@@ -25,8 +25,8 @@ no submodule, so besides this module and _base a subcommand loads only:
     classify, euclid-locus  locus, serialize
     sample                  locus, _fmt17; svg and serialize with --svg
     fourpoint               fourpoint, halfplane, serialize
-    prob                    probability, rng, _calibrate, serialize
-    prob ph --calibrate     _calibrate, serialize
+    prob                    probability, rng, serialize
+    prob ph --calibrate     probability, serialize
     dioph                   diophantine
 
 That matters where no bytecode cache is written (PYTHONDONTWRITEBYTECODE
@@ -158,56 +158,39 @@ def _cmd_prob(args) -> int:
         raise ValidationError(f"-n must be at least 1, got {args.n}")
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
-    if args.kind == "pe" and args.calibrate is not None:
-        raise ValidationError("--calibrate applies to prob ph only")
-    if args.kind == "ph":
-        from ._calibrate import HyperProbSetup
+    if args.kind == "pe":
+        if args.calibrate is not None:
+            raise ValidationError("--calibrate applies to prob ph only")
+        from .probability import estimate_pe, pe_closed_form, pe_quadrature
+
+        estimate = estimate_pe(args.n, args.seed, threads=args.threads)
+        ratio, closed_form, quadrature = None, pe_closed_form(), pe_quadrature()
+    else:
+        from .probability import HyperProbSetup, estimate_ph, ph_quadrature, ph_reference_constant
 
         if args.ratio <= 1.0:
             raise ValidationError(f"--ratio must exceed 1, got {args.ratio}")
         setup = HyperProbSetup(args.ratio)
         if args.calibrate is not None:
             return _cmd_calibrate(args)
-    from .probability import (
-        estimate_pe,
-        estimate_ph,
-        pe_closed_form,
-        pe_quadrature,
-        ph_quadrature,
-        ph_reference_constant,
-    )
-
-    if args.kind == "pe":
-        estimate = estimate_pe(args.n, args.seed, threads=args.threads)
-        record = {
-            "kind": "pe",
-            "n": estimate.n,
-            "seed": estimate.seed,
-            "ratio": None,
-            "mean": estimate.mean,
-            "stderr": estimate.stderr,
-            "closed_form": pe_closed_form(),
-            "quadrature": pe_quadrature(),
-        }
-        _write_json(record, args.output)
-        return 0
-    estimate = estimate_ph(args.n, args.seed, setup, threads=args.threads)
+        estimate = estimate_ph(args.n, args.seed, setup, threads=args.threads)
+        ratio, closed_form, quadrature = setup.ratio, ph_reference_constant(), ph_quadrature(setup)
     record = {
-        "kind": "ph",
+        "kind": args.kind,
         "n": estimate.n,
         "seed": estimate.seed,
-        "ratio": setup.ratio,
+        "ratio": ratio,
         "mean": estimate.mean,
         "stderr": estimate.stderr,
-        "closed_form": ph_reference_constant(),
-        "quadrature": ph_quadrature(setup),
+        "closed_form": closed_form,
+        "quadrature": quadrature,
     }
     _write_json(record, args.output)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    from ._calibrate import HyperProbSetup, calibrate_ratio, ph_quadrature
+    from .probability import HyperProbSetup, calibrate_ratio, ph_quadrature
 
     found = calibrate_ratio(args.calibrate, bracket=_CALIBRATION_BRACKET)
     record = {

@@ -53,7 +53,7 @@ import enum
 import math
 import sys
 
-from ._base import GeometryError, OrderingError, WitnessSearchError, _euclid_angle, _Record
+from ._base import GeometryError, OrderingError, WitnessSearchError, _flat_residual, _Record
 from .halfplane import _axis_residuals
 
 __all__ = [
@@ -273,9 +273,7 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
         return None
     a, b, c, d, k = cfg._unit
     x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
-    # the two angle residuals share the middle angle
-    middle = _euclid_angle(x, y, b, c)
-    res1, res2 = _euclid_angle(x, y, a, b) - middle, middle - _euclid_angle(x, y, c, d)
+    res1, res2 = _flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d)
     # chained comparisons, false for nan
     if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
         worst = max(abs(res1), abs(res2))

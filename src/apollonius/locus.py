@@ -40,7 +40,7 @@ from ._base import (
     OnAxisError,
     OrderingError,
     _check_finite,
-    _euclid_angle,
+    _flat_residual,
     _Record,
 )
 
@@ -355,8 +355,8 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
 def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
     """Euclidean equal-angle locus of axis heights a > b > c.
 
-    Heights may be nonpositive here (the flat-plane statement needs only
-    the ordering), which the four-point intersection relies on.
+    Heights may be nonpositive here: the flat-plane statement needs only
+    the ordering.
 
     The circle meets the axis at b and at b + 2uv/(u + v), with u = a - b
     and v = c - b. Working in these offsets from b keeps full relative
@@ -401,7 +401,7 @@ def euclidean_equal_angle_residual(p: tuple[float, float], a: float, b: float, c
     x, y = p
     if x == 0.0:
         raise OnAxisError("the Euclidean locus predicate excludes the y-axis")
-    return _euclid_angle(x, y, a, b) - _euclid_angle(x, y, b, c)
+    return _flat_residual(x, y, a, b, c)
 
 
 def samples_to_csv(curve: Curve) -> str:

@@ -52,6 +52,7 @@ def _sample_key(seed: int, index: int) -> int:
 
 def sample_uniform(seed: int, index: int, draw: int) -> float:
     """Uniform variate in [0, 1) for the given (seed, sample, draw) triple."""
+    _check_seed(seed)
     word = _mix((_sample_key(seed, index) + (draw + 1) * _GOLDEN) & _MASK)
     return (word >> 11) * _INV_2_53
 

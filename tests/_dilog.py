@@ -1,6 +1,6 @@
 """An independent ln, Li2 and P_h in Python-int fixed point, for the tests.
 
-apollonius._calibrate takes ln by an atanh series after a power-of-two
+apollonius.probability takes ln by an atanh series after a power-of-two
 reduction, Li2 by its power series after reflection, Landen and
 inversion, and pi^2/6 as 2 Li2(1/2) + ln^2 2. This module shares none
 of those steps:

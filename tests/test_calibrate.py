@@ -6,10 +6,9 @@ from fractions import Fraction
 import pytest
 
 import _dilog
-from apollonius import _calibrate
-from apollonius._calibrate import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature
+from apollonius import probability
 from apollonius.halfplane import GeometryError
-from apollonius.probability import ph_reference_constant
+from apollonius.probability import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature, ph_reference_constant
 
 RATIOS = [1 + 2.0**-50, 1 + 2.0**-10, 1.01, 2.0, 2.1776504042297176, 1000.0, 1e150, 1e160, 1.7e308]
 
@@ -18,8 +17,8 @@ GOLDEN_RATIO = 2.1776504042297176
 
 
 def closed_form(ratio: float) -> Fraction:
-    fx = _calibrate._fixed_for(ratio)
-    return Fraction(_calibrate._ph(ratio, fx), 1 << fx.bits)
+    fx = probability._fixed_for(ratio)
+    return Fraction(probability._ph(ratio, fx), 1 << fx.bits)
 
 
 def assert_correctly_rounded(value: float, exact: Fraction) -> None:
@@ -47,7 +46,7 @@ def test_pe_quadrature_is_the_reference_correctly_rounded():
 )
 def test_dilogarithm_on_every_branch(x):
     # inversion, Landen, the series and reflection, against the Bernoulli series
-    fx = _calibrate._Fixed(200)
+    fx = probability._Fixed(200)
     lib = Fraction(fx.li2(x.numerator, x.denominator), 1 << fx.bits)
     assert abs(lib - Fraction(_dilog.li2(x), 1 << _dilog.BITS)) <= Fraction(1, 1 << 190)
 
@@ -88,3 +87,17 @@ def test_calibration_finds_the_root_at_any_scale(ratio, bracket):
 def test_bracket_is_validated_like_a_sampling_ratio():
     with pytest.raises(GeometryError, match="fewer than two doubles"):
         calibrate_ratio(0.43, (1.0000000000000002, 2.0))
+
+
+@pytest.mark.parametrize(
+    "bracket", [(GOLDEN_RATIO, 4.0), (1.5, GOLDEN_RATIO), (1.5, 4.0)], ids=["root-at-lo", "root-at-hi", "root-inside"]
+)
+def test_an_exact_root_is_returned_as_is(bracket, monkeypatch):
+    # P_h replaced by an integer-valued line through (GOLDEN_RATIO, 1/2):
+    # f vanishes exactly at a bracket end, or, inside, at the first secant
+    # point, which for a line is the root itself rounded once
+    def line(ratio, fx):
+        return (1 << fx.bits - 1) - int((Fraction(ratio) - Fraction(GOLDEN_RATIO)) * 2**60)
+
+    monkeypatch.setattr(probability, "_ph", line)
+    assert calibrate_ratio(0.5, bracket) == GOLDEN_RATIO

@@ -323,8 +323,10 @@ def test_tangent_loci_witness_exits_0(capsys):
         # the closed form's point misses the Euclidean contract of 1e-10
         (("62.18405961560278", "24.55849812734293", "24.558498082097245", "-36.229585738926005"),
          "the loci meet at residual 1.984e-10 > 1e-10"),
-        # gaps of one subnormal step: the point's angles cannot be judged
-        (("0.5", "1.5e-323", "1e-323", "5e-324"), "the loci meet at residual 7.854e-01 > 1e-10"),
+        # gaps of one subnormal step: the point meets the loci exactly, but
+        # its x is a subnormal
+        (("0.5", "1.5e-323", "1e-323", "5e-324"),
+         "the witness x = 4.94066e-324 lies in the subnormal range (below 2.22507e-308)"),
     ],
     ids=["over-euclid-contract", "subnormal-gaps"],
 )

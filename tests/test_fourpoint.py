@@ -343,9 +343,9 @@ class TestFindWitnessEuclid:
     def test_witness_far_below_one_is_found(self):
         # the product of gaps under the square root, about 4e-400, underflowed
         # to 0; the closed form scales the gaps first and finds the witness
-        # (1e-200, 1e-200). The angles there multiply coordinate differences
-        # near 1e-200, which underflowed until _euclid_angle rescaled short
-        # vectors: the residual check read 7.854e-01 and failed
+        # (1e-200, 1e-200). Angles from products of coordinate differences
+        # near 1e-200 underflowed there: the residual check read 7.854e-01
+        # and failed. The judge now takes differences of ray directions
         heights = (1.0, 2e-200, 1e-200, 0.0)
         w = find_witness_euclid(euclid(*heights))
         assert (w.x, w.y) == pytest.approx((1e-200, 1e-200), rel=1e-15)
@@ -354,11 +354,17 @@ class TestFindWitnessEuclid:
         assert w.residuals == pytest.approx(exact, abs=1e-15)
 
     def test_gaps_of_a_subnormal_step_are_a_search_failure(self):
-        # gaps of one subnormal step hold a point too few bits to judge; the
-        # residual check fails before the subnormal x is reached
+        # gaps of one subnormal step: the closed-form point (5e-324, 1e-323)
+        # meets the loci exactly, and the judge, from differences of ray
+        # directions, reads the exact residuals (0, 0) there; products of
+        # coordinates read 7.854e-01 and named a miss. The search fails
+        # because that x is a subnormal, which stands for no judged point
         cfg = euclid(0.5, 1.5e-323, 1e-323, 5e-324)
         assert exists_euclid(cfg)
-        with pytest.raises(WitnessSearchError, match=r"the loci meet at residual 7\.854e-01 > 1e-10$"):
+        assert exact_residuals(5e-324, 1e-323, (0.5, 1.5e-323, 1e-323, 5e-324), flat=True) == (0.0, 0.0)
+        assert euclidean_equal_angle_residual((5e-324, 1e-323), 0.5, 1.5e-323, 1e-323) == 0.0
+        assert euclidean_equal_angle_residual((5e-324, 1e-323), 1.5e-323, 1e-323, 5e-324) == 0.0
+        with pytest.raises(WitnessSearchError, match=r"x = 4\.94066e-324 lies in the subnormal range \(below 2\.22507e-308\)$"):
             find_witness_euclid(cfg)
 
     def test_witness_past_the_float_range_is_a_search_failure(self):

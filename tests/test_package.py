@@ -118,7 +118,7 @@ class TestSharedBase:
 
     def test_each_error_class_and_the_record_base_is_one_object(self):
         base = importlib.import_module("apollonius._base")
-        modules = [importlib.import_module(f"apollonius.{m}") for m in (*SUBMODULES, "_calibrate", "cli")]
+        modules = [importlib.import_module(f"apollonius.{m}") for m in (*SUBMODULES, "cli")]
         for module in (apollonius, *modules):
             for name in self.NAMES:
                 if hasattr(module, name):
@@ -148,10 +148,10 @@ def test_import_loads_no_numpy_or_scipy(module, submodules):
 
 def test_calibration_names_resolve_without_numpy():
     # P_e and P_h are evaluated in closed form, so none of these names
-    # needs numpy or the probability module that imports it
+    # needs numpy or rng, which only probability's Monte Carlo kernels import
     names = "apollonius.calibrate_ratio, apollonius.HyperProbSetup, apollonius.pe_quadrature, apollonius.ph_quadrature"
     code = f"import sys, apollonius; {names}; {PRINT_LOADED}"
-    assert fresh_python(code) == "[]\n[]\n_base _calibrate\n"
+    assert fresh_python(code) == "[]\n[]\n_base probability\n"
 
 
 def test_importtime_lists_modules_loaded_on_first_use():
@@ -167,9 +167,9 @@ SUBCOMMAND_MODULES = {
     "euclid_locus_9_4_1.json": "_base cli locus serialize",
     "fourpoint_hyper_10_6_5_1.json": "_base cli fourpoint halfplane serialize",
     "dioph_quadratic.csv": "_base cli diophantine",
-    "prob_ph_calibrate_reference.json": "_base _calibrate cli serialize",
+    "prob_ph_calibrate_reference.json": "_base cli probability serialize",
     "sample_4_2_1_n64.svg": "_base _fmt17 cli locus serialize svg",
-    "prob_pe_n10000_seed7.json": "_base _calibrate cli probability rng serialize",
+    "prob_pe_n10000_seed7.json": "_base cli probability rng serialize",
 }
 
 NUMPY_FREE_CASES = [
@@ -197,7 +197,7 @@ def test_no_straddle_calibration_loads_no_numpy(tmp_path):
     # the same closed form as the root solve
     code = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 3; " + PRINT_LOADED
     argv = ["prob", "ph", "--calibrate", "1.5", "-n", "1", "-o", str(tmp_path / "cal.json")]
-    assert fresh_python(code, *argv) == "[]\n[]\n_base _calibrate cli serialize\n"
+    assert fresh_python(code, *argv) == "[]\n[]\n_base cli probability serialize\n"
 
 
 # the last flag takes the output path

@@ -297,7 +297,7 @@ class TestEstimators:
         # redrawn samples here. Each is checked alone in a block and together
         seed = 5
         injected = {(40, 0): 0.5, (40, 1): 0.5, (41, 0): 0.75, (41, 1): 0.0}
-        pair_integers, sample_uniform = probability._pair_integers, rng.sample_uniform
+        pair_integers, sample_uniform = rng._pair_integers, rng.sample_uniform
 
         def pair(seed, lo, hi, buffers):
             draws = pair_integers(seed, lo, hi, buffers)
@@ -310,7 +310,7 @@ class TestEstimators:
             value = injected.get((index, draw))
             return sample_uniform(seed, index, draw) if value is None else value
 
-        monkeypatch.setattr(probability, "_pair_integers", pair)
+        monkeypatch.setattr(rng, "_pair_integers", pair)
         monkeypatch.setattr(rng, "sample_uniform", uniform)
         setup = HyperProbSetup(2.0)
         scalar_e = [exists_euclid(sample_config_euclid(SampleStream(seed, i))) for i in range(40, 44)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from apollonius._base import GeometryError
 from apollonius.probability import _CHUNK
 from apollonius.rng import PairBuffers, SampleStream, _pair_integers, sample_uniform
 
@@ -18,6 +19,20 @@ def test_pure_function_of_key():
     assert sample_uniform(0, 0, 0) == pytest.approx(0.6524484863740322, abs=0.0)
     assert sample_uniform(0, 0, 1) == pytest.approx(0.7012121095215252, abs=0.0)
     assert sample_uniform(12345, 999, 0) == pytest.approx(0.9738356278937252, abs=0.0)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seeds_outside_64_bits_rejected(seed):
+    # reduced modulo 2^64, each ran another seed's stream: 2^64 that of 0
+    with pytest.raises(GeometryError, match=r"seed must lie in \[0, 2\^64\), got "):
+        sample_uniform(seed, 5, 0)
+
+
+def test_largest_seed_keeps_its_bits():
+    # the check passes 2^64 - 1 through: its variate is the one it had
+    # before seeds were checked, which seed -1 used to reach too
+    assert sample_uniform(2**64 - 1, 5, 0) == 0.005278265288656048
+    assert SampleStream(2**64 - 1, 5).next_float() == 0.005278265288656048
 
 
 def test_distinct_keys_decorrelate():
