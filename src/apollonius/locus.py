@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 
 from ._base import (
     GeometryError,
@@ -68,8 +69,8 @@ __all__ = [
 # to the linear (hyperbola-boundary) equation
 ALPHA_EPS = 1e-14
 
-# roots at or below this are the lemniscate's node at the origin, which
-# lies on the boundary axis, not in the half-plane
+# roots of the unit copy at or below this are the lemniscate's node at the
+# origin, which lies on the boundary axis, not in the half-plane
 ORIGIN_EPS = 1e-300
 
 
@@ -202,7 +203,10 @@ def eval_quartic(cfg: TripleConfig, r: float, theta: float) -> float:
 
     Takes the coefficients of the heights as given, so it raises
     coefficients()'s GeometryError where one overflows (raw heights from
-    about 1e51); sample_curve, which solves on the unit copy, does not.
+    about 1e51); sample_curve and solve_r2, which solve on the unit copy,
+    do not. The residual has degree six in the heights and underflows at
+    small ones: at (4, 2, 1) * 1e-55 it is 0.0 at r = 3e-55, off the locus
+    (-585 at scale 1).
     """
     q = coefficients(cfg)
     s = r * r
@@ -246,34 +250,52 @@ def classify(cfg: TripleConfig, eps: float = 1e-12) -> LocusClass:
     return LocusClass.BELOW_HARMONIC
 
 
-def _alpha_is_degenerate(cfg: TripleConfig, alpha: float) -> bool:
-    return abs(alpha) <= ALPHA_EPS * (cfg.a * cfg.a + cfg.c * cfg.c)
+def _unit_copy(a: float, b: float, c: float, floor: float) -> tuple[tuple[float, float, float], int]:
+    """The heights divided by 2^k, the power of two that puts max(|a|, |c|) in [0.5, 1), and k.
+
+    sample_curve, solve_r2 and euclidean_locus compute on this copy and
+    scale back with ldexp: exact while copy and result are normal floats,
+    and neither the degree-six gamma nor the flat uv overflows or
+    underflows. Each height is scaled on its own, so the copy is finite
+    where 2^-k is not. A copy not ordered above floor (-inf for the flat
+    locus, 0.0 for the quartic) raises GeometryError naming the span.
+    """
+    k = math.frexp(max(abs(a), abs(c)))[1]
+    ua, ub, uc = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
+    if not ua > ub > uc > floor:
+        raise GeometryError(f"heights ({a!r}, {b!r}, {c!r}) span more than float64 holds below the largest")
+    return (ua, ub, uc), k
 
 
 def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
     """Positive roots s = r^2 of the quartic at the given angle, ascending.
 
-    Solves alpha s^2 - 2 beta cos(2 theta) s - gamma = 0 with the
-    sign-stable quadratic form (larger root via the -sign trick, the
-    other via the Vieta product), falling back to the linear equation
-    when alpha degenerates. Roots at the origin node are dropped. Like
-    eval_quartic it raises coefficients()'s GeometryError where a
-    coefficient of the heights as given overflows (from about 1e51).
+    Solves alpha s^2 - 2 beta cos(2 theta) s - gamma = 0 on the unit copy
+    (_unit_copy) by the sign-stable quadratic form (one root by the -sign
+    trick, the other by Vieta's product), or the linear equation where
+    alpha degenerates, and scales each root back by 2^(2k). Roots at the
+    origin node are dropped; one that scales back past the float range or
+    into the subnormals raises GeometryError.
     """
     if not (0.0 < theta < math.pi):
         raise GeometryError(f"theta must lie in (0, pi), got {theta!r}")
     import numpy as np
 
-    roots = _solve_arrays(cfg, np.array([theta]))
-    return [float(s) for s in roots[0] if not np.isnan(s)]
+    unit, k = _unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
+    roots = [s for s in _solve_arrays(TripleConfig(*unit), np.array([theta]))[0].tolist() if s == s]
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(roots, 2 * k).tolist()
+    if not all(sys.float_info.min <= s < math.inf for s in scaled):
+        raise GeometryError(f"roots r^2 of {cfg!r} at theta {theta!r}, {roots!r} * 2**{2 * k}, leave the normal floats")
+    return scaled
 
 
 def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> np.ndarray:
     """Vectorized solve_r2 over a theta grid.
 
     Returns an (n, 2) array of roots ascending along axis 1, NaN where a
-    root does not exist. Matches the scalar path bit for bit: same
-    formulas, same order.
+    root does not exist. solve_r2 and sample_curve pass it the unit copy,
+    so one angle solves bit for bit alike in both.
     """
     import numpy as np
 
@@ -281,7 +303,7 @@ def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> np.ndarray:
     cos2t = np.cos(2.0 * thetas)
     n = thetas.shape[0]
     roots = np.full((n, 2), np.nan)
-    if _alpha_is_degenerate(cfg, q.alpha):
+    if abs(q.alpha) <= ALPHA_EPS * (cfg.a * cfg.a + cfg.c * cfg.c):
         denom = -2.0 * q.beta * cos2t
         with np.errstate(divide="ignore", invalid="ignore"):
             s = np.where(denom != 0.0, q.gamma / denom, np.nan)
@@ -326,22 +348,13 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     ovals of the AboveQuadratic regime (b near a) and of the BelowHarmonic
     regime (b near c) narrow around theta = pi/2 and can fall between two
     grid angles. An odd n samples theta = pi/2, where r = b always lies
-    on the locus.
+    on the locus. It solves on the unit copy and scales r back by 2^k.
     """
     import numpy as np
 
-    # solve on the heights divided by the power of two 2^k that puts a in
-    # [0.5, 1), as fourpoint does: exact, and the degree-six gamma then
-    # neither overflows nor underflows; each radius scales back exactly
-    k = math.frexp(cfg.a)[1]
-    try:
-        unit = cfg.scaled(math.ldexp(1.0, -k))
-    except OrderingError:
-        raise GeometryError(
-            f"heights ({cfg.a!r}, {cfg.b!r}, {cfg.c!r}) span more than float64 holds below the largest"
-        ) from None
+    unit, k = _unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
     thetas = theta_grid(n)
-    roots = _solve_arrays(unit, thetas)
+    roots = _solve_arrays(TripleConfig(*unit), thetas)
     # row-major: per angle, column 0 before column 1, i.e. ascending r
     rows, rank = np.nonzero(~np.isnan(roots))
     theta = thetas[rows]
@@ -362,21 +375,13 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
     and v = c - b. Working in these offsets from b keeps full relative
     precision when the three heights nearly coincide, and the line test
     is relative to the heights' magnitude so the locus of a scaled triple
-    is the scaled locus at every scale.
-
-    The locus is computed on the heights divided by the power of two 2^k
-    that puts max(|a|, |c|) in [0.5, 1), as sample_curve does, and scaled
-    back with ldexp: exact wherever the copy stays in the normal floats,
-    and the product uv neither overflows nor underflows. Where the heights
-    collapse in that copy, or the circle does not fit in float64 (it
-    reaches past 1.8e308, or its radius rounds to 0), GeometryError names
-    the cause.
+    is the scaled locus at every scale. It is computed on the unit copy
+    (_unit_copy) and scaled back; where the heights collapse in that copy,
+    or the circle does not fit in float64 (it reaches past 1.8e308, or
+    its radius rounds to 0), GeometryError names the cause.
     """
     _check_descending(a, b, c)
-    k = math.frexp(max(abs(a), abs(c)))[1]
-    ua, ub, uc = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
-    if not ua > ub > uc:
-        raise GeometryError(f"heights ({a!r}, {b!r}, {c!r}) span more than float64 holds below the largest")
+    (ua, ub, uc), k = _unit_copy(a, b, c, -math.inf)
     if abs(ub - 0.5 * (ua + uc)) <= 1e-12 * max(abs(ua), abs(uc)):
         return HorizontalLine(height=math.ldexp(0.5 * (ua + uc), k))
     u, v = ua - ub, uc - ub

@@ -49,6 +49,15 @@ class TestValidation:
             # the generator reduces seeds modulo 2^64, so these ran another seed's stream
             (["prob", "pe", "-n", "10", "--seed", "-1"], "seed must lie in [0, 2^64), got -1"),
             (["prob", "pe", "-n", "10", "--seed", str(1 << 64)], f"seed must lie in [0, 2^64), got {1 << 64}"),
+            (
+                ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "2", "-c", "0.5", "-d", "0"],
+                "-a must exceed -b",
+            ),
+            (["prob", "pe", "-n", "10", "--threads", "0"], "--threads"),
+            (["prob", "pe", "-n", "10", "--calibrate", "0.4"], "--calibrate applies to prob ph only"),
+            (["dioph", "--family", "geometric", "--m-range", "1"], "--m-range expects LO:HI"),
+            (["dioph", "--family", "geometric", "--m-range", "3:1"], "--m-range range is empty"),
+            (["euclid-locus", "-a", "1e300", "-b", "1e-30", "-c", "1e-300"], "span more than float64"),
         ],
     )
     def test_exit_2_and_flag_named(self, argv, flag, capsys):
@@ -113,6 +122,15 @@ class TestValidation:
         for _, _, x, y in rows:
             residual = equal_angle_residual(HPoint(x, y), AxisPoint(a), AxisPoint(b), AxisPoint(c))
             assert abs(residual.value) <= 1e-12
+
+    def test_sample_below_2_to_the_minus_1024(self, tmp_path):
+        # the unit copy scales each height with its own ldexp, since the
+        # common factor 2^1029 lies past the float range: this exited 1
+        out = tmp_path / "curve.csv"
+        assert run(["sample", "-a", "1e-310", "-b", "5e-311", "-c", "1e-311", "-n", "5", "-o", str(out)]) == 0
+        rows = [tuple(map(float, line.split(","))) for line in out.read_text().splitlines()[1:]]
+        assert [theta for theta, _, _, _ in rows] == locus.theta_grid(5).tolist()
+        assert all(y > 0.0 for _, _, _, y in rows)
 
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_calibration_target_exits_2_and_writes_nothing(self, target, tmp_path, capsys):

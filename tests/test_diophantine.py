@@ -43,6 +43,10 @@ class TestGeometricFamily:
         assert t == IntTriple(45, 15, 5)
         assert 15 * 15 == 45 * 5
 
+    def test_nonpositive_parameters_rejected(self):
+        with pytest.raises(GeometryError, match="need positive parameters"):
+            geometric_family(0, 1)
+
     def test_equal_parameters_rejected(self):
         with pytest.raises(GeometryError):
             geometric_family(1, 1, 3)

@@ -82,10 +82,10 @@ class TestConfigAndCoefficients:
         ],
     )
     def test_overflowing_coefficients_are_named(self, heights, named):
-        # eval_quartic and solve_r2 take the coefficients of the heights as
-        # given, so they raise where coefficients() does
+        # eval_quartic takes the coefficients of the heights as given, so it
+        # raises where coefficients() does; solve_r2 solves on the unit copy
         cfg = TripleConfig(*heights)
-        for compute in (lambda: coefficients(cfg), lambda: eval_quartic(cfg, 1.0, 1.0), lambda: solve_r2(cfg, 1.0)):
+        for compute in (lambda: coefficients(cfg), lambda: eval_quartic(cfg, 1.0, 1.0)):
             with pytest.raises(GeometryError, match="^quartic coefficients overflow float64 at heights ") as caught:
                 compute()
             assert str(caught.value).endswith(named)
@@ -219,6 +219,39 @@ class TestSolveR2:
             assert len(base) == len(scaled)
             for s, t in zip(base, scaled):
                 assert t == pytest.approx(lam * lam * s, rel=1e-12)
+
+    @pytest.mark.parametrize("power", [-500, -130, 130, 500])
+    def test_power_of_two_scalings_are_exact(self, power):
+        # the solve runs on the unit copy, so a scaled triple's roots are
+        # the roots scaled, bit for bit; on the raw heights B^2 - 4AC
+        # overflowed or underflowed at most of these scales
+        for b in (30.0, 25.0, 7.0, 6.0):
+            cfg = TripleConfig(35.0, b, 5.0)
+            for theta in (0.3, 1.0, 1.5, 2.2):
+                scaled = solve_r2(cfg.scaled(2.0**power), theta)
+                assert scaled == [math.ldexp(s, 2 * power) for s in solve_r2(cfg, theta)]
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_roots_outside_the_normal_floats_are_named(self, power):
+        for b in (30.0, 25.0, 7.0, 6.0):
+            cfg = TripleConfig(35.0, b, 5.0)
+            for theta in (0.3, 1.0, 1.5, 2.2):
+                if solve_r2(cfg, theta):
+                    with pytest.raises(GeometryError, match=r"^roots r\^2 of TripleConfig\(.* leave the normal floats$"):
+                        solve_r2(cfg.scaled(2.0**power), theta)
+
+    @pytest.mark.parametrize(
+        "heights,theta,scale", [((35, 30, 5), 1.5, 1e40), ((35, 30, 5), 1.5, 1e-50), ((4, 2, 1), 1.0, 1e40)]
+    )
+    def test_roots_at_extreme_scales(self, heights, theta, scale):
+        # the raw heights gave [] for (35, 30, 5) and [inf] for (4, 2, 1) at
+        # 1e40, where B^2 - 4AC overflowed, and roots off by a quarter at
+        # 1e-50, where B^2 underflowed
+        base = solve_r2(TripleConfig(*heights), theta)
+        scaled = solve_r2(TripleConfig(*(h * scale for h in heights)), theta)
+        assert 0 < len(base) == len(scaled)
+        for s, t in zip(base, scaled):
+            assert t == pytest.approx(s * scale * scale, rel=1e-12, abs=0.0)
 
 
 # ovals narrower than the grid spacing around pi/2: AboveQuadratic with
@@ -437,6 +470,10 @@ class TestEuclideanLocus:
         assert residual == pytest.approx(euclidean_equal_angle_residual((3.0, 0.5), 4, 2, 1), abs=1e-15)
         assert residual == pytest.approx(exact_residuals(*point, heights, flat=True)[0], abs=1e-15)
         assert abs(residual) > 1e-3
+
+    def test_residual_requires_descending_heights(self):
+        with pytest.raises(OrderingError, match=r"a > b > c"):
+            euclidean_equal_angle_residual((1.0, 1.0), 1, 2, 3)
 
     def test_residual_on_axis_rejected(self):
         with pytest.raises(OnAxisError):
