@@ -348,7 +348,8 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     ovals of the AboveQuadratic regime (b near a) and of the BelowHarmonic
     regime (b near c) narrow around theta = pi/2 and can fall between two
     grid angles. An odd n samples theta = pi/2, where r = b always lies
-    on the locus. It solves on the unit copy and scales r back by 2^k.
+    on the locus. It solves on the unit copy and scales r back by 2^k; a
+    radius that scales back past the float range raises GeometryError.
     """
     import numpy as np
 
@@ -358,7 +359,15 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     # row-major: per angle, column 0 before column 1, i.e. ascending r
     rows, rank = np.nonzero(~np.isnan(roots))
     theta = thetas[rows]
-    r = np.ldexp(np.sqrt(roots[rows, rank]), k)
+    unit_r = np.sqrt(roots[rows, rank])
+    with np.errstate(over="ignore"):
+        r = np.ldexp(unit_r, k)
+    past = np.flatnonzero(r == math.inf)
+    if len(past):
+        raise GeometryError(
+            f"radius r of {cfg!r} at theta {float(theta[past[0]])!r}, {float(unit_r[past[0]])!r} * 2**{k}, "
+            "lies past the float range"
+        )
     # the curve bytes follow numpy's float64 cos and sin, as the solve's
     # cos(2 theta) already does; tests pin that they equal libm's
     # math.cos and math.sin, with numpy's SIMD dispatch on and off

@@ -132,6 +132,27 @@ class TestValidation:
         assert [theta for theta, _, _, _ in rows] == locus.theta_grid(5).tolist()
         assert all(y > 0.0 for _, _, _, y in rows)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_sample_radius_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # numpy's ldexp overflow warning came first, then "curve points must
+        # have finite x and y"
+        out = tmp_path / "curve.csv"
+        assert run(["sample", "-a", "1.7e308", "-b", "1.2e308", "-c", "1e307", "-n", "65", "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: radius r of TripleConfig(a=1.7e+308, b=1.2e+308, c=1e+307) at theta ")
+        assert err.endswith(" * 2**1024, lies past the float range\n")
+        assert not out.exists()
+
+    def test_sample_svg_frame_past_the_float_range_exits_2(self, tmp_path, capsys):
+        # this exited 0 with viewBox="-inf ... inf ..." and stroke-width="inf"
+        csv, svg = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        argv = ["sample", "-a", "1.5e308", "-b", "1e308", "-c", "5e307", "-n", "65", "--svg", str(svg), "-o", str(csv)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the SVG frame of the curve does not fit in float64: x from -1.6")
+        assert err.endswith(", padded by 5%, span inf by 1.1000000000000002e+308\n")
+        assert not csv.exists() and not svg.exists()
+
     @pytest.mark.parametrize("target", ["nan", "inf", "-inf"])
     def test_non_finite_calibration_target_exits_2_and_writes_nothing(self, target, tmp_path, capsys):
         out = tmp_path / "cal.json"
@@ -322,7 +343,7 @@ def test_euclid_witness_far_below_one_exits_0(capsys):
     argv = ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "2e-200", "-c", "1e-200", "-d", "0", "--witness"]
     assert run(argv) == 0
     witness = json.loads(capsys.readouterr().out)["witness"]
-    assert (witness["x"], witness["y"]) == pytest.approx((1e-200, 1e-200), rel=1e-15)
+    assert (witness["x"], witness["y"]) == pytest.approx((1e-200, 1e-200), rel=1e-15, abs=0.0)
 
 
 def test_tangent_loci_witness_exits_0(capsys):
@@ -393,7 +414,7 @@ def test_euclid_locus_far_from_one_exits_0(heights, radius, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["kind"] == "circle"
     assert record["center_y"] == 0
-    assert record["radius"] == pytest.approx(radius, rel=1e-15)
+    assert record["radius"] == pytest.approx(radius, rel=1e-15, abs=0.0)
 
 
 def test_euclid_locus_past_the_float_range_exits_2(capsys):

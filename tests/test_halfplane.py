@@ -59,7 +59,7 @@ class TestGeodesicThrough:
         g = geodesic_through(HPoint(1, 2), HPoint(0, 4))
         assert isinstance(g, Arc)
         assert g.center == -5.5
-        assert g.radius == pytest.approx(math.sqrt(6.5**2 + 2**2), rel=1e-15)
+        assert g.radius == pytest.approx(math.sqrt(6.5**2 + 2**2), rel=1e-15, abs=0.0)
 
     def test_equal_abscissas_give_vertical_ray(self):
         g = geodesic_through(HPoint(0.5, 1), HPoint(0.5, 3))
@@ -79,7 +79,7 @@ class TestGeodesicThrough:
         g = geodesic_through(HPoint(-1, 1), HPoint(1, 1))
         assert isinstance(g, Arc)
         assert g.center == 0.0
-        assert g.radius == pytest.approx(math.sqrt(2), rel=1e-15)
+        assert g.radius == pytest.approx(math.sqrt(2), rel=1e-15, abs=0.0)
 
     def test_coincident_points_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -121,8 +121,8 @@ class TestTangentDirection:
         t = tangent_direction(g, p)
         radial = (p.x - g.center, p.y)
         assert t[0] * radial[0] + t[1] * radial[1] == pytest.approx(0.0, abs=1e-15)
-        assert t[0] == pytest.approx(t[1], rel=1e-15)  # collinear with (-1,-1)
-        assert math.hypot(*t) == pytest.approx(1.0, rel=1e-15)
+        assert t[0] == pytest.approx(t[1], rel=1e-15, abs=0.0)  # collinear with (-1,-1)
+        assert math.hypot(*t) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
 class TestHypAngle:

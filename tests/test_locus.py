@@ -311,8 +311,8 @@ class TestSampleCurve:
 
     def test_grid_margins(self):
         grid = theta_grid(8)
-        assert grid[0] == pytest.approx(math.pi / 32, rel=1e-15)
-        assert grid[-1] == pytest.approx(math.pi - math.pi / 32, rel=1e-15)
+        assert grid[0] == pytest.approx(math.pi / 32, rel=1e-15, abs=0.0)
+        assert grid[-1] == pytest.approx(math.pi - math.pi / 32, rel=1e-15, abs=0.0)
         with pytest.raises(GeometryError):
             theta_grid(1)
 
@@ -375,6 +375,18 @@ class TestSampleCurve:
             assert abs(eval_quartic(cfg, r, theta)) <= bound
             assert y > 0.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_radius_past_the_float_range_is_named(self):
+        # the largest radius of the unit copy, scaled back by 2^1024,
+        # overflowed in numpy's ldexp, with its warning
+        with pytest.raises(GeometryError, match=r"^radius r of TripleConfig\(.* \* 2\*\*1024, lies past the float range$"):
+            sample_curve(TripleConfig(1.7e308, 1.2e308, 1e307), 65)
+
+    def test_svg_frame_past_the_float_range_is_named(self):
+        curve = sample_curve(TripleConfig(1.5e308, 1e308, 5e307), 65)
+        with pytest.raises(GeometryError, match=r"^the SVG frame of the curve does not fit in float64: .* span inf by "):
+            render_svg(curve)
+
     @pytest.mark.parametrize("cfg,n", NARROW_OVALS, ids=["above-quadratic", "below-harmonic"])
     def test_narrow_oval_missed_by_even_grid(self, cfg, n):
         # both grid angles nearest pi/2 fall outside the oval; an odd grid
@@ -387,7 +399,7 @@ class TestSampleCurve:
         for odd in (n - 1, n + 1):
             curve = sample_curve(cfg, odd)
             assert len(curve) == 2
-            assert curve.theta[0] == curve.theta[1] == pytest.approx(math.pi / 2, rel=1e-15)
+            assert curve.theta[0] == curve.theta[1] == pytest.approx(math.pi / 2, rel=1e-15, abs=0.0)
             assert any(r == pytest.approx(cfg.b, rel=1e-12) for r in curve.r.tolist())
 
     @pytest.mark.parametrize(
@@ -425,7 +437,7 @@ class TestEuclideanLocus:
         locus = euclidean_locus(4, 2, 1)
         assert isinstance(locus, AxisCircle)
         assert locus.center_y == pytest.approx(0.0, abs=1e-14)
-        assert locus.radius == pytest.approx(2.0, rel=1e-14)
+        assert locus.radius == pytest.approx(2.0, rel=1e-14, abs=0.0)
 
     def test_line_when_b_is_midpoint(self):
         assert euclidean_locus(5, 3, 1) == HorizontalLine(height=3.0)
@@ -434,8 +446,8 @@ class TestEuclideanLocus:
         # y_d = (18 - 4 - 36)/(10 - 8) = -11
         locus = euclidean_locus(9, 4, 1)
         assert isinstance(locus, AxisCircle)
-        assert locus.center_y == pytest.approx(-3.5, rel=1e-14)
-        assert locus.radius == pytest.approx(7.5, rel=1e-14)
+        assert locus.center_y == pytest.approx(-3.5, rel=1e-14, abs=0.0)
+        assert locus.radius == pytest.approx(7.5, rel=1e-14, abs=0.0)
 
     def test_9_4_1_distance_ratio(self):
         # Apollonius property: PA/PC = AB/BC = 5/3 on the whole circle

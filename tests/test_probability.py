@@ -64,7 +64,7 @@ class TestClosedForms:
         assert 0.4343 < pe_closed_form() < 0.4345
 
     def test_pe_rearrangement(self):
-        assert 9 * pe_closed_form() + 16 * math.log(2) == pytest.approx(15.0, rel=1e-15)
+        assert 9 * pe_closed_form() + 16 * math.log(2) == pytest.approx(15.0, rel=1e-15, abs=0.0)
 
     def test_ph_printed(self):
         value = ph_reference_constant()
@@ -127,8 +127,8 @@ class TestSamplers:
         setup = HyperProbSetup(2.0)
         cfg = sample_config_hyper(FakeStream([0.5, 0.25]), setup)
         assert cfg.a == 2.0 and cfg.d == 1.0
-        assert cfg.b == pytest.approx(math.sqrt(2.0), rel=1e-15)
-        assert cfg.c == pytest.approx(2.0**0.25, rel=1e-15)
+        assert cfg.b == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
+        assert cfg.c == pytest.approx(2.0**0.25, rel=1e-15, abs=0.0)
         assert cfg.geometry is Geometry.HYPERBOLIC
 
     def test_hyper_upper_endpoint(self):

@@ -3,7 +3,9 @@
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -42,7 +44,7 @@ from apollonius.locus import (
     samples_to_csv,
     solve_r2,
 )
-from apollonius.svg import render_svg
+from apollonius.svg import _split_on_jumps, render_svg
 
 import _object_path as object_path
 import _witness_path as witness_path
@@ -395,6 +397,102 @@ class TestCurveColumns:
         assert samples_to_csv(curve) == object_path.samples_to_csv(samples)
         if samples:
             assert render_svg(curve) == object_path.render_svg(samples)
+
+
+def _frozen_pieces(xs, ys):
+    """[start, stop) ranges of _object_path's split: math.hypot gaps, the upper middle one as the median."""
+    branch = [SimpleNamespace(point=SimpleNamespace(x=x, y=y)) for x, y in zip(xs, ys)]
+    bounds = [0]
+    for piece in object_path._split_on_jumps(branch):
+        bounds.append(bounds[-1] + len(piece))
+    return list(zip(bounds, bounds[1:]))
+
+
+def _rounding_apart():
+    """Pairs (dx, dy) in [0.5, 1) whose np.hypot rounds below their math.hypot."""
+    dx, dy = np.random.default_rng(29).uniform(0.5, 1.0, (2, 4096)).tolist()
+    pairs = [(x, y) for x, y in zip(dx, dy) if np.hypot(x, y) < math.hypot(x, y)]
+    if not pairs:
+        pytest.skip("np.hypot rounds as math.hypot on every pair here")
+    return pairs
+
+
+class TestJumpSplit:
+    """The split cuts where the frozen math.hypot rule cuts, whatever np.hypot rounds to."""
+
+    def test_gap_at_the_cutoff_where_the_hypots_round_apart(self):
+        # the median is m exactly, and ten times m is np.hypot of the jump,
+        # which math.hypot puts above it: a cut, by math.hypot's rule
+        for x, y in _rounding_apart():
+            tenth = np.hypot(x, y) / 10.0
+            candidates = (np.nextafter(tenth, 0.0), tenth, np.nextafter(tenth, 1.0))
+            m = next((m for m in candidates if 10.0 * m == np.hypot(x, y)), None)
+            if m is not None:
+                break
+        else:
+            pytest.skip("no median hits np.hypot of a jump exactly")
+        assert 10.0 * m == np.hypot(x, y) < math.hypot(x, y)
+        xs, ys = [0.0, m] * 8 + [0.0, x], [0.0] * 17 + [y]
+        assert _split_on_jumps(np.array(xs), np.array(ys)) == _frozen_pieces(xs, ys) == [(0, 17), (17, 18)]
+
+    def test_gap_at_ten_times_a_median_where_the_hypots_round_apart(self):
+        # every step is one pair, so np.hypot's median lies below
+        # math.hypot's, and the jump is ten times math.hypot's: no cut
+        apart = [(x, y) for x, y in _rounding_apart() if 10.0 * np.hypot(x, y) < 10.0 * math.hypot(x, y)]
+        if not apart:
+            pytest.skip("ten times the two hypots round alike on every pair")
+        x, y = apart[0]
+        jump = 10.0 * math.hypot(x, y)
+        assert jump > 10.0 * np.hypot(x, y)
+        xs, ys = [0.0, x] * 8 + [0.0, jump], [0.0, y] * 8 + [0.0, 0.0]
+        assert _split_on_jumps(np.array(xs), np.array(ys)) == _frozen_pieces(xs, ys) == [(0, 18)]
+
+    @pytest.mark.parametrize(
+        "xs,pieces",
+        [
+            # gaps 1, 1, 3, 25: the upper middle gap 3 is the median, where
+            # np.median's 2 would cut the 25
+            ([0.0, 1.0, 2.0, 5.0, 30.0], [(0, 5)]),
+            # gaps 0, 0, 0, 5: no cut at a median of 0
+            ([0.0, 0.0, 0.0, 0.0, 5.0], [(0, 5)]),
+            # an infinite gap between two near 1.5e308, each cut
+            ([0.0, 1.0, 2.0, 3.0, -1.5e308, 1.5e308, 4.0, 5.0], [(0, 4), (4, 5), (5, 6), (6, 8)]),
+            # infinite gaps make the median: no cut
+            ([-1.5e308, 1.5e308, -1.5e308, 1.5e308, 0.0], [(0, 5)]),
+            ([1.0], [(0, 1)]),
+        ],
+        ids=["even-count", "zero-median", "infinite-gap", "infinite-median", "one-point"],
+    )
+    def test_edge_cases(self, xs, pieces):
+        ys = [0.0] * len(xs)
+        assert _split_on_jumps(np.array(xs), np.array(ys)) == _frozen_pieces(xs, ys) == pieces
+
+    @pytest.mark.parametrize(
+        "cfg,n",
+        [
+            (TripleConfig(4.0, 2.0, 1.0), 1024),  # r = b: nearly equal gaps
+            (TripleConfig(35.0, 30.0, 5.0).scaled(1e-300), 64),
+            (TripleConfig(35.0, 30.0, 5.0).scaled(1e300), 64),
+            (TripleConfig(4.0, 2.0, 1.0).scaled(1e-300), 65),
+        ],
+        ids=["circle", "oval-1e-300", "oval-1e300", "circle-1e-300"],
+    )
+    def test_curve_branches(self, cfg, n):
+        curve = sample_curve(cfg, n)
+        for rank in (0, 1):
+            xs, ys = curve.x[curve.rank == rank], curve.y[curve.rank == rank]
+            assert _split_on_jumps(xs, ys) == _frozen_pieces(xs.tolist(), ys.tolist())
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from([0.0, 1.0, 1e-300, 3e300])),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_frozen_rule(self, points):
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        assert _split_on_jumps(np.array(xs, float), np.array(ys, float)) == _frozen_pieces(xs, ys)
 
 
 @st.composite
