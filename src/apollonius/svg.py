@@ -7,10 +7,10 @@ curve is one branch, and a branch breaks after every gap between
 consecutive samples that is more than ten times its median gap, so
 hyperbola gaps and lemniscate nodes do not get bridged by chords. A gap
 is math.hypot of the two samples' differences and the median is the
-upper middle gap; numpy computes the gaps, and math.hypot recomputes
-those that could fall on the other side of the cutoff, so the cuts are
-math.hypot's on every platform. All numbers are printed as %.17g;
-bytes are identical across runs for identical input.
+upper middle gap; numpy computes the gaps, and where one could fall on
+the other side of the cutoff math.hypot recomputes them all, so the
+cuts are math.hypot's on every platform. All numbers are printed as
+%.17g; bytes are identical across runs for identical input.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ __all__ = ["render_svg"]
 _JUMP_FACTOR = 10.0
 
 
-def _math_hypot(dx: np.ndarray, dy: np.ndarray, index) -> np.ndarray:
-    """math.hypot of the gaps at index, the values that decide the cuts."""
-    return np.fromiter(map(math.hypot, dx[index].tolist(), dy[index].tolist()), float)
-
-
 def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
     """Index ranges [start, stop) of a branch's pieces between jumps.
 
@@ -42,21 +37,17 @@ def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
     // 2], not np.median's mean of two), and a cut follows every gap over
     _JUMP_FACTOR times the median; none where the median is 0.
 
-    np.hypot computes the gaps, and its last bit can differ from
+    np.hypot computes the gaps first, and its last bit can differ from
     math.hypot's by platform and SIMD loop. Both lie within 1 ulp of the
     true gap, so they differ by a relative d of at most 2 ulps, and so do
     the two medians, as an order statistic keeps a bound that holds gap by
     gap. Rounding ten times either median adds under 1 ulp. So a gap whose
     np.hypot lies outside (1 +- w) times the approximate cutoff, with
-    w > 3d, falls on the same side of the exact cutoff, and where no
-    gap lies inside that band the approximate cuts are the rule's.
-    Otherwise math.hypot gives the exact median from the gaps in the band
-    around the approximate one (the gaps below that band are below the
-    exact median), then the gaps in the band around the exact cutoff. An
-    infinite gap (past the float range) also goes this way; it is cut,
-    as math.hypot's gap lies near 2^1024, far over any such cutoff.
-    The bound is relative, so a median within 2^24 of the subnormals or of
-    the float range, or not finite, computes every gap with math.hypot.
+    w > 3d, falls on the same side of the exact cutoff, and where no gap
+    lies inside that band the approximate cuts are the rule's. Otherwise,
+    and where the median is within 2^24 of the subnormals or of the float
+    range (the bound is relative), or not finite, math.hypot computes
+    every gap.
     """
     if len(xs) < 2:
         return [(0, len(xs))]
@@ -65,24 +56,14 @@ def _split_on_jumps(xs: np.ndarray, ys: np.ndarray) -> list[tuple[int, int]]:
         gaps = np.hypot(dx, dy)
     middle = len(gaps) // 2
     median = float(np.partition(gaps, middle)[middle])
-    # w = 2^-47, 32 ulps, kept narrow: every gap inside a band goes
-    # through math.hypot
-    below, above = 1.0 - 2.0**-47, 1.0 + 2.0**-47
     if 2.0**-998 < median < 2.0**1000:
+        # w = 2^-47, 32 ulps
         cutoff = _JUMP_FACTOR * median
-        over = np.flatnonzero(gaps > cutoff * below)
-        if ((gaps[over] > cutoff * above) & (gaps[over] < math.inf)).all():
+        over = np.flatnonzero(gaps > cutoff * (1.0 - 2.0**-47))
+        if (gaps[over] > cutoff * (1.0 + 2.0**-47)).all():
             return _pieces(over, len(xs))
-        lo, hi = median * below, median * above
-        band = _math_hypot(dx, dy, (gaps >= lo) & (gaps <= hi))
-        rank = middle - np.count_nonzero(gaps < lo)
-        median = float(np.partition(band, rank)[rank])
-        cutoff = _JUMP_FACTOR * median
-        near = (gaps >= cutoff * below) & (gaps <= cutoff * above)
-        gaps[near] = _math_hypot(dx, dy, near)
-    else:
-        gaps = _math_hypot(dx, dy, slice(None))
-        median = float(np.partition(gaps, middle)[middle])
+    gaps = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(gaps))
+    median = float(np.partition(gaps, middle)[middle])
     if not median > 0.0:
         return [(0, len(xs))]
     return _pieces(np.flatnonzero(gaps > _JUMP_FACTOR * median), len(xs))
@@ -125,24 +106,20 @@ def render_svg(curve: Curve) -> str:
         f'<line x1="{fmt17(x_lo)}" y1="0" x2="{fmt17(x_hi)}" y2="0" '
         f'stroke="#888888" stroke-width="{stroke}"/>',
     ]
-    ranks = int(curve.rank.max()) + 1
-    if ranks == 1:
-        xs, ys, sizes = curve.x, curve.y, [len(curve)]
-    else:
-        # each rank's rows in one run, gathered rank by rank rather than by
-        # a sort or np.unique: numpy's sort would map more of its library
-        # into memory than the whole curve takes
-        branches = [np.flatnonzero(curve.rank == rank) for rank in range(ranks)]
-        order = np.concatenate(branches)
-        xs, ys, sizes = curve.x[order], curve.y[order], [len(branch) for branch in branches]
+    # each rank's rows in one run, gathered rank by rank rather than by a
+    # sort or np.unique: numpy's sort would map more of its library into
+    # memory than the whole curve takes
+    branches = [np.flatnonzero(curve.rank == rank) for rank in range(int(curve.rank.max()) + 1)]
+    order = np.concatenate(branches)
+    xs, ys = curve.x[order], curve.y[order]
     # the whole curve as "x,y " rows in one pass; ends holds the offset of
     # each row's closing " ", so rows i to j - 1 are text[begin : ends[j - 1]],
     # without that last " ", where begin is ends[i - 1] + 1, or 0 for i = 0
     text = fmt17_rows((xs, ys), (",", " "))
     ends = np.flatnonzero(np.frombuffer(text.encode("ascii"), np.uint8) == ord(" "))
     first = 0
-    for size in sizes:
-        last = first + size
+    for branch in branches:
+        last = first + len(branch)
         for start, stop in _split_on_jumps(xs[first:last], ys[first:last]):
             if stop - start < 2:
                 continue

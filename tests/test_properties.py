@@ -408,44 +408,42 @@ def _frozen_pieces(xs, ys):
     return list(zip(bounds, bounds[1:]))
 
 
-def _rounding_apart():
-    """Pairs (dx, dy) in [0.5, 1) whose np.hypot rounds below their math.hypot."""
-    dx, dy = np.random.default_rng(29).uniform(0.5, 1.0, (2, 4096)).tolist()
-    pairs = [(x, y) for x, y in zip(dx, dy) if np.hypot(x, y) < math.hypot(x, y)]
-    if not pairs:
-        pytest.skip("np.hypot rounds as math.hypot on every pair here")
-    return pairs
+def _hypot_one_ulp_off(select, toward):
+    """np.hypot moved one ulp toward `toward` on the gaps that `select` picks."""
+    hypot = np.hypot
+
+    def off(dx, dy):
+        gaps = hypot(dx, dy)
+        return np.where(select(gaps), np.nextafter(gaps, toward), gaps)
+
+    return off
 
 
 class TestJumpSplit:
     """The split cuts where the frozen math.hypot rule cuts, whatever np.hypot rounds to."""
 
-    def test_gap_at_the_cutoff_where_the_hypots_round_apart(self):
-        # the median is m exactly, and ten times m is np.hypot of the jump,
-        # which math.hypot puts above it: a cut, by math.hypot's rule
-        for x, y in _rounding_apart():
-            tenth = np.hypot(x, y) / 10.0
-            candidates = (np.nextafter(tenth, 0.0), tenth, np.nextafter(tenth, 1.0))
-            m = next((m for m in candidates if 10.0 * m == np.hypot(x, y)), None)
-            if m is not None:
-                break
-        else:
-            pytest.skip("no median hits np.hypot of a jump exactly")
-        assert 10.0 * m == np.hypot(x, y) < math.hypot(x, y)
-        xs, ys = [0.0, m] * 8 + [0.0, x], [0.0] * 17 + [y]
-        assert _split_on_jumps(np.array(xs), np.array(ys)) == _frozen_pieces(xs, ys) == [(0, 17), (17, 18)]
-
-    def test_gap_at_ten_times_a_median_where_the_hypots_round_apart(self):
-        # every step is one pair, so np.hypot's median lies below
-        # math.hypot's, and the jump is ten times math.hypot's: no cut
-        apart = [(x, y) for x, y in _rounding_apart() if 10.0 * np.hypot(x, y) < 10.0 * math.hypot(x, y)]
-        if not apart:
-            pytest.skip("ten times the two hypots round alike on every pair")
-        x, y = apart[0]
-        jump = 10.0 * math.hypot(x, y)
-        assert jump > 10.0 * np.hypot(x, y)
-        xs, ys = [0.0, x] * 8 + [0.0, jump], [0.0, y] * 8 + [0.0, 0.0]
-        assert _split_on_jumps(np.array(xs), np.array(ys)) == _frozen_pieces(xs, ys) == [(0, 18)]
+    @pytest.mark.parametrize(
+        "select,toward,jump,pieces",
+        [
+            # the jump one ulp over the cutoff 10, which np.hypot rounds to 10
+            (lambda gaps: gaps > 5.0, 0.0, np.nextafter(10.0, 11.0), [(0, 17), (17, 18)]),
+            # the jump at the cutoff 10, which np.hypot rounds one ulp over it
+            (lambda gaps: gaps > 5.0, math.inf, 10.0, [(0, 18)]),
+            # the jump at the cutoff 10, but np.hypot rounds the median 1 one
+            # ulp low, so ten times it lies below 10
+            (lambda gaps: gaps < 5.0, 0.0, 10.0, [(0, 18)]),
+        ],
+        ids=["jump-rounded-down", "jump-rounded-up", "median-rounded-down"],
+    )
+    def test_gap_at_the_cutoff_where_the_hypots_round_apart(self, monkeypatch, select, toward, jump, pieces):
+        # sixteen gaps of 1, the median, and the jump, each exact in math.hypot
+        xs, ys = np.array([0.0, 1.0] * 8 + [0.0, jump]), np.zeros(18)
+        off = _hypot_one_ulp_off(select, toward)
+        gaps = off(np.diff(xs), np.diff(ys))
+        # ten times np.hypot's median would decide this jump the other way
+        assert (gaps[-1] > 10.0 * np.partition(gaps, 8)[8]) != (pieces != [(0, 18)])
+        monkeypatch.setattr(np, "hypot", off)
+        assert _split_on_jumps(xs, ys) == _frozen_pieces(xs.tolist(), ys.tolist()) == pieces
 
     @pytest.mark.parametrize(
         "xs,pieces",
