@@ -9,9 +9,10 @@ Subcommands map one-to-one onto library operations:
     prob          Monte Carlo estimates, closed forms and ratio calibration
     dioph         integer family generation as CSV
 
-Exit codes: 0 success, 2 invalid arguments, 3 search or calibration
-failure, 1 internal error. With APOLLONIUS_DEBUG=1 in the environment an
-internal error propagates with its traceback instead.
+Exit codes: 0 success, 2 invalid arguments (an unwritable -o or --svg
+path too), 3 search or calibration failure, 1 internal error. With
+APOLLONIUS_DEBUG=1 in the environment an internal error propagates with
+its traceback instead. prob ph --calibrate reads only its target.
 
 Only sample, prob pe and prob ph without --calibrate load numpy; it is
 imported only where it is used, so the other subcommands start without
@@ -52,24 +53,32 @@ class ValidationError(Exception):
     """Bad flag values; maps to exit code 2."""
 
 
-def _positive_desc_triple(args):
-    from .locus import TripleConfig
+def _heights(args, flags: str, positive: str | None = "") -> list[float]:
+    """The values of the height flags, one letter each, named highest first.
 
-    if args.c <= 0:
-        raise ValidationError(f"-c must be positive, got {args.c}")
-    if args.b <= args.c:
-        raise ValidationError(f"-b must exceed -c, got -b {args.b} <= -c {args.c}")
-    if args.a <= args.b:
-        raise ValidationError(f"-a must exceed -b, got -a {args.a} <= -b {args.b}")
-    return TripleConfig(args.a, args.b, args.c)
+    Checked from the lowest up: that the lowest is positive, unless
+    positive is None (a string ends that message), then that each height
+    exceeds the one below it.
+    """
+    values = [getattr(args, flag) for flag in flags]
+    if positive is not None and values[-1] <= 0:
+        raise ValidationError(f"-{flags[-1]} must be positive{positive}, got {values[-1]}")
+    for hi_flag, hi, lo_flag, lo in reversed(list(zip(flags, values, flags[1:], values[1:]))):
+        if hi <= lo:
+            raise ValidationError(f"-{hi_flag} must exceed -{lo_flag}, got -{hi_flag} {hi} <= -{lo_flag} {lo}")
+    return values
 
 
-def _write(text: str, path: str | None) -> None:
+def _write(text: str, path: str | None, flag: str = "-o") -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"{flag} {path!r} cannot be opened for writing: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _write_json(record: dict, path: str | None) -> None:
@@ -79,17 +88,17 @@ def _write_json(record: dict, path: str | None) -> None:
 
 
 def _cmd_classify(args) -> int:
-    from .locus import classification_report
+    from .locus import TripleConfig, classification_report
 
-    cfg = _positive_desc_triple(args)
+    cfg = TripleConfig(*_heights(args, "abc"))
     _write_json(classification_report(cfg, args.eps), args.output)
     return 0
 
 
 def _cmd_sample(args) -> int:
-    from .locus import sample_curve, samples_to_csv
+    from .locus import TripleConfig, sample_curve, samples_to_csv
 
-    cfg = _positive_desc_triple(args)
+    cfg = TripleConfig(*_heights(args, "abc"))
     if args.n < 2:
         raise ValidationError(f"-n must be at least 2, got {args.n}")
     curve = sample_curve(cfg, args.n)
@@ -103,7 +112,7 @@ def _cmd_sample(args) -> int:
     if args.svg is not None:
         from .svg import render_svg
 
-        _write(render_svg(curve), args.svg)
+        _write(render_svg(curve), args.svg, "--svg")
     _write(samples_to_csv(curve), args.output)
     return 0
 
@@ -111,8 +120,7 @@ def _cmd_sample(args) -> int:
 def _cmd_euclid_locus(args) -> int:
     from .locus import AxisCircle, euclidean_locus
 
-    cfg = _positive_desc_triple(args)
-    locus = euclidean_locus(cfg.a, cfg.b, cfg.c)
+    locus = euclidean_locus(*_heights(args, "abc"))
     if isinstance(locus, AxisCircle):
         record = {"kind": "circle", "center_y": locus.center_y, "radius": locus.radius}
     else:
@@ -132,47 +140,39 @@ def _cmd_fourpoint(args) -> int:
         fourpoint_report,
     )
 
-    if args.geometry == "hyper" and args.d <= 0:
-        raise ValidationError(f"-d must be positive in hyperbolic geometry, got {args.d}")
-    for lo_name, lo, hi_name, hi in (
-        ("-d", args.d, "-c", args.c),
-        ("-c", args.c, "-b", args.b),
-        ("-b", args.b, "-a", args.a),
-    ):
-        if hi <= lo:
-            raise ValidationError(f"{hi_name} must exceed {lo_name}, got {hi} <= {lo}")
-    geometry = Geometry.HYPERBOLIC if args.geometry == "hyper" else Geometry.EUCLIDEAN
-    cfg = FourConfig(args.a, args.b, args.c, args.d, geometry)
+    geometry = Geometry(args.geometry)
     if geometry is Geometry.HYPERBOLIC:
-        cross_ratio = cross_ratio_hyper(cfg)
-        witness = find_witness_hyper(cfg) if args.witness else None
+        positive, cross_ratio, find_witness = " in hyperbolic geometry", cross_ratio_hyper, find_witness_hyper
     else:
-        cross_ratio = cross_ratio_euclid(cfg)
-        witness = find_witness_euclid(cfg) if args.witness else None
-    _write_json(fourpoint_report(cfg, witness, cross_ratio), args.output)
+        positive, cross_ratio, find_witness = None, cross_ratio_euclid, find_witness_euclid
+    cfg = FourConfig(*_heights(args, "abcd", positive), geometry)
+    ratio = cross_ratio(cfg)
+    witness = find_witness(cfg) if args.witness else None
+    _write_json(fourpoint_report(cfg, witness, ratio), args.output)
     return 0
 
 
 def _cmd_prob(args) -> int:
+    if args.calibrate is not None:
+        if args.kind == "pe":
+            raise ValidationError("--calibrate applies to prob ph only")
+        return _cmd_calibrate(args)
     if args.n < 1:
         raise ValidationError(f"-n must be at least 1, got {args.n}")
     if args.threads < 1:
         raise ValidationError(f"--threads must be at least 1, got {args.threads}")
     if args.kind == "pe":
-        if args.calibrate is not None:
-            raise ValidationError("--calibrate applies to prob ph only")
-        from .probability import estimate_pe, pe_closed_form, pe_quadrature
+        from .probability import estimate_pe, pe_quadrature
 
         estimate = estimate_pe(args.n, args.seed, threads=args.threads)
-        ratio, closed_form, quadrature = None, pe_closed_form(), pe_quadrature()
+        ratio = None
+        closed_form = quadrature = pe_quadrature()  # pe_closed_form returns this value too
     else:
         from .probability import HyperProbSetup, estimate_ph, ph_quadrature, ph_reference_constant
 
         if args.ratio <= 1.0:
             raise ValidationError(f"--ratio must exceed 1, got {args.ratio}")
         setup = HyperProbSetup(args.ratio)
-        if args.calibrate is not None:
-            return _cmd_calibrate(args)
         estimate = estimate_ph(args.n, args.seed, setup, threads=args.threads)
         ratio, closed_form, quadrature = setup.ratio, ph_reference_constant(), ph_quadrature(setup)
     record = {
@@ -266,8 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_triple(p):
         p.add_argument("-a", type=float, required=True, help="largest height")
-        p.add_argument("-b", type=float, required=True, help="middle height")
-        p.add_argument("-c", type=float, required=True, help="smallest height")
+        p.add_argument("-b", type=float, required=True, help="height below -a")
+        p.add_argument("-c", type=float, required=True, help="height below -b")
         add_common(p)
 
     p = sub.add_parser("classify", help="locus regime of a triple")
@@ -287,12 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fourpoint", help="four-point equal-angle existence test")
     p.add_argument("--geometry", choices=("euclid", "hyper"), required=True)
-    p.add_argument("-a", type=float, required=True)
-    p.add_argument("-b", type=float, required=True)
-    p.add_argument("-c", type=float, required=True)
-    p.add_argument("-d", type=float, required=True)
+    add_triple(p)
+    p.add_argument("-d", type=float, required=True, help="height below -c")
     p.add_argument("--witness", action="store_true", help="search for a witness point")
-    add_common(p)
     p.set_defaults(handler=_cmd_fourpoint)
 
     p = sub.add_parser("prob", help="witness-existence probability")

@@ -139,8 +139,8 @@ class HyperProbSetup(_Record):
 
 
 def pe_closed_form() -> float:
-    """(15 - 16 ln 2) / 9, about 0.434405."""
-    return (15.0 - 16.0 * math.log(2.0)) / 9.0
+    """(15 - 16 ln 2) / 9, about 0.434405, correctly rounded: pe_quadrature's value."""
+    return pe_quadrature()
 
 
 def ph_reference_constant() -> float:

@@ -53,11 +53,20 @@ class TestValidation:
                 ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "2", "-c", "0.5", "-d", "0"],
                 "-a must exceed -b",
             ),
+            (
+                ["fourpoint", "--geometry", "euclid", "-a", "4", "-b", "2", "-c", "1", "-d", "1"],
+                "-c must exceed -d, got -c 1.0 <= -d 1.0",
+            ),
             (["prob", "pe", "-n", "10", "--threads", "0"], "--threads"),
             (["prob", "pe", "-n", "10", "--calibrate", "0.4"], "--calibrate applies to prob ph only"),
             (["dioph", "--family", "geometric", "--m-range", "1"], "--m-range expects LO:HI"),
             (["dioph", "--family", "geometric", "--m-range", "3:1"], "--m-range range is empty"),
             (["euclid-locus", "-a", "1e300", "-b", "1e-30", "-c", "1e-300"], "span more than float64"),
+            (["classify", "-a", "35", "-b", "25", "-c", "5", "-o", "/nonexistent/x.json"], "-o '/nonexistent/x.json'"),
+            (
+                ["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "5", "--svg", "/nonexistent/c.svg"],
+                "--svg '/nonexistent/c.svg'",
+            ),
         ],
     )
     def test_exit_2_and_flag_named(self, argv, flag, capsys):
@@ -207,18 +216,31 @@ class TestValidation:
                 render_json({"x": [1.0, value]})
         assert render_json({"x": [10**400, 1.5]}) == '{"x": [' + str(10**400) + ', 1.5]}\n'
 
-    def test_unwritable_output_exits_1(self, capsys, monkeypatch):
-        monkeypatch.delenv("APOLLONIUS_DEBUG", raising=False)
-        rc = run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent_dir/x.json"])
-        assert rc == 1
-        assert "internal error" in capsys.readouterr().err
-
     def test_debug_mode_reraises_internal_error(self, monkeypatch):
         monkeypatch.setenv("APOLLONIUS_DEBUG", "1")
-        with pytest.raises(FileNotFoundError):
-            run(["classify", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent_dir/x.json"])
-        # validation errors keep their exit code in debug mode
+        monkeypatch.setattr(locus, "classification_report", lambda cfg, eps: {"alpha": math.nan})
+        with pytest.raises(ValueError, match="non-finite"):
+            run(["classify", "-a", "4", "-b", "2", "-c", "1"])
+        # validation errors, an unwritable output among them, keep their exit code in debug mode
         assert run(["classify", "-a", "4", "-b", "2", "-c", "-1"]) == 2
+        assert run(["euclid-locus", "-a", "4", "-b", "2", "-c", "1", "-o", "/nonexistent/x.json"]) == 2
+
+    @pytest.mark.parametrize("flags", [["-n", "0"], ["--threads", "0"], ["--ratio", "1"]], ids=lambda f: f[0])
+    def test_calibration_ignores_the_monte_carlo_flags(self, flags, tmp_path):
+        plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+        assert run(["prob", "ph", "--calibrate", "0.4201514924", "-o", str(plain)]) == 0
+        assert run(["prob", "ph", "--calibrate", "0.4201514924", *flags, "-o", str(flagged)]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_negative_exponent_form_takes_the_equals_sign(self, capsys):
+        # argparse reads a separate -1e-5 as an option, as it does not look
+        # like a negative number to it; -d=-1e-5 passes it as the value
+        argv = ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "0.5", "-c", "0.25"]
+        assert run([*argv, "-d=-1e-5"]) == 0
+        out = capsys.readouterr().out
+        assert '"d": -1.0000000000000001e-05' in out
+        assert run([*argv, "-d", "-0.00001"]) == 0
+        assert capsys.readouterr().out == out
 
 
 class TestDeterminism:

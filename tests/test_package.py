@@ -197,7 +197,12 @@ def test_no_straddle_calibration_loads_no_numpy(tmp_path):
     # the same closed form as the root solve
     code = "import sys; from apollonius.cli import run; assert run(sys.argv[1:]) == 3; " + PRINT_LOADED
     argv = ["prob", "ph", "--calibrate", "1.5", "-n", "1", "-o", str(tmp_path / "cal.json")]
-    assert fresh_python(code, *argv) == "[]\n[]\n_base cli probability serialize\n"
+    proc = run_python("-c", code, *argv)
+    assert proc.stdout == "[]\n[]\n_base cli probability serialize\n"
+    assert proc.stderr == (
+        "calibration target 1.5 not bracketed on (1.01, 1000.0): "
+        "P_h(1.01) = 0.4344025751390507, P_h(1000.0) = 0.17011275854032254\n"
+    )
 
 
 # the last flag takes the output path

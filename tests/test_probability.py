@@ -4,10 +4,12 @@ import hashlib
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import _dilog
 from apollonius import probability, rng
 from apollonius.fourpoint import Geometry, exists_euclid, exists_hyper
 from apollonius.halfplane import GeometryError
@@ -60,7 +62,9 @@ class FakeStream:
 class TestClosedForms:
     def test_pe(self):
         assert pe_closed_form() == pytest.approx(PE_VALUE, abs=1e-16)
-        assert pe_closed_form() == pytest.approx((15 - 16 * math.log(2)) / 9, abs=0.0)
+        # correctly rounded: P_e from the test's own 320-bit ln 2, rounded once
+        exact = Fraction((15 << _dilog.BITS) - 16 * _dilog.ln2(), 9 << _dilog.BITS)
+        assert pe_closed_form() == pytest.approx(float(exact), abs=0.0)
         assert 0.4343 < pe_closed_form() < 0.4345
 
     def test_pe_rearrangement(self):
@@ -387,8 +391,6 @@ class TestInvariance:
                 assert exists_euclid(cfg.shifted(offset)) == indicator, (i, offset)
 
     def test_cross_ratio_affine_invariant_in_exact_arithmetic(self):
-        from fractions import Fraction
-
         a, b, c, d = map(Fraction, (4, 2, 1, 0))
         t = Fraction(7, 3)
         cr = lambda a, b, c, d: ((b - c) / (a - b)) / ((c - d) / (a - d))
