@@ -14,7 +14,6 @@ from apollonius import (
     calibrate_ratio,
     estimate_pe,
     estimate_ph,
-    pe_closed_form,
     pe_quadrature,
     ph_reference_constant,
     ph_quadrature,
@@ -23,11 +22,10 @@ from apollonius import (
 print("Euclidean case: success region reduces to b(1+3c) < 4c, giving")
 print("P = 2 * integral_0^1 (4c/(1+3c) - c) dc = (15 - 16 ln 2)/9")
 print()
-print(f"  closed form : {pe_closed_form():.12f}")
-print(f"  quadrature  : {pe_quadrature():.12f}")
+print(f"  closed form : {pe_quadrature():.12f}")
 for n in (10**4, 10**5, 10**6, 10**7):
     est = estimate_pe(n, seed=1)
-    sigmas = abs(est.mean - pe_closed_form()) / est.stderr
+    sigmas = abs(est.mean - pe_quadrature()) / est.stderr
     print(f"  n={n:>9,}: mean {est.mean:.6f}  stderr {est.stderr:.2e}  ({sigmas:.2f} sigma off)")
 
 print()
@@ -52,6 +50,6 @@ else:
 print(f"  formula value (2*sqrt5*ln(2+sqrt5)-5)/(5 ln 2) = {ph_reference_constant():.12f}")
 print()
 print("the probability is invariant under scaling both endpoints, and tends")
-print(f"to the Euclidean value {pe_closed_form():.6f} as the ratio tends to 1:")
+print(f"to the Euclidean value {pe_quadrature():.6f} as the ratio tends to 1:")
 for ratio in (1.001, 1.0001):
     print(f"  ratio {ratio}: {ph_quadrature(HyperProbSetup(ratio)):.9f}")

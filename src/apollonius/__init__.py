@@ -30,8 +30,8 @@ _LAZY = {
         "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
         "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
         "samples_to_csv solve_r2 theta_grid",
-        "probability": "HyperProbSetup ProbEstimate calibrate_ratio estimate_pe estimate_ph pe_closed_form "
-        "pe_quadrature ph_quadrature ph_reference_constant sample_config_euclid sample_config_hyper",
+        "probability": "HyperProbSetup ProbEstimate calibrate_ratio estimate_pe estimate_ph pe_quadrature "
+        "ph_quadrature ph_reference_constant",
         "rng": "SampleStream",
         "svg": "render_svg",
     }.items()

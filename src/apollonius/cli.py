@@ -10,9 +10,10 @@ Subcommands map one-to-one onto library operations:
     dioph         integer family generation as CSV
 
 Exit codes: 0 success, 2 invalid arguments (an unwritable -o or --svg
-path too), 3 search or calibration failure, 1 internal error. With
-APOLLONIUS_DEBUG=1 in the environment an internal error propagates with
-its traceback instead. prob ph --calibrate reads only its target.
+path too, and no file is written), 3 search or calibration failure, 1
+internal error. With APOLLONIUS_DEBUG=1 in the environment an internal
+error propagates with its traceback instead. prob ph --calibrate reads
+only its target.
 
 Only sample, prob pe and prob ph without --calibrate load numpy; it is
 imported only where it is used, so the other subcommands start without
@@ -69,22 +70,40 @@ def _heights(args, flags: str, positive: str | None = "") -> list[float]:
     return values
 
 
-def _write(text: str, path: str | None, flag: str = "-o") -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        fh = open(path, "w", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"{flag} {path!r} cannot be opened for writing: {exc.strerror}") from exc
-    with fh:
-        fh.write(text)
+def _write(*outputs: tuple[str, str | None, str]) -> None:
+    """Write each (text, path, flag) in turn, to stdout where path is None.
+
+    Each path is first opened without truncation, or created where it
+    does not exist, and closed. Where one cannot be opened, the files
+    this call created are removed, so the exit-2 run leaves every file
+    as it was.
+    """
+    created = []
+    for _, path, flag in outputs:
+        if path is None:
+            continue
+        try:
+            try:
+                os.close(os.open(path, os.O_WRONLY))
+            except FileNotFoundError:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+        except OSError as exc:
+            for made in created:
+                os.remove(made)
+            raise ValidationError(f"{flag} {path!r} cannot be opened for writing: {exc.strerror}") from exc
+    for text, path, _ in outputs:
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def _write_json(record: dict, path: str | None) -> None:
     from .serialize import render_json
 
-    _write(render_json(record), path)
+    _write((render_json(record), path, "-o"))
 
 
 def _cmd_classify(args) -> int:
@@ -109,11 +128,12 @@ def _cmd_sample(args) -> int:
             f"where r = b always lies on the locus\n"
         )
         return 3
+    outputs = [(samples_to_csv(curve), args.output, "-o")]
     if args.svg is not None:
         from .svg import render_svg
 
-        _write(render_svg(curve), args.svg, "--svg")
-    _write(samples_to_csv(curve), args.output)
+        outputs.insert(0, (render_svg(curve), args.svg, "--svg"))
+    _write(*outputs)
     return 0
 
 
@@ -166,7 +186,7 @@ def _cmd_prob(args) -> int:
 
         estimate = estimate_pe(args.n, args.seed, threads=args.threads)
         ratio = None
-        closed_form = quadrature = pe_quadrature()  # pe_closed_form returns this value too
+        closed_form = quadrature = pe_quadrature()
     else:
         from .probability import HyperProbSetup, estimate_ph, ph_quadrature, ph_reference_constant
 
@@ -250,7 +270,7 @@ def _cmd_dioph(args) -> int:
             lines.append(
                 f"{m},{n},{triple.a},{triple.b},{triple.c},{kind.value},{str(ok).lower()}"
             )
-    _write("\n".join(lines) + "\n", args.output)
+    _write(("\n".join(lines) + "\n", args.output, "-o"))
     return 0
 
 

@@ -137,18 +137,6 @@ class FourConfig(_Record):
     def __setstate__(self, state):
         self.__init__(**state)
 
-    def scaled(self, factor: float) -> "FourConfig":
-        return FourConfig(
-            self.a * factor, self.b * factor, self.c * factor, self.d * factor, self.geometry
-        )
-
-    def shifted(self, offset: float) -> "FourConfig":
-        if self.geometry is not Geometry.EUCLIDEAN:
-            raise GeometryError("only Euclidean configs translate freely")
-        return FourConfig(
-            self.a + offset, self.b + offset, self.c + offset, self.d + offset, self.geometry
-        )
-
 
 def _check_heights(a: float, b: float, c: float, d: float, hyperbolic: bool) -> None:
     """Raise the error of the first check the heights fail: finite, ordered, then (hyperbolic) positive."""

@@ -90,9 +90,6 @@ class TripleConfig(_Record):
         if not (a > b > c > 0):
             raise OrderingError(f"heights must satisfy a > b > c > 0, got ({a}, {b}, {c})")
 
-    def scaled(self, factor: float) -> "TripleConfig":
-        return TripleConfig(self.a * factor, self.b * factor, self.c * factor)
-
 
 class QuarticCoeffs(_Record):
     """Coefficients (alpha, beta, gamma) of the polar quartic."""
@@ -284,10 +281,10 @@ def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
     unit, k = _unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
     roots = [s for s in _solve_arrays(TripleConfig(*unit), np.array([theta]))[0].tolist() if s == s]
     with np.errstate(over="ignore"):
-        scaled = np.ldexp(roots, 2 * k).tolist()
-    if not all(sys.float_info.min <= s < math.inf for s in scaled):
+        r2 = np.ldexp(roots, 2 * k).tolist()
+    if not all(sys.float_info.min <= s < math.inf for s in r2):
         raise GeometryError(f"roots r^2 of {cfg!r} at theta {theta!r}, {roots!r} * 2**{2 * k}, leave the normal floats")
-    return scaled
+    return r2
 
 
 def _solve_arrays(cfg: TripleConfig, thetas: np.ndarray) -> np.ndarray:

@@ -52,8 +52,7 @@ carries that many guard bits. P_e takes the same ln 2. Each value is
 rounded to a double once, from the fixed point.
 
 numpy and rng are imported only inside the Monte Carlo kernels, so the
-closed forms, and prob ph --calibrate, load neither; fourpoint only
-inside the two samplers, the only functions that build a FourConfig.
+closed forms, and prob ph --calibrate, load neither.
 """
 
 from __future__ import annotations
@@ -66,14 +65,9 @@ from ._base import GeometryError, _Record
 __all__ = [
     "ProbEstimate",
     "HyperProbSetup",
-    "pe_closed_form",
     "ph_reference_constant",
-    "sample_config_euclid",
-    "sample_config_hyper",
     "estimate_pe",
     "estimate_ph",
-    "euclid_indicator_stream",
-    "hyper_indicator_stream",
     "pe_quadrature",
     "ph_quadrature",
     "calibrate_ratio",
@@ -106,10 +100,6 @@ _SLACK_BITS = 32
 # cap on regula falsi steps; the Illinois rule converges in about a dozen
 _ROOT_MAX_STEPS = 100
 
-# 1 + 2**-51: the smallest ratio with two doubles strictly inside (1, ratio) is
-# the next double above it
-_TWO_ULPS_ABOVE_ONE = math.nextafter(math.nextafter(1.0, 2.0), 2.0)
-
 
 class ProbEstimate(_Record):
     """Monte Carlo success fraction with its binomial standard error."""
@@ -121,7 +111,11 @@ class ProbEstimate(_Record):
 
 
 class HyperProbSetup(_Record):
-    """Endpoint ratio a/d of the hyperbolic sampling interval."""
+    """Endpoint ratio a/d of the hyperbolic sampling interval: any finite double above 1.
+
+    Neither the Monte Carlo kernel nor the closed form forms an interior
+    height, so the first double above 1 works too; P_h there is P_e.
+    """
 
     _fields = ("ratio",)
 
@@ -129,18 +123,6 @@ class HyperProbSetup(_Record):
         self.__dict__.update(ratio=ratio)
         if not (math.isfinite(ratio) and ratio > 1.0):
             raise GeometryError(f"ratio must be finite and > 1, got {ratio!r}")
-        # the two interior heights must be distinct doubles strictly inside
-        # (1, ratio); with fewer than two there, sampling could never stop
-        if ratio <= _TWO_ULPS_ABOVE_ONE:
-            raise GeometryError(
-                f"ratio {ratio!r} leaves fewer than two doubles strictly inside "
-                f"(1, ratio) for the interior heights"
-            )
-
-
-def pe_closed_form() -> float:
-    """(15 - 16 ln 2) / 9, about 0.434405, correctly rounded: pe_quadrature's value."""
-    return pe_quadrature()
 
 
 def ph_reference_constant() -> float:
@@ -161,34 +143,6 @@ def _draw_ordered_pair(stream: SampleStream) -> tuple[float, float]:
         v = stream.next_float()
         if u != v and u != 0.0 and v != 0.0:
             return (u, v) if u > v else (v, u)
-
-
-def sample_config_euclid(stream: SampleStream) -> FourConfig:
-    """Random config on the unit segment: a=1, d=0, b > c uniform order stats.
-
-    "The point closer to the top is called b" is interpreted as plain
-    order statistics of two i.i.d. draws, nothing more: the pair is
-    unordered until sorted, so the ordered density is exactly 2 on the
-    open triangle.
-    """
-    from .fourpoint import FourConfig, Geometry
-
-    b, c = _draw_ordered_pair(stream)
-    return FourConfig(1.0, b, c, 0.0, Geometry.EUCLIDEAN)
-
-
-def sample_config_hyper(stream: SampleStream, setup: HyperProbSetup) -> FourConfig:
-    """Random config with d=1, a=ratio and two log-uniform interior heights."""
-    from .fourpoint import FourConfig, Geometry
-
-    length = math.log(setup.ratio)
-    while True:
-        hi, lo = _draw_ordered_pair(stream)
-        b = math.exp(hi * length)
-        c = math.exp(lo * length)
-        # exp can collapse distinct draws onto each other or an endpoint
-        if b != c and c != 1.0 and b != setup.ratio:
-            return FourConfig(setup.ratio, b, c, 1.0, Geometry.HYPERBOLIC)
 
 
 def estimate_pe(n: int, seed: int, threads: int = 1) -> ProbEstimate:
@@ -238,10 +192,10 @@ def _blocks(indicator_fn, seed, lo, hi, extra):
     """Indicator arrays of samples lo..hi-1, _CHUNK at a time, all computed in one PairBuffers.
 
     Each array is a view of the buffers' flag row, which the next block
-    overwrites; copy it to keep it. Every estimate and indicator stream
-    runs through here, with lo = 0 and hi = n where the count is
-    unsharded (a shard is never empty), so this is where n < 1 and a
-    seed outside [0, 2^64) are named.
+    overwrites; copy it to keep it. Every estimate runs through here,
+    with lo = 0 and hi = n where the count is unsharded (a shard is
+    never empty), so this is where n < 1 and a seed outside [0, 2^64)
+    are named.
     """
     from .rng import PairBuffers, _check_seed
 
@@ -261,9 +215,9 @@ def _ordered_gaps(seed: int, lo: int, hi: int, buffers: PairBuffers) -> np.ndarr
     integers (the variates times 2^53, exact as floats), so the rows are
     the three segments that the two draws cut the unit interval into,
     times 2^53, top first, each an integer from 1 up. A tie or a zero
-    draw, a measure-zero boundary hit, is redrawn from the sample's
-    stream past the two rejected draws, as the scalar samplers do; both
-    kernels share this rule.
+    draw, a measure-zero boundary hit, is redrawn by _draw_ordered_pair
+    from the sample's stream past the two rejected draws; both kernels
+    share this rule.
     """
     import numpy as np
 
@@ -321,21 +275,6 @@ def _hyper_indicators(seed: int, lo: int, hi: int, ratio: float, buffers: PairBu
     upper *= 3.0 / math.sinh(length)
     upper *= lower
     return np.less(middle, upper, out=buffers.flag[:n])
-
-
-def euclid_indicator_stream(n: int, seed: int) -> np.ndarray:
-    """Per-sample success booleans of estimate_pe(n, seed)."""
-    import numpy as np
-
-    return np.concatenate([ind.copy() for ind in _blocks(_euclid_indicators, seed, 0, n, ())])
-
-
-def hyper_indicator_stream(n: int, seed: int, ratio: float) -> np.ndarray:
-    """Per-sample success booleans of estimate_ph(n, seed, HyperProbSetup(ratio))."""
-    import numpy as np
-
-    HyperProbSetup(ratio)  # validate
-    return np.concatenate([ind.copy() for ind in _blocks(_hyper_indicators, seed, 0, n, (ratio,))])
 
 
 class _Fixed:

@@ -41,6 +41,7 @@ from apollonius.halfplane import (
 from apollonius.locus import HorizontalLine, euclidean_equal_angle_residual, euclidean_locus
 
 from _geodesics import VERTICAL_EPS, Arc, VerticalRay
+from _scalar_sampler import scaled
 
 # ------------------------------------------------------------ half-plane oracle
 
@@ -123,7 +124,7 @@ def cross_ratio_hyper(cfg):
 
 def _normalized(cfg):
     k = math.frexp(cfg.a)[1]
-    return cfg.scaled(math.ldexp(1.0, -k)), k
+    return scaled(cfg, math.ldexp(1.0, -k)), k
 
 
 def exists_euclid(cfg):

@@ -7,7 +7,6 @@ import pytest
 
 import _dilog
 from apollonius import probability
-from apollonius.halfplane import GeometryError
 from apollonius.probability import HyperProbSetup, calibrate_ratio, pe_quadrature, ph_quadrature, ph_reference_constant
 
 RATIOS = [1 + 2.0**-50, 1 + 2.0**-10, 1.01, 2.0, 2.1776504042297176, 1000.0, 1e150, 1e160, 1.7e308]
@@ -84,9 +83,11 @@ def test_calibration_finds_the_root_at_any_scale(ratio, bracket):
     assert_root_between_neighbours(found, target)
 
 
-def test_bracket_is_validated_like_a_sampling_ratio():
-    with pytest.raises(GeometryError, match="fewer than two doubles"):
-        calibrate_ratio(0.43, (1.0000000000000002, 2.0))
+def test_bracket_may_start_at_the_first_double_above_one():
+    # P_h there is P_e; the guard bits carry the L^2 cancellation at L ~ 2^-52
+    found = calibrate_ratio(0.43, (1.0000000000000002, 2.0))
+    assert round(ph_quadrature(HyperProbSetup(found)), 2) == 0.43
+    assert_root_between_neighbours(found, 0.43)
 
 
 @pytest.mark.parametrize(

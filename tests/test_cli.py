@@ -73,10 +73,28 @@ class TestValidation:
         assert run(argv) == 2
         assert flag in capsys.readouterr().err
 
-    def test_ratio_one_ulp_above_one_exits_2(self, capsys):
-        # no two doubles lie strictly inside (1, ratio), so sampling never stopped
-        assert run(["prob", "ph", "--ratio", "1.0000000000000002", "-n", "10"]) == 2
-        assert "1.0000000000000002" in capsys.readouterr().err
+    def test_ratio_one_ulp_above_one_estimates_pe(self, tmp_path):
+        # the kernel forms no interior height, so the first double above 1
+        # samples the Euclidean limit: each indicator, and so the mean, is P_e's
+        ph, pe = tmp_path / "ph.json", tmp_path / "pe.json"
+        assert run(["prob", "ph", "--ratio", "1.0000000000000002", "-n", "4096", "--seed", "7", "-o", str(ph)]) == 0
+        assert run(["prob", "pe", "-n", "4096", "--seed", "7", "-o", str(pe)]) == 0
+        assert json.loads(ph.read_text())["mean"] == json.loads(pe.read_text())["mean"]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    @pytest.mark.parametrize("bad", ["-o", "--svg"])
+    def test_exit_2_leaves_every_file_as_it_was(self, bad, existing, tmp_path, capsys):
+        # the other flag's path can be opened; a bad -o once left the SVG written
+        good = {"-o": "--svg", "--svg": "-o"}[bad]
+        paths = {bad: tmp_path / "missing" / "out", good: tmp_path / "out"}
+        if existing:
+            paths[good].write_bytes(b"earlier run\n")
+        argv = ["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "5", "-o", str(paths["-o"]), "--svg", str(paths["--svg"])]
+        assert run(argv) == 2
+        assert f"{bad} {str(paths[bad])!r} cannot be opened for writing" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == (["out"] if existing else [])
+        if existing:
+            assert paths[good].read_bytes() == b"earlier run\n"
 
     def test_unknown_arguments_exit_2(self):
         assert run(["classify", "-a", "4", "-b", "2"]) == 2

@@ -29,6 +29,7 @@ from apollonius.locus import euclidean_equal_angle_residual
 from apollonius.rng import SampleStream
 
 from _exact_residuals import HYPER_CROSS_RATIO_BOUND, exact_residuals, hyper_cross_ratio_error
+from _scalar_sampler import scaled, shifted
 
 
 def euclid(a, b, c, d):
@@ -133,7 +134,7 @@ def test_witness_in_the_subnormals_is_a_search_failure(geometry):
     # test agree bit for bit; scaled back, the witness x is a subnormal with
     # a few bits left, which stands for no judged point
     base = FourConfig(10.0, 6.0, 5.0, 1.0, geometry)
-    cfg = base.scaled(2.0**-1070)
+    cfg = scaled(base, 2.0**-1070)
     if geometry is Geometry.EUCLIDEAN:
         cross_ratio, exists, find = cross_ratio_euclid, exists_euclid, find_witness_euclid
     else:
@@ -189,13 +190,13 @@ class TestUnitCopy:
     @pytest.mark.parametrize("factor", [2.0**-600, 0.1, 3.0, 2.0**600])
     def test_scaled_searches_like_a_fresh_config(self, cfg, factor):
         heights = (cfg.a * factor, cfg.b * factor, cfg.c * factor, cfg.d * factor)
-        assert _outcome(cfg.scaled(factor)) == _outcome(FourConfig(*heights, cfg.geometry))
+        assert _outcome(scaled(cfg, factor)) == _outcome(FourConfig(*heights, cfg.geometry))
 
     @pytest.mark.parametrize("cfg", [c for c in CONFIGS if c.geometry is Geometry.EUCLIDEAN], ids=repr)
     @pytest.mark.parametrize("offset", [-1e3, -0.1, 2.5, 1e6])
     def test_shifted_searches_like_a_fresh_config(self, cfg, offset):
         heights = (cfg.a + offset, cfg.b + offset, cfg.c + offset, cfg.d + offset)
-        assert _outcome(cfg.shifted(offset)) == _outcome(euclid(*heights))
+        assert _outcome(shifted(cfg, offset)) == _outcome(euclid(*heights))
 
 
 class TestCrossRatioEuclid:
@@ -212,13 +213,13 @@ class TestCrossRatioEuclid:
         cfg = euclid(4, 2, 1, 0)
         base = cross_ratio_euclid(cfg)
         for t in (-3.0, 0.5, 10.0):
-            assert cross_ratio_euclid(cfg.shifted(t)) == pytest.approx(base, rel=1e-12)
+            assert cross_ratio_euclid(shifted(cfg, t)) == pytest.approx(base, rel=1e-12)
 
     def test_heights_whose_gaps_overflow(self):
         # a - d overflows: the cross-ratio and the witness are taken on the
         # heights divided by a power of two, so they scale exactly
         cfg = euclid(1.7e308, 1e307, -1e307, -1.7e308)
-        small = cfg.scaled(2.0**-4)
+        small = scaled(cfg, 2.0**-4)
         assert cross_ratio_euclid(cfg) == cross_ratio_euclid(small) == 0.265625
         w, base = find_witness_euclid(cfg), find_witness_euclid(small)
         assert (w.x, w.y) == (math.ldexp(base.x, 4), math.ldexp(base.y, 4))
@@ -248,11 +249,11 @@ class TestCrossRatioHyper:
         cfg = hyper(10, 6, 5, 1)
         base = cross_ratio_hyper(cfg)
         for lam in (0.25, 3.0, 1e3):
-            assert cross_ratio_hyper(cfg.scaled(lam)) == pytest.approx(base, rel=1e-12)
+            assert cross_ratio_hyper(scaled(cfg, lam)) == pytest.approx(base, rel=1e-12)
         # powers of two scale every height exactly, also where squaring the
         # scaled heights would overflow or underflow
         for k in (2, 500, 1000, -500, -1000):
-            assert cross_ratio_hyper(cfg.scaled(2.0**k)) == base
+            assert cross_ratio_hyper(scaled(cfg, 2.0**k)) == base
 
     def test_heights_whose_squares_overflow(self):
         cfg = hyper(1e160, 1e159, 1e158, 1e157)
@@ -388,7 +389,7 @@ class TestFindWitnessEuclid:
         # the closed form works on heights scaled into [-1, 1)
         base = find_witness_euclid(euclid(4, 2, 1, 0))
         for k in (512, 600, -600):
-            w = find_witness_euclid(euclid(4, 2, 1, 0).scaled(2.0**k))
+            w = find_witness_euclid(scaled(euclid(4, 2, 1, 0), 2.0**k))
             assert (w.x, w.y) == (math.ldexp(base.x, k), math.ldexp(base.y, k))
             assert w.residuals == base.residuals
 
@@ -567,7 +568,7 @@ class TestFindWitnessHyper:
         base = find_witness_hyper(hyper(10, 6, 5, 1))
         for k in (-600, 530):
             # heights near 1e160 square past the float range; near 1e-180 to zero
-            w = find_witness_hyper(hyper(10, 6, 5, 1).scaled(2.0**k))
+            w = find_witness_hyper(scaled(hyper(10, 6, 5, 1), 2.0**k))
             assert (w.x, w.y) == (math.ldexp(base.x, k), math.ldexp(base.y, k))
             assert w.residuals == base.residuals
 

@@ -26,6 +26,7 @@ from apollonius.locus import (
 from apollonius.svg import render_svg
 
 from _exact_residuals import exact_residuals
+from _scalar_sampler import scaled
 
 # the seven regimes at a=35, c=5, keyed by the middle height
 REGIME_CASES = [
@@ -130,8 +131,8 @@ class TestClassify:
         # inside eps = 1e-5 of both means, on neither
         cfg = TripleConfig(1001, 1000, 999)
         assert classify(cfg, eps=1e-5) == LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
-        assert classify(cfg.scaled(0.5), eps=1e-5) == LocusClass.QUADRATIC_HYPERBOLA
-        assert classify(cfg.scaled(0.5), eps=0.0) == LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
+        assert classify(scaled(cfg, 0.5), eps=1e-5) == LocusClass.QUADRATIC_HYPERBOLA
+        assert classify(scaled(cfg, 0.5), eps=0.0) == LocusClass.BETWEEN_GEOMETRIC_AND_QUADRATIC
 
     @pytest.mark.parametrize(
         "heights,expected",
@@ -215,9 +216,9 @@ class TestSolveR2:
         lam = 3.7
         for theta in (0.6, 1.1, 2.4):
             base = solve_r2(cfg, theta)
-            scaled = solve_r2(cfg.scaled(lam), theta)
-            assert len(base) == len(scaled)
-            for s, t in zip(base, scaled):
+            rescaled = solve_r2(scaled(cfg, lam), theta)
+            assert len(base) == len(rescaled)
+            for s, t in zip(base, rescaled):
                 assert t == pytest.approx(lam * lam * s, rel=1e-12)
 
     @pytest.mark.parametrize("power", [-500, -130, 130, 500])
@@ -228,8 +229,8 @@ class TestSolveR2:
         for b in (30.0, 25.0, 7.0, 6.0):
             cfg = TripleConfig(35.0, b, 5.0)
             for theta in (0.3, 1.0, 1.5, 2.2):
-                scaled = solve_r2(cfg.scaled(2.0**power), theta)
-                assert scaled == [math.ldexp(s, 2 * power) for s in solve_r2(cfg, theta)]
+                rescaled = solve_r2(scaled(cfg, 2.0**power), theta)
+                assert rescaled == [math.ldexp(s, 2 * power) for s in solve_r2(cfg, theta)]
 
     @pytest.mark.parametrize("power", [-1000, 1000])
     def test_roots_outside_the_normal_floats_are_named(self, power):
@@ -238,7 +239,7 @@ class TestSolveR2:
             for theta in (0.3, 1.0, 1.5, 2.2):
                 if solve_r2(cfg, theta):
                     with pytest.raises(GeometryError, match=r"^roots r\^2 of TripleConfig\(.* leave the normal floats$"):
-                        solve_r2(cfg.scaled(2.0**power), theta)
+                        solve_r2(scaled(cfg, 2.0**power), theta)
 
     @pytest.mark.parametrize(
         "heights,theta,scale", [((35, 30, 5), 1.5, 1e40), ((35, 30, 5), 1.5, 1e-50), ((4, 2, 1), 1.0, 1e40)]
@@ -288,10 +289,10 @@ class TestSampleCurve:
     def test_scaling_moves_r_only(self):
         lam = 2.5
         base = sample_curve(TripleConfig(9, 4, 1.5), 50)
-        scaled = sample_curve(TripleConfig(9, 4, 1.5).scaled(lam), 50)
-        assert len(base) == len(scaled)
-        assert np.array_equal(scaled.theta, base.theta)
-        for s, t in zip(base.r.tolist(), scaled.r.tolist()):
+        rescaled = sample_curve(scaled(TripleConfig(9, 4, 1.5), lam), 50)
+        assert len(base) == len(rescaled)
+        assert np.array_equal(rescaled.theta, base.theta)
+        for s, t in zip(base.r.tolist(), rescaled.r.tolist()):
             assert t == pytest.approx(lam * s, rel=1e-12)
 
     @pytest.mark.parametrize("power", [-900, -200, -120, -1, 1, 120, 200, 900])
@@ -300,10 +301,10 @@ class TestSampleCurve:
         # points scaled, bit for bit, as long as they stay normal floats
         for b in (30.0, 25.0, 7.0, 6.0):
             cfg = TripleConfig(35.0, b, 5.0)
-            base, scaled = sample_curve(cfg, 65), sample_curve(cfg.scaled(2.0**power), 65)
-            assert np.array_equal(scaled.theta, base.theta) and np.array_equal(scaled.rank, base.rank)
+            base, rescaled = sample_curve(cfg, 65), sample_curve(scaled(cfg, 2.0**power), 65)
+            assert np.array_equal(rescaled.theta, base.theta) and np.array_equal(rescaled.rank, base.rank)
             for column in ("r", "x", "y"):
-                assert np.array_equal(getattr(scaled, column), np.ldexp(getattr(base, column), power)), column
+                assert np.array_equal(getattr(rescaled, column), np.ldexp(getattr(base, column), power)), column
 
     def test_extreme_height_span_is_named(self):
         with pytest.raises(GeometryError, match=r"heights \(1e\+300, 1.0, 1e-300\) span more than float64"):

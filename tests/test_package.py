@@ -24,9 +24,9 @@ STAR_NAMES = """
     estimate_ph euclidean_equal_angle_residual euclidean_locus eval_quartic
     exists_euclid exists_hyper find_witness_euclid find_witness_hyper fourpoint
     geometric_family halfplane hyp_angle locus
-    normalize_triple pe_closed_form pe_quadrature ph_quadrature ph_reference_constant
+    normalize_triple pe_quadrature ph_quadrature ph_reference_constant
     probability pythagorean_family quadratic_form_family render_svg rng
-    sample_config_euclid sample_config_hyper sample_curve samples_to_csv serialize
+    sample_curve samples_to_csv serialize
     solve_r2 svg theta_grid verify_identity
 """.split()
 
@@ -101,6 +101,19 @@ class TestNamespace:
             assert not hasattr(halfplane, name), name
             with pytest.raises(AttributeError, match=f"'{name}'"):
                 getattr(apollonius, name)
+
+    def test_probability_keeps_no_scalar_sampling_path(self):
+        # the scalar samplers, the indicator streams and the config rescalers
+        # are the test reference tests/_scalar_sampler.py, not the library's
+        for name in "sample_config_euclid sample_config_hyper pe_closed_form".split():
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                getattr(apollonius, name)
+        removed = "sample_config_euclid sample_config_hyper euclid_indicator_stream hyper_indicator_stream"
+        for name in removed.split():
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                getattr(apollonius.probability, name)
+        for config in (apollonius.FourConfig, apollonius.TripleConfig):
+            assert not hasattr(config, "scaled") and not hasattr(config, "shifted"), config
 
 
 class TestSharedBase:

@@ -18,16 +18,19 @@ from apollonius.probability import (
     calibrate_ratio,
     estimate_pe,
     estimate_ph,
-    euclid_indicator_stream,
-    hyper_indicator_stream,
-    pe_closed_form,
     pe_quadrature,
     ph_reference_constant,
     ph_quadrature,
-    sample_config_euclid,
-    sample_config_hyper,
 )
 from apollonius.rng import PairBuffers, SampleStream
+
+from _scalar_sampler import (
+    euclid_indicator_stream,
+    hyper_indicator_stream,
+    sample_config_euclid,
+    sample_config_hyper,
+    shifted,
+)
 
 # frozen at 40-digit precision from the closed-form expressions
 PE_VALUE = 0.4344050123378750055
@@ -61,14 +64,14 @@ class FakeStream:
 
 class TestClosedForms:
     def test_pe(self):
-        assert pe_closed_form() == pytest.approx(PE_VALUE, abs=1e-16)
+        assert pe_quadrature() == pytest.approx(PE_VALUE, abs=1e-16)
         # correctly rounded: P_e from the test's own 320-bit ln 2, rounded once
         exact = Fraction((15 << _dilog.BITS) - 16 * _dilog.ln2(), 9 << _dilog.BITS)
-        assert pe_closed_form() == pytest.approx(float(exact), abs=0.0)
-        assert 0.4343 < pe_closed_form() < 0.4345
+        assert pe_quadrature() == pytest.approx(float(exact), abs=0.0)
+        assert 0.4343 < pe_quadrature() < 0.4345
 
     def test_pe_rearrangement(self):
-        assert 9 * pe_closed_form() + 16 * math.log(2) == pytest.approx(15.0, rel=1e-15, abs=0.0)
+        assert 9 * pe_quadrature() + 16 * math.log(2) == pytest.approx(15.0, rel=1e-15, abs=0.0)
 
     def test_ph_printed(self):
         value = ph_reference_constant()
@@ -82,7 +85,7 @@ class TestClosedForms:
 
 class TestQuadratures:
     def test_pe_matches_closed_form_tight(self):
-        assert abs(pe_quadrature() - pe_closed_form()) <= 1e-10
+        assert abs(pe_quadrature() - (15 - 16 * math.log(2)) / 9) <= 1e-10
 
     def test_pe_integrand_vanishes_at_one(self):
         assert 4 * 1.0 / (1 + 3 * 1.0) - 1.0 == 0.0
@@ -94,7 +97,7 @@ class TestQuadratures:
 
     def test_ph_approaches_pe_as_ratio_shrinks(self):
         assert ph_quadrature(HyperProbSetup(1.0001)) == pytest.approx(
-            pe_closed_form(), abs=1e-4
+            pe_quadrature(), abs=1e-4
         )
 
     def test_ph_shrinks_for_huge_ratio(self):
@@ -110,6 +113,11 @@ class TestQuadratures:
     def test_ph_matches_mpmath_to_the_last_bit(self, ratio):
         exact = PH_MPMATH[ratio]
         assert abs(ph_quadrature(HyperProbSetup(ratio)) - exact) <= 0.5 * math.ulp(exact)
+
+    @pytest.mark.parametrize("ratio", [1 + 2**-52, 1 + 2**-51])
+    def test_ph_at_the_first_ratios_above_one_is_pe(self, ratio):
+        # the fixed point carries the guard bits that the L^2 cancellation needs
+        assert ph_quadrature(HyperProbSetup(ratio)) == float(_dilog.ph(ratio)) == pe_quadrature()
 
     def test_pe_matches_closed_form_to_the_last_bit(self):
         assert abs(pe_quadrature() - PE_VALUE) <= 0.5 * math.ulp(PE_VALUE)
@@ -145,8 +153,9 @@ class TestSamplers:
     def test_ratio_without_two_interior_doubles_rejected(self, ratio):
         # fewer than two doubles strictly inside (1, ratio): the interior
         # heights can never be distinct, so sampling would never return
-        with pytest.raises(GeometryError, match=re.escape(repr(ratio))):
-            HyperProbSetup(ratio)
+        message = f"ratio {ratio!r} leaves fewer than two doubles strictly inside (1, ratio) for the interior heights"
+        with pytest.raises(GeometryError, match=f"^{re.escape(message)}$"):
+            sample_config_hyper(SampleStream(1, 0), HyperProbSetup(ratio))
 
     def test_ratio_with_two_interior_doubles_samples(self):
         setup = HyperProbSetup(1 + 3 * 2**-52)
@@ -262,7 +271,7 @@ class TestEstimators:
 
     def test_pe_close_to_closed_form(self):
         est = estimate_pe(1_000_000, 1)
-        assert abs(est.mean - pe_closed_form()) <= 4 * est.stderr
+        assert abs(est.mean - pe_quadrature()) <= 4 * est.stderr
 
     def test_ph_close_to_quadrature(self):
         setup = HyperProbSetup(2.0)
@@ -388,7 +397,7 @@ class TestInvariance:
         for i, indicator in enumerate(stream):
             cfg = sample_config_euclid(SampleStream(5, i))
             for offset in (0.5, 1.0, 10.0):
-                assert exists_euclid(cfg.shifted(offset)) == indicator, (i, offset)
+                assert exists_euclid(shifted(cfg, offset)) == indicator, (i, offset)
 
     def test_cross_ratio_affine_invariant_in_exact_arithmetic(self):
         a, b, c, d = map(Fraction, (4, 2, 1, 0))

@@ -55,6 +55,7 @@ from _exact_residuals import (
     hyper_cross_ratio_error,
 )
 from _geodesics import Arc, VerticalRay, geodesic_through, hyp_distance, tangent_direction
+from _scalar_sampler import scaled, shifted
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
@@ -284,9 +285,9 @@ class TestQuarticProperties:
     @settings(max_examples=100)
     def test_homogeneity(self, cfg, theta, lam):
         base = solve_r2(cfg, theta)
-        scaled = solve_r2(cfg.scaled(lam), theta)
-        assert len(base) == len(scaled)
-        for s, t in zip(base, scaled):
+        rescaled = solve_r2(scaled(cfg, lam), theta)
+        assert len(base) == len(rescaled)
+        for s, t in zip(base, rescaled):
             assert t == pytest.approx(lam * lam * s, rel=1e-11)
 
     @given(triples())
@@ -380,10 +381,10 @@ class TestClassifyProperties:
         # keep every height a normal float, so that the scaling is exact
         lowest = max(-1022, -1021 - math.frexp(cfg.c)[1])
         highest = min(1023, 1024 - math.frexp(cfg.a)[1])
-        scaled = cfg.scaled(2.0 ** data.draw(st.integers(lowest, highest)))
-        assert classify(scaled, 0.0) == classify(cfg, 0.0)
-        if _integral(scaled) == _integral(cfg):
-            assert classify(scaled, eps) == classify(cfg, eps)
+        rescaled = scaled(cfg, 2.0 ** data.draw(st.integers(lowest, highest)))
+        assert classify(rescaled, 0.0) == classify(cfg, 0.0)
+        if _integral(rescaled) == _integral(cfg):
+            assert classify(rescaled, eps) == classify(cfg, eps)
 
 
 class TestCurveColumns:
@@ -469,9 +470,9 @@ class TestJumpSplit:
         "cfg,n",
         [
             (TripleConfig(4.0, 2.0, 1.0), 1024),  # r = b: nearly equal gaps
-            (TripleConfig(35.0, 30.0, 5.0).scaled(1e-300), 64),
-            (TripleConfig(35.0, 30.0, 5.0).scaled(1e300), 64),
-            (TripleConfig(4.0, 2.0, 1.0).scaled(1e-300), 65),
+            (scaled(TripleConfig(35.0, 30.0, 5.0), 1e-300), 64),
+            (scaled(TripleConfig(35.0, 30.0, 5.0), 1e300), 64),
+            (scaled(TripleConfig(4.0, 2.0, 1.0), 1e-300), 65),
         ],
         ids=["circle", "oval-1e-300", "oval-1e300", "circle-1e-300"],
     )
@@ -541,7 +542,7 @@ class TestCrossRatioProperties:
     @settings(max_examples=100)
     def test_scale_invariance(self, heights, lam):
         cfg = FourConfig(*heights, Geometry.HYPERBOLIC)
-        assert cross_ratio_hyper(cfg.scaled(lam)) == pytest.approx(
+        assert cross_ratio_hyper(scaled(cfg, lam)) == pytest.approx(
             cross_ratio_hyper(cfg), rel=1e-12
         )
 
@@ -549,7 +550,7 @@ class TestCrossRatioProperties:
     @settings(max_examples=100)
     def test_translation_invariance(self, heights, shift):
         cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
-        assert cross_ratio_euclid(cfg.shifted(shift)) == pytest.approx(
+        assert cross_ratio_euclid(shifted(cfg, shift)) == pytest.approx(
             cross_ratio_euclid(cfg), rel=1e-9
         )
 
