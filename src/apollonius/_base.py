@@ -1,4 +1,4 @@
-"""Errors, the value record and the flat angle residual that every layer shares.
+"""Errors, the value record, the flat angle residual and the scaled and exact forms of heights that every layer shares.
 
 Kept apart from the geometry modules so that each CLI subcommand imports,
 and so compiles, only the modules it runs: classify needs TripleConfig's
@@ -85,3 +85,27 @@ def _flat_residual(x: float, y: float, h1: float, h2: float, h3: float) -> float
     ax = abs(x)
     t2 = math.atan2(h2 - y, ax)
     return (math.atan2(h1 - y, ax) - t2) - (t2 - math.atan2(h3 - y, ax))
+
+
+def _unit_copy(*heights: float) -> tuple[list[float], int]:
+    """The heights divided by 2^k, the power of two that puts max(|first|, |last|) in [0.5, 1), and k.
+
+    For heights ordered first > last. Exact, and the copy's gaps, products
+    and squares stay finite, but heights far below the largest can round
+    into the subnormals or to 0: each caller checks the copy it needs.
+    """
+    first, last = heights[0], heights[-1]
+    k = math.frexp(first if first >= -last else -last)[1]
+    # ldexp per height, as 2^-k itself can overflow; a loop, as on the
+    # witness path a comprehension's own frame costs more
+    unit = []
+    for h in heights:
+        unit.append(math.ldexp(h, -k))
+    return unit, k
+
+
+def _integers(*values: float) -> tuple[list[int], int]:
+    """The values as integers over their common power-of-two denominator, and that denominator."""
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max([denominator for _, denominator in ratios])
+    return [numerator * (scale // denominator) for numerator, denominator in ratios], scale

@@ -150,25 +150,16 @@ def _cmd_euclid_locus(args) -> int:
 
 
 def _cmd_fourpoint(args) -> int:
-    from .fourpoint import (
-        FourConfig,
-        Geometry,
-        cross_ratio_euclid,
-        cross_ratio_hyper,
-        find_witness_euclid,
-        find_witness_hyper,
-        fourpoint_report,
-    )
+    from .fourpoint import FourConfig, Geometry, find_witness_euclid, find_witness_hyper, fourpoint_report
 
     geometry = Geometry(args.geometry)
     if geometry is Geometry.HYPERBOLIC:
-        positive, cross_ratio, find_witness = " in hyperbolic geometry", cross_ratio_hyper, find_witness_hyper
+        positive, find_witness = " in hyperbolic geometry", find_witness_hyper
     else:
-        positive, cross_ratio, find_witness = None, cross_ratio_euclid, find_witness_euclid
+        positive, find_witness = None, find_witness_euclid
     cfg = FourConfig(*_heights(args, "abcd", positive), geometry)
-    ratio = cross_ratio(cfg)
     witness = find_witness(cfg) if args.witness else None
-    _write_json(fourpoint_report(cfg, witness, ratio), args.output)
+    _write_json(fourpoint_report(cfg, witness), args.output)
     return 0
 
 

@@ -44,6 +44,16 @@ the squared, negated heights: with that witness at (x_e, y_e) seeing
 points on the y-axis, W = y_e + i x_e and P = sqrt(W), which lies in
 the upper half-plane because x_e > 0. This map is the one place where
 heights are squared.
+
+Existence is decided exactly, once per geometry (_ratio_euclid,
+_ratio_hyper), as the sign of m = 3 - cr, which every function here reads
+and the witness takes. A float filter (Shewchuk, DCG 18, 1997) decides
+almost every config: the float cr of the heights as given rounds 7 times
+(flat) or 15 (hyperbolic), so where each quotient and product is a finite
+normal float (a difference or sum in the subnormals is exact) it is within
+a factor 1 +- 16 * 2^-53 of the exact one (Higham, Accuracy and Stability
+of Numerical Algorithms, 2002, lemma 3.1), and outside the band 3 (1 +-
+16 * 2^-53) on its side of 3, with m = 3.0 - cr; elsewhere _exact_ratio decides.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import enum
 import math
 import sys
 
-from ._base import GeometryError, OrderingError, WitnessSearchError, _flat_residual, _Record
+from ._base import GeometryError, OrderingError, WitnessSearchError, _flat_residual, _integers, _Record, _unit_copy
 from .halfplane import _axis_residuals
 
 __all__ = [
@@ -77,6 +87,8 @@ EUCLID_WITNESS_TOL = 1e-10
 HYPER_WITNESS_TOL = 1e-8
 
 _FLOAT_MIN = sys.float_info.min
+# 3 (1 -+ 16 * 2^-53), exactly: the float filter's band (module docstring)
+_BAND_LO, _BAND_HI = EXISTENCE_THRESHOLD * (1.0 - 2.0**-49), EXISTENCE_THRESHOLD * (1.0 + 2.0**-49)
 
 
 class Geometry(enum.Enum):
@@ -98,14 +110,7 @@ class FourConfig(_Record):
     Validity is decided once, by one chained comparison (finite, ordered
     and, hyperbolic, positive); _check_heights runs only where it fails,
     to name the failure, so each error keeps its class, text and order.
-    The unit copy is decided once too: _unit_copy, the heights divided by
-    2^k, k the binary exponent of max(|a|, |d|), and k, kept in the
-    private _unit where the copy passes the checks the witness functions
-    need (ordered; hyperbolic, positive), else None.
-    Heights far below the largest can round into the subnormals and
-    collapse; such configs construct, and the witness functions raise on
-    them. _unit is not a field: repr, ==, hash and pickles see only a, b,
-    c, d and geometry, and unpickling builds it again.
+    Every valid config is decided from its heights as given, at any spread.
     """
 
     _fields = ("a", "b", "c", "d", "geometry")
@@ -115,27 +120,16 @@ class FourConfig(_Record):
         # into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
         hyperbolic = geometry is _HYPERBOLIC
-        floor = 0.0 if hyperbolic else -_INF
         # nan fails every comparison, and an infinite height the outer ones;
         # on a failure the checks name it, in their order
-        if not _INF > a > b > c > d > floor:
+        if not _INF > a > b > c > d > (0.0 if hyperbolic else -_INF):
             _check_heights(a, b, c, d, hyperbolic)
-        unit = _unit_copy(a, b, c, d)
-        ua, ub, uc, ud, _ = unit
         fields = self.__dict__
         fields["a"] = a
         fields["b"] = b
         fields["c"] = c
         fields["d"] = d
         fields["geometry"] = geometry
-        fields["_unit"] = unit if ua > ub > uc > ud > floor else None
-
-    def __getstate__(self):
-        fields = self.__dict__
-        return {name: fields[name] for name in self._fields}
-
-    def __setstate__(self, state):
-        self.__init__(**state)
 
 
 def _check_heights(a: float, b: float, c: float, d: float, hyperbolic: bool) -> None:
@@ -169,210 +163,209 @@ class Witness(_Record):
             raise GeometryError(f"witness residual {abs(bad):.3e} exceeds {HYPER_WITNESS_TOL}")
 
 
-def _reject(cfg: FourConfig, geometry: Geometry) -> None:
-    """Raise the error of the first check cfg fails as an input of geometry's functions.
+def _ratio_euclid(cfg: FourConfig) -> tuple[float, float]:
+    """(cr, m): the flat cross-ratio ((b-c)/(a-b)) / ((c-d)/(a-d)) and the margin m = 3 - cr (module docstring)."""
+    # read from __dict__, which FourConfig fills: faster than four attribute loads
+    fields = cfg.__dict__
+    if fields["geometry"] is not _EUCLIDEAN:
+        raise GeometryError("operation expects a euclid-tagged config")
+    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
+    # 0 where a - d overflows, which would divide by 0 below
+    lower = (c - d) / (a - d)
+    if lower >= _FLOAT_MIN:
+        upper = (b - c) / (a - b)
+        cross_ratio = upper / lower
+        if upper >= _FLOAT_MIN and (cross_ratio < _BAND_LO or _BAND_HI < cross_ratio < _INF):
+            return cross_ratio, EXISTENCE_THRESHOLD - cross_ratio
+    return _exact_ratio(a, b, c, d, False)
 
-    They test the tag and cfg._unit inline and call this only where one
-    fails, so the checks run in their order: the tag, then _check_heights
-    on the unit copy that FourConfig rejected (_unit is None), built again
-    here only to name the failure.
+
+def _ratio_hyper(cfg: FourConfig) -> tuple[float, float]:
+    """(cr, m): the hyperbolic cross-ratio and the margin m = 3 - cr (module docstring)."""
+    fields = cfg.__dict__
+    if fields["geometry"] is not _HYPERBOLIC:
+        raise GeometryError("operation expects a hyper-tagged config")
+    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
+    first = (b - c) / (c - d)
+    partial = first * ((a - d) / (a - b) * ((a + d) / (a + b)))
+    cross_ratio = partial * ((b + c) / (c + d))
+    # the bracket is at least 1/2 and the last factor at least 1, so where
+    # first and partial are normal and cr is finite, so is every partial result
+    if first >= _FLOAT_MIN and partial >= _FLOAT_MIN and (cross_ratio < _BAND_LO or _BAND_HI < cross_ratio < _INF):
+        return cross_ratio, EXISTENCE_THRESHOLD - cross_ratio
+    return _exact_ratio(a, b, c, d, True)
+
+
+def _exact_ratio(a: float, b: float, c: float, d: float, hyperbolic: bool) -> tuple[float, float]:
+    """(cr, m) of the heights, correctly rounded, with the exact sign of m.
+
+    True division of the exact integer gaps (times the sums p + q,
+    hyperbolic) rounds correctly. Past the float range cr = inf, m = -inf;
+    a nonzero m that rounds to 0 is the smallest subnormal of its sign.
     """
-    if cfg.geometry is not geometry:
-        raise GeometryError(f"operation expects a {geometry.value}-tagged config")
-    a, b, c, d, _ = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
-    _check_heights(a, b, c, d, geometry is _HYPERBOLIC)
+    (a, b, c, d), _ = _integers(a, b, c, d)
+    upper, middle, lower, outer = a - b, b - c, c - d, a - d
+    if hyperbolic:
+        upper, middle, lower, outer = upper * (a + b), middle * (b + c), lower * (c + d), outer * (a + d)
+    numerator, denominator = middle * outer, upper * lower
+    excess = 3 * denominator - numerator
+    try:
+        cross_ratio = numerator / denominator
+    except OverflowError:
+        return _INF, -_INF
+    margin = excess / denominator
+    if margin == 0.0 and excess:
+        margin = 5e-324 if excess > 0 else -5e-324
+    return cross_ratio, margin
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
-    """((b-c)/(a-b)) / ((c-d)/(a-d)); always positive for ordered heights.
-
-    Computed on the config's unit copy (_unit), as find_witness_euclid
-    does, so the gaps stay finite; the value is bit-identical to the raw
-    heights' wherever no height or gap leaves the normal floats.
-    """
-    unit = cfg._unit
-    if cfg.geometry is not _EUCLIDEAN or unit is None:
-        _reject(cfg, _EUCLIDEAN)
-    a, b, c, d, _ = unit
-    return ((b - c) / (a - b)) / ((c - d) / (a - d))
+    """((b-c)/(a-b)) / ((c-d)/(a-d)) of cfg: the float value where it decides existence, else correctly rounded."""
+    return _ratio_euclid(cfg)[0]
 
 
 def cross_ratio_hyper(cfg: FourConfig) -> float:
-    """sinh(d_bc) sinh(d_ad) / (sinh(d_ab) sinh(d_cd)), d_pq the hyperbolic distance of ip and iq.
-
-    Computed from the heights of the config's unit copy (_unit) as
-    (b-c)/(c-d) * ((a-d)/(a-b) * (a+d)/(a+b)) * (b+c)/(c+d), the
-    module docstring's factored form. Each factor is a ratio of two
-    differences or two sums of heights, so nothing is squared. The first
-    factor is at least about 2^-53, the bracket at least 1 and the last
-    factor more than 1, so no partial product exceeds the result or
-    leaves the normal floats below, and a difference that lands in the
-    subnormals is exact. Where the heights of the copy are normal
-    floats, the value is therefore within 15 roundings of the exact one,
-    with inf standing for a cross-ratio past the float range.
-    """
-    unit = cfg._unit
-    if cfg.geometry is not _HYPERBOLIC or unit is None:
-        _reject(cfg, _HYPERBOLIC)
-    a, b, c, d, _ = unit
-    return (b - c) / (c - d) * ((a - d) / (a - b) * ((a + d) / (a + b))) * ((b + c) / (c + d))
-
-
-def _unit_copy(a: float, b: float, c: float, d: float) -> tuple[float, float, float, float, int]:
-    """The heights divided by 2^k, the power of two that puts max(|a|, |d|) in [0.5, 1), and k.
-
-    Dividing by a power of two is exact, keeps every gap and square finite
-    and changes neither a cross-ratio nor an angle, but heights far below
-    the largest can round into the subnormals. Each height is scaled on
-    its own (ldexp), so the copy is finite even where 2^-k is not, for
-    heights all below 2^-1024.
-    """
-    # max(|a|, |d|) wherever a > d, which FourConfig requires
-    k = math.frexp(a if a >= -d else -d)[1]
-    return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), k
+    """sinh(d_bc) sinh(d_ad) / (sinh(d_ab) sinh(d_cd)), d_pq the hyperbolic distance of ip and iq, from _ratio_hyper."""
+    return _ratio_hyper(cfg)[0]
 
 
 def exists_euclid(cfg: FourConfig) -> bool:
-    """Whether a Euclidean witness exists (strict cross-ratio bound)."""
-    return cross_ratio_euclid(cfg) < EXISTENCE_THRESHOLD
+    """Whether a Euclidean witness exists: the exact cross-ratio is below 3."""
+    return _ratio_euclid(cfg)[1] > 0.0
 
 
 def exists_hyper(cfg: FourConfig) -> bool:
-    """Whether a hyperbolic witness exists (strict cross-ratio bound)."""
-    return cross_ratio_hyper(cfg) < EXISTENCE_THRESHOLD
+    """Whether a hyperbolic witness exists: the exact cross-ratio is below 3."""
+    return _ratio_hyper(cfg)[1] > 0.0
 
 
 def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
-    The heights are first divided by the power of two of the largest
-    magnitude (the config's unit copy, _unit), which is exact and keeps
-    every gap and product of gaps finite; the witness of that copy,
-    scaled back, is the closed-form point of _flat_witness. It carries
-    its two angle residuals, each within EUCLID_WITNESS_TOL.
-
-    Where the cross-ratio is below 3 but the closed form does not give a
-    point within that bound, WitnessSearchError names the cause: the
-    residual of the point, a divisor or coordinate that rounds to 0, or
-    a point that scales back into the subnormals or past the float range.
+    The closed-form point of _flat_witness on the heights divided by a
+    power of two (_unit_copy), scaled back, with its two angle residuals,
+    each within EUCLID_WITNESS_TOL. Else WitnessSearchError names the cause:
+    heights that collapse in the copy, the residual, a divisor or coordinate
+    that rounds to 0, or a point scaled back out of the normal floats.
     """
-    cross_ratio = cross_ratio_euclid(cfg)
-    if not cross_ratio < EXISTENCE_THRESHOLD:
+    ratio = _ratio_euclid(cfg)
+    if not ratio[1] > 0.0:
         return None
-    a, b, c, d, k = cfg._unit
-    x, y = _flat_witness(b, a - b, b - c, c - d, cross_ratio)
+    (a, b, c, d), k = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+    if not a > b > c > d:
+        heights = (cfg.a, cfg.b, cfg.c, cfg.d)
+        raise _search_error(ratio, f"the heights {heights} span more than float64 holds below the largest")
+    x, y = _flat_witness(b, a - b, b - c, c - d, ratio)
     res1, res2 = _flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d)
     # chained comparisons, false for nan
     if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
         worst = max(abs(res1), abs(res2))
-        raise _search_error(cross_ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
-    return _scaled_witness(x, y, k, (res1, res2), cross_ratio)
+        raise _search_error(ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
+    return _scaled_witness(x, y, k, (res1, res2), ratio)
 
 
-def _flat_witness(b: float, ab: float, bc: float, cd: float, cross_ratio: float) -> tuple[float, float]:
+def _flat_witness(b: float, ab: float, bc: float, cd: float, ratio: tuple[float, float]) -> tuple[float, float]:
     """(x, y) of the flat witness of heights a > b > c > d, from b and the gaps a-b, b-c, c-d.
 
-    cross_ratio is the caller's value of the cross-ratio, below 3, so the
-    square root's argument is positive. Where that product of four gaps
-    leaves the normal floats (gaps spanning ~1e100 or more), the gaps are
-    first multiplied by the power of two that brings it near 1, and x and
-    the offset of y from b are scaled back: exact, and unused wherever
-    the product is normal. Where the divisor rounds to 0, or x underflows
-    to 0 (a witness below the float range), WitnessSearchError names the
-    cause.
+    ratio is the caller's (cr, m), with m = 3 - cr > 0 under the square
+    root. Where that product of m and four gaps is not normal, the gaps are
+    scaled by the power of two that brings their product near 1, and x and
+    y - b back: exact. Where it still underflows (m below about 1e-307), the
+    divisor rounds to 0, or x to 0, WitnessSearchError names the cause.
     """
     bd, ac = bc + cd, ab + bc
-    product = bd * ac * ((EXISTENCE_THRESHOLD - cross_ratio) * ab * cd)
+    product = bd * ac * (ratio[1] * ab * cd)
     if product < _FLOAT_MIN:
         # the mean binary exponent of the four factors
         k = (math.frexp(bd)[1] + math.frexp(ac)[1] + math.frexp(ab)[1] + math.frexp(cd)[1]) // 4
-        x, offset = _flat_witness(0.0, math.ldexp(ab, -k), math.ldexp(bc, -k), math.ldexp(cd, -k), cross_ratio)
+        if not k:
+            raise _search_error(ratio, "the margin 3 - cr leaves the closed form's product below the normal floats")
+        x, offset = _flat_witness(0.0, math.ldexp(ab, -k), math.ldexp(bc, -k), math.ldexp(cd, -k), ratio)
         x = math.ldexp(x, k)
         if x == 0.0:
-            raise _search_error(cross_ratio, "the closed form's x underflows to 0")
+            raise _search_error(ratio, "the closed form's x underflows to 0")
         return x, b + math.ldexp(offset, k)
     divisor = 2.0 * (bc * bc - ab * cd)
     if divisor == 0.0:
-        raise _search_error(cross_ratio, "the divisor (b-c)^2 - (a-b)(c-d) rounds to 0")
+        raise _search_error(ratio, "the divisor (b-c)^2 - (a-b)(c-d) rounds to 0")
     y = b + bc * bd * (ab - bc) / divisor
     x = bc * math.sqrt(product) / abs(divisor)
     if x == 0.0:
-        raise _search_error(cross_ratio, "the closed form's x underflows to 0")
+        raise _search_error(ratio, "the closed form's x underflows to 0")
     return x, y
 
 
 def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     """Square root of the flat witness of the squared, negated heights.
 
-    The square map (module docstring) turns the hyperbolic problem into
-    the Euclidean one for the axis points -d^2 > -c^2 > -b^2 > -a^2, and
-    its witness (x_e, y_e), read as W = y_e + i x_e, gives P = sqrt(W).
-    Existence is decided by cross_ratio_hyper. Heights are first divided
-    by a power of two (the config's unit copy, _unit), which is exact and
-    keeps the squares finite. The flat gaps are the products
-    (p - q)(p + q), which keep the gaps of close heights that squaring
-    them would lose; where one underflows to 0, WitnessSearchError names
-    it. The half-plane judge of
-    equal_angle_residual (halfplane._axis_residuals) takes the point on
-    the unit copy and all four heights at once, since scaling changes no
-    hyperbolic angle: its residuals are those of equal_angle_residual for
-    (a, b, c) and (b, c, d) at the returned witness, bit for bit wherever
-    the scaled values stay normal floats. A true existence predicate with
-    no witness passing the oracle, or with a point that scales back into
-    the subnormals or past the float range, raises WitnessSearchError.
-    The returned witness has x > 0 (its mirror image is a witness too).
+    The square map (module docstring) carries the problem to the flat one
+    for -d^2 > -c^2 > -b^2 > -a^2, whose witness (x_e, y_e), read as
+    W = y_e + i x_e, gives P = sqrt(W), x > 0: on the heights divided by a
+    power of two (_unit_copy), with flat gaps (p - q)(p + q), which keep the
+    gaps of close heights. The judge, halfplane._axis_residuals, gives
+    equal_angle_residual's residuals for (a, b, c) and (b, c, d) there, bit
+    for bit while the scaled values stay normal. Else WitnessSearchError
+    names the cause, as in find_witness_euclid, or a flat gap of 0.
     """
-    cross_ratio = cross_ratio_hyper(cfg)
-    if not cross_ratio < EXISTENCE_THRESHOLD:
+    ratio = _ratio_hyper(cfg)
+    if not ratio[1] > 0.0:
         return None
-    a, b, c, d, k = cfg._unit
+    (a, b, c, d), k = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+    if not a > b > c > d > 0.0:
+        heights = (cfg.a, cfg.b, cfg.c, cfg.d)
+        raise _search_error(ratio, f"the heights {heights} span more than float64 holds below the largest")
     lower, middle, upper = (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b)
     if not (lower and middle and upper):
         name = "(c-d)(c+d)" if not lower else "(b-c)(b+c)" if not middle else "(a-b)(a+b)"
-        raise _search_error(cross_ratio, f"the flat gap {name} rounds to 0")
-    x_e, y_e = _flat_witness(-c * c, lower, middle, upper, cross_ratio)
+        raise _search_error(ratio, f"the flat gap {name} rounds to 0")
+    x_e, y_e = _flat_witness(-c * c, lower, middle, upper, ratio)
     root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
-        raise _search_error(cross_ratio, "the mapped witness lies on the boundary axis")
+        raise _search_error(ratio, "the mapped witness lies on the boundary axis")
     res1, res2 = _axis_residuals(x, y, (a, b, c, d))
     if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
-        raise _search_error(cross_ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
-    return _scaled_witness(x, y, k, (res1, res2), cross_ratio)
+        raise _search_error(ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
+    return _scaled_witness(x, y, k, (res1, res2), ratio)
 
 
-def _search_error(cross_ratio: float, cause: str) -> WitnessSearchError:
-    return WitnessSearchError(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but {cause}")
+def _search_error(ratio: tuple[float, float], cause: str) -> WitnessSearchError:
+    """The failure of a search where ratio = (cr, m) says a witness exists; where cr prints as 3, m gives the digits."""
+    cross_ratio, margin = ratio
+    text = f"{cross_ratio:.6g}"
+    if text == "3":
+        text = f"3 - {margin:.2g}"
+    return WitnessSearchError(f"existence holds (cross-ratio {text} < 3) but {cause}")
 
 
-def _scaled_witness(x: float, y: float, k: int, residuals: tuple[float, float], cross_ratio: float) -> Witness:
+def _scaled_witness(x: float, y: float, k: int, residuals: tuple[float, float], ratio: tuple[float, float]) -> Witness:
     """The witness (x, y) of the unit copy, judged there with these residuals, scaled back by 2^k."""
     try:
         x, y = math.ldexp(x, k), math.ldexp(y, k)
     except OverflowError:
         # scaled back past the float range, the judged witness has no float form
-        raise _search_error(cross_ratio, f"the witness scaled by 2^{k} lies past the float range") from None
+        raise _search_error(ratio, f"the witness scaled by 2^{k} lies past the float range") from None
     if x < _FLOAT_MIN:
         # scaled back into the subnormals, x keeps too few bits to stand for it
-        raise _search_error(cross_ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
+        raise _search_error(ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
     return Witness(x, y, residuals)
 
 
-def fourpoint_report(cfg: FourConfig, witness: Witness | None, cross_ratio: float) -> dict:
-    """JSON-ready record of an existence test and optional witness.
+def fourpoint_report(cfg: FourConfig, witness: Witness | None) -> dict:
+    """JSON-ready record of cfg's existence test, read from its geometry's one decision, and optional witness.
 
-    exists is cross_ratio < EXISTENCE_THRESHOLD, as exists_euclid and
-    exists_hyper decide it. A cross-ratio past the float range (inf,
-    where a gap underflows against the others) has no JSON number, so it
-    is reported as null; no witness exists there.
+    A cross-ratio past the float range (inf, where a gap underflows against
+    the others) has no JSON number, so it is reported as null.
     """
+    hyperbolic = cfg.geometry is _HYPERBOLIC
+    cross_ratio, margin = _ratio_hyper(cfg) if hyperbolic else _ratio_euclid(cfg)
     return {
-        "geometry": "hyperbolic" if cfg.geometry is Geometry.HYPERBOLIC else "euclidean",
+        "geometry": "hyperbolic" if hyperbolic else "euclidean",
         "a": cfg.a,
         "b": cfg.b,
         "c": cfg.c,
         "d": cfg.d,
-        "cross_ratio": None if cross_ratio == math.inf else cross_ratio,
-        "exists": cross_ratio < EXISTENCE_THRESHOLD,
+        "cross_ratio": None if cross_ratio == _INF else cross_ratio,
+        "exists": margin > 0.0,
         "witness": None if witness is None else {"x": witness.x, "y": witness.y},
     }

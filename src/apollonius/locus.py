@@ -42,7 +42,9 @@ from ._base import (
     OrderingError,
     _check_finite,
     _flat_residual,
+    _integers,
     _Record,
+    _unit_copy,
 )
 
 __all__ = [
@@ -224,9 +226,7 @@ def classify(cfg: TripleConfig, eps: float = 1e-12) -> LocusClass:
     """
     if not 0.0 <= eps < math.inf:
         raise GeometryError(f"eps must be finite and nonnegative, got {eps!r}")
-    (a, da), (b, db), (c, dc) = map(float.as_integer_ratio, (cfg.a, cfg.b, cfg.c))
-    scale = max(da, db, dc)  # the denominators are powers of two
-    a, b, c = a * (scale // da), b * (scale // db), c * (scale // dc)
+    (a, b, c), scale = _integers(cfg.a, cfg.b, cfg.c)
     p, q = eps.as_integer_ratio() if scale > 1 else (0, 1)
     a2, b2, c2 = a * a, b * b, c * c
     # b^2 - M^2 and M^2 for each mean M, times M^2's denominator
@@ -247,29 +247,20 @@ def classify(cfg: TripleConfig, eps: float = 1e-12) -> LocusClass:
     return LocusClass.BELOW_HARMONIC
 
 
-def _unit_copy(a: float, b: float, c: float, floor: float) -> tuple[tuple[float, float, float], int]:
-    """The heights divided by 2^k, the power of two that puts max(|a|, |c|) in [0.5, 1), and k.
-
-    sample_curve, solve_r2 and euclidean_locus compute on this copy and
-    scale back with ldexp: exact while copy and result are normal floats,
-    and neither the degree-six gamma nor the flat uv overflows or
-    underflows. Each height is scaled on its own, so the copy is finite
-    where 2^-k is not. A copy not ordered above floor (-inf for the flat
-    locus, 0.0 for the quartic) raises GeometryError naming the span.
-    """
-    k = math.frexp(max(abs(a), abs(c)))[1]
-    ua, ub, uc = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
-    if not ua > ub > uc > floor:
+def _ordered_unit_copy(a: float, b: float, c: float, floor: float) -> tuple[list[float], int]:
+    """_unit_copy of the heights, where gamma and uv stay normal; GeometryError where it is not ordered above floor."""
+    unit, k = _unit_copy(a, b, c)
+    if not unit[0] > unit[1] > unit[2] > floor:
         raise GeometryError(f"heights ({a!r}, {b!r}, {c!r}) span more than float64 holds below the largest")
-    return (ua, ub, uc), k
+    return unit, k
 
 
 def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
     """Positive roots s = r^2 of the quartic at the given angle, ascending.
 
     Solves alpha s^2 - 2 beta cos(2 theta) s - gamma = 0 on the unit copy
-    (_unit_copy) by the sign-stable quadratic form (one root by the -sign
-    trick, the other by Vieta's product), or the linear equation where
+    (_ordered_unit_copy) by the sign-stable quadratic form (one root by the
+    -sign trick, the other by Vieta's product), or the linear equation where
     alpha degenerates, and scales each root back by 2^(2k). Roots at the
     origin node are dropped; one that scales back past the float range or
     into the subnormals raises GeometryError.
@@ -278,7 +269,7 @@ def solve_r2(cfg: TripleConfig, theta: float) -> list[float]:
         raise GeometryError(f"theta must lie in (0, pi), got {theta!r}")
     import numpy as np
 
-    unit, k = _unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
+    unit, k = _ordered_unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
     roots = [s for s in _solve_arrays(TripleConfig(*unit), np.array([theta]))[0].tolist() if s == s]
     with np.errstate(over="ignore"):
         r2 = np.ldexp(roots, 2 * k).tolist()
@@ -350,7 +341,7 @@ def sample_curve(cfg: TripleConfig, n: int) -> Curve:
     """
     import numpy as np
 
-    unit, k = _unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
+    unit, k = _ordered_unit_copy(cfg.a, cfg.b, cfg.c, 0.0)
     thetas = theta_grid(n)
     roots = _solve_arrays(TripleConfig(*unit), thetas)
     # row-major: per angle, column 0 before column 1, i.e. ascending r
@@ -382,12 +373,12 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
     precision when the three heights nearly coincide, and the line test
     is relative to the heights' magnitude so the locus of a scaled triple
     is the scaled locus at every scale. It is computed on the unit copy
-    (_unit_copy) and scaled back; where the heights collapse in that copy,
+    (_ordered_unit_copy) and scaled back; where the heights collapse in that copy,
     or the circle does not fit in float64 (it reaches past 1.8e308, or
     its radius rounds to 0), GeometryError names the cause.
     """
     _check_descending(a, b, c)
-    (ua, ub, uc), k = _unit_copy(a, b, c, -math.inf)
+    (ua, ub, uc), k = _ordered_unit_copy(a, b, c, -math.inf)
     if abs(ub - 0.5 * (ua + uc)) <= 1e-12 * max(abs(ua), abs(uc)):
         return HorizontalLine(height=math.ldexp(0.5 * (ua + uc), k))
     u, v = ua - ub, uc - ub

@@ -248,11 +248,11 @@ def _euclid_indicators(seed: int, lo: int, hi: int, buffers: PairBuffers) -> np.
 
     n = hi - lo
     upper, middle, lower = _ordered_gaps(seed, lo, hi, buffers)
-    # cross_ratio_euclid's float expression for heights (1, b, c, 0):
-    # cr = ((b - c) / (1 - b)) / c, since c - d and / (a - d) are exact. On
-    # the gaps times 2^53 every operand is the float one times a power of
-    # two and the quotient lies in [2^-106, 2^53], so it is below 3 * 2^-53
-    # exactly when cr < 3
+    # cross_ratio_euclid's float expression for heights (1, b, c, 0),
+    # cr = ((b - c) / (1 - b)) / c (c - d and / (a - d) are exact), times
+    # 2^-53 exactly: every operand is the float one times a power of two and
+    # the quotient lies in [2^-106, 2^53]. This float test is exists_euclid
+    # except in its band around 3, about 1e-14 of the samples
     middle /= upper
     middle /= lower
     return np.less(middle, 3.0 / _TWO_53, out=buffers.flag[:n])

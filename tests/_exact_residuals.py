@@ -9,9 +9,9 @@ therefore correct to about an ulp at any scale, and a residual to about
 an ulp of the larger angle. With flat=True the vectors are the flat
 plane's rays (-x, h - y) instead, for the Euclidean residuals.
 
-exact_cross_ratio_hyper is the hyperbolic cross-ratio of the float
-heights in rationals, and hyper_cross_ratio_error measures a float one
-against it.
+exact_cross_ratio_euclid and exact_cross_ratio_hyper are the cross-ratios
+of the float heights in rationals, and hyper_cross_ratio_error measures a
+float hyperbolic one against the latter.
 """
 
 from __future__ import annotations
@@ -19,9 +19,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-# fourpoint.cross_ratio_hyper rounds 15 times (four differences, four sums,
-# four quotients, three products), each within 2^-53 relative; compounded,
-# that stays below 16 units of 2^-53 while the heights are normal floats
+# fourpoint.cross_ratio_hyper's float value rounds 15 times (four
+# differences, four sums, four quotients, three products), each within
+# 2^-53 relative; compounded, that stays below 16 units of 2^-53, and its
+# correctly rounded value, where the float one cannot decide, within 1/2
 HYPER_CROSS_RATIO_BOUND = 16
 
 
@@ -46,10 +47,15 @@ def exact_residuals(x: float, y: float, heights, flat: bool = False) -> tuple[fl
     return tuple(first - second for first, second in zip(angles, angles[1:]))
 
 
+def exact_cross_ratio_euclid(heights) -> Fraction:
+    """(b-c)(a-d) / ((a-b)(c-d)) of the float heights, exactly."""
+    a, b, c, d = map(Fraction, heights)
+    return (b - c) * (a - d) / ((a - b) * (c - d))
+
+
 def exact_cross_ratio_hyper(heights) -> Fraction:
     """(b^2-c^2)(a^2-d^2) / ((a^2-b^2)(c^2-d^2)) of the float heights, exactly."""
-    a, b, c, d = (Fraction(h) ** 2 for h in heights)
-    return (b - c) * (a - d) / ((a - b) * (c - d))
+    return exact_cross_ratio_euclid([Fraction(h) ** 2 for h in heights])
 
 
 def hyper_cross_ratio_error(value: float, heights) -> Fraction:

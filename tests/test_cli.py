@@ -334,16 +334,48 @@ def test_fourpoint_without_witness_flag_skips_search(tmp_path):
     assert '"exists": true' in text
 
 
-def test_fourpoint_witness_search_failure_exits_3(monkeypatch, capsys):
-    import apollonius.fourpoint as fp
-
-    def failing(b, ab, bc, cd, cross_ratio):
-        raise fp._search_error(cross_ratio, "flat cause")
-
-    monkeypatch.setattr(fp, "_flat_witness", failing)
-    argv = ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"]
+def test_fourpoint_witness_search_failure_exits_3(capsys):
+    # b, c and d within 1e-10: no float point near the witness meets the oracle
+    argv = ["fourpoint", "--geometry", "hyper", "-a", "1.2840254166877414", "-b", "1.000000000095",
+            "-c", "1.000000000025", "-d", "1.0", "--witness"]
     assert run(argv) == 3
-    assert "cross-ratio" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "search failure: existence holds (cross-ratio 2.8 < 3) but the mapped witness has residuals (1.308e-07, 9.012e-08)\n"
+    )
+
+
+SPANNING_ARGS = ["-a", "1e300", "-b", "3e-300", "-c", "2e-300", "-d", "1e-300"]
+
+
+@pytest.mark.parametrize("geometry", ["euclid", "hyper"])
+def test_heights_spanning_past_the_unit_copy_are_decided(geometry, capsys):
+    # ordered heights whose unit copy collapses: every variant exited 2 with
+    # "heights must satisfy a > b > c > d, got (0.7466108948025751, 0.0, 0.0, 0.0)"
+    argv = ["fourpoint", "--geometry", geometry, *SPANNING_ARGS]
+    assert run(argv) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["exists"] is True and math.isfinite(record["cross_ratio"])
+    assert run(argv + ["--witness"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("search failure: existence holds (cross-ratio ")
+    assert captured.err.endswith(
+        "but the heights (1e+300, 3e-300, 2e-300, 1e-300) span more than float64 holds below the largest\n"
+    )
+
+
+# the float cross-ratio reads below 3, the exact one above it
+FLOAT_YES_EXACT_NO = ["fourpoint", "--geometry", "euclid", "-a", "0.75", "-b", "0.24999999999999806",
+                      "-c", "-0.25000000000000194", "-d", "-0.75", "--witness"]
+
+
+def test_existence_is_decided_exactly(capsys):
+    # this exited 3 with "existence holds (cross-ratio 3 < 3)"
+    assert run(FLOAT_YES_EXACT_NO) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert (record["cross_ratio"], record["exists"], record["witness"]) == (3, False, None)
 
 
 def test_unresolvable_euclid_witness_exits_3(capsys):

@@ -4,6 +4,7 @@ import copy
 import math
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,13 @@ from apollonius.halfplane import AxisPoint, GeometryError, HPoint, OrderingError
 from apollonius.locus import euclidean_equal_angle_residual
 from apollonius.rng import SampleStream
 
-from _exact_residuals import HYPER_CROSS_RATIO_BOUND, exact_residuals, hyper_cross_ratio_error
+from _exact_residuals import (
+    HYPER_CROSS_RATIO_BOUND,
+    exact_cross_ratio_euclid,
+    exact_cross_ratio_hyper,
+    exact_residuals,
+    hyper_cross_ratio_error,
+)
 from _scalar_sampler import scaled, shifted
 
 
@@ -54,8 +61,8 @@ class TestFourConfig:
         euclid(1, 0.5, -0.5, -1)
 
     def test_geometry_tag_checked_by_ops(self):
-        # the tag is checked first: also on heights whose unit copy collapses
-        # (the first COLLAPSING config), which would raise an OrderingError
+        # the tag is checked first: also on heights that collapse in the
+        # witness search's unit copy (the first SPANNING config)
         ops = (
             (Geometry.EUCLIDEAN, (cross_ratio_euclid, exists_euclid, find_witness_euclid)),
             (Geometry.HYPERBOLIC, (cross_ratio_hyper, exists_hyper, find_witness_hyper)),
@@ -71,44 +78,42 @@ class TestFourConfig:
                     assert str(caught.value) == f"operation expects a {expected.value}-tagged config"
 
 
-# heights whose unit copy (divided by the power of two of the largest)
-# collapses: each config constructs, and its geometry's existence test and
-# witness search raise the error and text of the copy's first failing check
-COLLAPSING = [
-    # spanning past 2^±1000: the two lowest round to 0 in the copy
-    (
-        (2.0**1000, 1.0, 2.0**-1000, 2.0**-1020),
-        Geometry.HYPERBOLIC,
-        OrderingError,
-        "heights must satisfy a > b > c > d, got (0.5, 4.6663180925160944e-302, 0.0, 0.0)",
-    ),
-    (
-        (2.0**1000, 1.0, 2.0**-1000, 2.0**-1020),
-        Geometry.EUCLIDEAN,
-        OrderingError,
-        "heights must satisfy a > b > c > d, got (0.5, 4.6663180925160944e-302, 0.0, 0.0)",
-    ),
-    (
-        (2.0**1023, 2.0**-30, 2.0**-40, 2.0**-1000),
-        Geometry.HYPERBOLIC,
-        GeometryError,
-        "hyperbolic heights must be positive, got d=0.0",
-    ),
-    ((1.0, 0.5, 0.25, 5e-324), Geometry.HYPERBOLIC, GeometryError, "hyperbolic heights must be positive, got d=0.0"),
+# heights that collapse in the unit copy (divided by the power of two of
+# the largest), where a copy built at construction once raised
+# OrderingError or GeometryError naming the copy's values: each config is
+# decided exactly, with a cross-ratio within the filter's bound, and the
+# witness search returns None or names the span
+SPANNING = [
+    ((2.0**1000, 1.0, 2.0**-1000, 2.0**-1020), Geometry.HYPERBOLIC),
+    ((2.0**1000, 1.0, 2.0**-1000, 2.0**-1020), Geometry.EUCLIDEAN),
+    ((2.0**1023, 2.0**-30, 2.0**-40, 2.0**-1000), Geometry.HYPERBOLIC),
+    ((1.0, 0.5, 0.25, 5e-324), Geometry.HYPERBOLIC),
+    # a witness exists: cross-ratios 1.0000000000000002 and 1.6666666666666672
+    ((1e300, 3e-300, 2e-300, 1e-300), Geometry.EUCLIDEAN),
+    ((1e300, 3e-300, 2e-300, 1e-300), Geometry.HYPERBOLIC),
 ]
 
 
-@pytest.mark.parametrize("heights,geometry,error,message", COLLAPSING, ids=[str(c[0]) for c in COLLAPSING])
-def test_collapsing_unit_copy_constructs_and_raises_in_the_search(heights, geometry, error, message):
+@pytest.mark.parametrize("heights,geometry", SPANNING, ids=[f"{c[0]}-{c[1].value}" for c in SPANNING])
+def test_heights_collapsing_in_the_unit_copy_are_decided_exactly(heights, geometry):
     cfg = FourConfig(*heights, geometry)
-    functions = (
-        (exists_euclid, find_witness_euclid) if geometry is Geometry.EUCLIDEAN else (exists_hyper, find_witness_hyper)
-    )
-    for function in functions:
-        with pytest.raises(Exception) as caught:
-            function(cfg)
-        assert type(caught.value) is error
-        assert str(caught.value) == message
+    if geometry is Geometry.EUCLIDEAN:
+        exact, cross_ratio, exists, find = exact_cross_ratio_euclid, cross_ratio_euclid, exists_euclid, find_witness_euclid
+    else:
+        exact, cross_ratio, exists, find = exact_cross_ratio_hyper, cross_ratio_hyper, exists_hyper, find_witness_hyper
+    exact, value = exact(heights), cross_ratio(cfg)
+    # inf past the float range, else within the float filter's 16 roundings
+    if exact >= 2**1024:
+        assert value == math.inf
+    else:
+        assert abs(Fraction(value) - exact) <= exact * Fraction(16, 2**53)
+    assert exists(cfg) == (exact < 3)
+    if exact >= 3:
+        assert find(cfg) is None
+        return
+    span = f"but the heights {heights} span more than float64 holds below the largest"
+    with pytest.raises(WitnessSearchError, match=re.escape(span) + "$"):
+        find(cfg)
 
 
 def test_heights_whose_squares_underflow_are_decided_without_them():
@@ -130,9 +135,10 @@ def test_heights_whose_squares_underflow_are_decided_without_them():
 def test_witness_in_the_subnormals_is_a_search_failure(geometry):
     # (10, 6, 5, 1) times 2^-1070 is exact and lies below 2^-1024, where the
     # factor 2^-k of the unit copy overflowed (a bare OverflowError). The
-    # copy is the unscaled config's, so the cross-ratio and the existence
-    # test agree bit for bit; scaled back, the witness x is a subnormal with
-    # a few bits left, which stands for no judged point
+    # gaps of these heights are exact, so the cross-ratio and the existence
+    # test agree with the unscaled config's bit for bit; scaled back, the
+    # witness x is a subnormal with a few bits left, which stands for no
+    # judged point
     base = FourConfig(10.0, 6.0, 5.0, 1.0, geometry)
     cfg = scaled(base, 2.0**-1070)
     if geometry is Geometry.EUCLIDEAN:
@@ -158,7 +164,7 @@ def _outcome(cfg):
     return exists(cfg), None if w is None else (w.x.hex(), w.y.hex(), w.residuals[0].hex(), w.residuals[1].hex())
 
 
-class TestUnitCopy:
+class TestConfigCopies:
     # the (10, 6, 5, 1) witness config, a below-threshold Euclidean one and
     # one with no witness, in both geometries
     CONFIGS = [
@@ -168,13 +174,12 @@ class TestUnitCopy:
         if geometry is Geometry.EUCLIDEAN or heights[3] > 0
     ]
 
-    def test_not_in_repr_equality_or_hash(self):
+    def test_holds_only_the_fields(self):
+        # no unit copy or other derived value is stored
         cfg = hyper(10, 6, 5, 1)
+        assert cfg.__dict__ == {"a": 10.0, "b": 6.0, "c": 5.0, "d": 1.0, "geometry": Geometry.HYPERBOLIC}
         assert repr(cfg) == "FourConfig(a=10.0, b=6.0, c=5.0, d=1.0, geometry=<Geometry.HYPERBOLIC: 'hyper'>)"
         assert hash(cfg) == hash((10.0, 6.0, 5.0, 1.0, Geometry.HYPERBOLIC))
-        other = copy.copy(cfg)
-        other.__dict__["_unit"] = None
-        assert other == cfg and hash(other) == hash(cfg)
 
     def test_pickles_hold_only_the_fields(self):
         cfg = hyper(10, 6, 5, 1)
@@ -330,15 +335,27 @@ class TestFindWitnessEuclid:
         assert w.x > 0
         assert max(abs(r) for r in w.residuals) <= EUCLID_WITNESS_TOL
 
-    def test_divisor_rounding_to_zero_is_a_search_failure(self):
-        # nearly equal gaps: the float cross-ratio reads below 3 (the exact
-        # one is above it), and (b-c)^2 - (a-b)(c-d) rounds to 0
+    def test_float_yes_exact_no_has_no_witness(self):
+        # nearly equal gaps: the float cross-ratio reads below 3 while the
+        # exact one is above it; this exited 3 with "existence holds
+        # (cross-ratio 3 < 3) but the divisor ... rounds to 0"
         heights = (0.75, 0.24999999999999806, -0.25000000000000194, -0.75)
         cfg = euclid(*heights)
-        assert exists_euclid(cfg)
-        a, b, c, d = map(Fraction, heights)
-        assert (b - c) ** 2 != (a - b) * (c - d)
-        with pytest.raises(WitnessSearchError, match=r"the divisor .* rounds to 0$"):
+        assert ((heights[1] - heights[2]) / (heights[0] - heights[1])) / ((heights[2] - heights[3]) / 1.5) < 3
+        assert exact_cross_ratio_euclid(heights) > 3
+        assert cross_ratio_euclid(cfg) == 3.0 and not exists_euclid(cfg)
+        assert find_witness_euclid(cfg) is None
+
+    def test_margin_below_the_floats_is_named_in_the_search_failure(self):
+        # the exact cross-ratio is 3 - 1e-323 (it rounds to 3): a witness
+        # exists, and the message gives the margin, not "cross-ratio 3 < 3".
+        # The closed form's product stays subnormal after its rescaling,
+        # which once recursed without end
+        cfg = euclid(3.0, 2.0, 1.0, -5e-324)
+        assert 3 - exact_cross_ratio_euclid((3.0, 2.0, 1.0, -5e-324)) == Fraction(2, 2**1074 + 1)
+        assert cross_ratio_euclid(cfg) == 3.0 and exists_euclid(cfg)
+        message = "existence holds (cross-ratio 3 - 9.9e-324 < 3) but the margin 3 - cr leaves the closed form's product"
+        with pytest.raises(WitnessSearchError, match="^" + re.escape(message)):
             find_witness_euclid(cfg)
 
     def test_witness_far_below_one_is_found(self):
@@ -482,8 +499,8 @@ class TestFindWitnessHyper:
         assert found >= 100
 
     def test_failed_flat_witness_is_named_in_hyperbolic_terms(self, monkeypatch):
-        def failing(b, ab, bc, cd, cross_ratio):
-            raise fp._search_error(cross_ratio, "flat cause")
+        def failing(b, ab, bc, cd, ratio):
+            raise fp._search_error(ratio, "flat cause")
 
         monkeypatch.setattr(fp, "_flat_witness", failing)
         cross_ratio = cross_ratio_hyper(hyper(10, 6, 5, 1))
@@ -494,7 +511,7 @@ class TestFindWitnessHyper:
     def test_flat_point_off_the_locus_is_rejected_by_the_oracle(self, monkeypatch):
         # the hyperbolic path judges the mapped point with the half-plane
         # oracle alone: a flat point off both loci must not pass
-        monkeypatch.setattr(fp, "_flat_witness", lambda b, ab, bc, cd, cross_ratio: (1.0, b))
+        monkeypatch.setattr(fp, "_flat_witness", lambda b, ab, bc, cd, ratio: (1.0, b))
         with pytest.raises(WitnessSearchError, match=r"cross-ratio 0\.708984 < 3\) but the mapped witness has residuals"):
             find_witness_hyper(hyper(10, 6, 5, 1))
 

@@ -1,6 +1,7 @@
 """The package namespace and what importing it, or running a subcommand, loads."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -203,6 +204,18 @@ def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     loaded = fresh_python(RUN_CLI, *argv, "-o", str(out))
     assert loaded == f"[]\n[]\n{SUBCOMMAND_MODULES[golden_name]}\n"
     assert out.read_bytes() == (GOLDEN / golden_name).read_bytes()
+
+
+def test_exact_existence_loads_no_numpy_or_fractions(tmp_path):
+    # the float cross-ratio of these heights reads below 3 and the exact one
+    # above it, so "exists": false comes from the integer decision
+    out = tmp_path / "fourpoint.json"
+    argv = ["fourpoint", "--geometry", "euclid", "-a", "0.75", "-b", "0.24999999999999806",
+            "-c", "-0.25000000000000194", "-d", "-0.75", "--witness", "-o", str(out)]
+    loaded = fresh_python(RUN_CLI + "; print('fractions' in sys.modules)", *argv)
+    assert loaded == f"[]\n[]\n{SUBCOMMAND_MODULES['fourpoint_hyper_10_6_5_1.json']}\nFalse\n"
+    record = json.loads(out.read_text())
+    assert (record["exists"], record["witness"]) == (False, None)
 
 
 def test_no_straddle_calibration_loads_no_numpy(tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import apollonius.fourpoint as fp
 from apollonius.fourpoint import (
     EUCLID_WITNESS_TOL,
     HYPER_WITNESS_TOL,
@@ -50,6 +51,7 @@ import _object_path as object_path
 import _witness_path as witness_path
 from _exact_residuals import (
     HYPER_CROSS_RATIO_BOUND,
+    exact_cross_ratio_euclid,
     exact_cross_ratio_hyper,
     exact_residuals,
     hyper_cross_ratio_error,
@@ -607,24 +609,18 @@ def _config_error(heights, hyperbolic):
     return None
 
 
-def _unit_copy_error(heights, hyperbolic):
-    """The (class, message) the cross-ratio, existence and witness functions raise for valid heights.
-
-    The unit copy is the heights divided by 2^k, k the binary exponent of
-    the largest magnitude, each correctly rounded from exact rationals and
-    keeping its sign (-0.0 too); it must pass the chain above.
-    """
-    k = math.frexp(max(abs(heights[0]), abs(heights[3])))[1]
-    unit = tuple(math.copysign(float(Fraction(h) / Fraction(2) ** k), h) for h in heights)
-    return _config_error(unit, hyperbolic)
+def _exists_exactly(heights, hyperbolic):
+    """Whether the exact cross-ratio of the float heights is below 3."""
+    return (exact_cross_ratio_hyper if hyperbolic else exact_cross_ratio_euclid)(heights) < 3
 
 
 class TestValidationParity:
     """Each config is checked by one comparison, and the named checks run only on a failure.
 
-    Their errors must still follow the documented order, on construction
-    and for the unit copy that every cross-ratio, existence test and
-    witness search works on.
+    Their errors must still follow the documented order on construction.
+    A valid config is decided exactly at any spread: its cross-ratio and
+    existence test raise nothing, and its witness search raises at most a
+    named search failure.
     """
 
     @given(st.one_of(adversarial_heights(), collapsing_heights()), st.sampled_from(list(Geometry)))
@@ -645,21 +641,97 @@ class TestValidationParity:
             assert (type(caught.value), str(caught.value)) == expected
             return
         cfg = FourConfig(*heights, geometry)
-        expected = _unit_copy_error(heights, hyperbolic)
         if hyperbolic:
-            functions = (cross_ratio_hyper, exists_hyper, find_witness_hyper)
+            cross_ratio, exists, find = cross_ratio_hyper, exists_hyper, find_witness_hyper
         else:
-            functions = (cross_ratio_euclid, exists_euclid, find_witness_euclid)
-        for function in functions:
-            try:
-                function(cfg)
-            except GeometryError as exc:
-                outcome = type(exc), str(exc)
-            except WitnessSearchError:
-                outcome = None
-            else:
-                outcome = None
-            assert outcome == expected, function.__name__
+            cross_ratio, exists, find = cross_ratio_euclid, exists_euclid, find_witness_euclid
+        assert cross_ratio(cfg) >= 0  # 0 where the correctly rounded value underflows
+        assert exists(cfg) == _exists_exactly(heights, hyperbolic)
+        try:
+            witness = find(cfg)
+        except WitnessSearchError:
+            assert exists(cfg)
+        else:
+            assert (witness is not None) == exists(cfg)
+
+
+def _fraction_sqrt(value):
+    """A float within an ulp or two of the square root of a positive Fraction, at any scale."""
+    e = (value.numerator.bit_length() - value.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(value / Fraction(4) ** e), e)
+
+
+@st.composite
+def near_threshold_heights(draw, hyperbolic):
+    # a > b > d, and c within 12 ulps of the c* where the exact cross-ratio
+    # is 3: of the heights, or (hyperbolic) of their squares, solved for
+    # c*^2. The heights lie near one scale, or span up to 2^+-1000
+    if draw(st.booleans()):
+        logs = sorted((draw(st.floats(min_value=-10.0, max_value=10.0)) for _ in range(3)), reverse=True)
+        a, b, d = (math.exp(v) for v in logs)
+    else:
+        exponents = sorted((draw(st.integers(-1000, 1000)) for _ in range(3)), reverse=True)
+        a, b, d = (math.ldexp(draw(st.floats(min_value=0.5, max_value=1.0)), e) for e in exponents)
+    if not hyperbolic and draw(st.booleans()):
+        d = -d
+    A, B, D = (Fraction(h) ** 2 if hyperbolic else Fraction(h) for h in (a, b, d))
+    assume(A > B > D)
+    threshold = (B * (A - D) + 3 * (A - B) * D) / ((A - D) + 3 * (A - B))
+    c = _fraction_sqrt(threshold) if hyperbolic else float(threshold)
+    steps = draw(st.integers(-12, 12))
+    for _ in range(abs(steps)):
+        c = math.nextafter(c, math.inf if steps > 0 else -math.inf)
+    assume(a > b > c > d > (0.0 if hyperbolic else -math.inf))
+    return a, b, c, d
+
+
+class TestExactExistence:
+    """Near the threshold every function reads the exact decision, and the witness search keeps its contract."""
+
+    @staticmethod
+    def _check(heights, geometry):
+        hyperbolic = geometry is Geometry.HYPERBOLIC
+        cfg = FourConfig(*heights, geometry)
+        if hyperbolic:
+            cross_ratio, exists, find, tol = cross_ratio_hyper, exists_hyper, find_witness_hyper, HYPER_WITNESS_TOL
+        else:
+            cross_ratio, exists, find, tol = cross_ratio_euclid, exists_euclid, find_witness_euclid, EUCLID_WITNESS_TOL
+        expected = _exists_exactly(heights, hyperbolic)
+        assert exists(cfg) == expected
+        assert fp.fourpoint_report(cfg, None)["exists"] == expected
+        value = cross_ratio(cfg)
+        if fp._BAND_LO <= value <= fp._BAND_HI:
+            # decided in integers: correctly rounded
+            exact = (exact_cross_ratio_hyper if hyperbolic else exact_cross_ratio_euclid)(heights)
+            assert value == float(exact)
+        # a witness within its contract, None exactly where none exists, or
+        # a named search failure; a negative margin under math.sqrt would
+        # raise ValueError
+        try:
+            witness = find(cfg)
+        except WitnessSearchError as exc:
+            assert expected and "(cross-ratio 3 < 3)" not in str(exc), str(exc)
+            return
+        assert (witness is not None) == expected
+        if witness is not None:
+            assert max(map(abs, witness.residuals)) <= tol
+
+    @given(near_threshold_heights(hyperbolic=False))
+    # the float cross-ratio reads below 3, the exact one is above it
+    @example((0.75, 0.24999999999999806, -0.25000000000000194, -0.75))
+    # 1e-300 .. 1e300: the unit copy collapses
+    @example((1e300, 3e-300, 2e-300, 1e-300))
+    @settings(max_examples=300, deadline=None)
+    def test_euclid(self, heights):
+        self._check(heights, Geometry.EUCLIDEAN)
+
+    @given(near_threshold_heights(hyperbolic=True))
+    # the float cross-ratio reads 3.0, the exact one is below 3
+    @example((4.0, 3.1835132202904335, 2.2811530619349782, 1.0))
+    @example((1e300, 3e-300, 2e-300, 1e-300))
+    @settings(max_examples=300, deadline=None)
+    def test_hyper(self, heights):
+        self._check(heights, Geometry.HYPERBOLIC)
 
 
 def _min_gap(heights):
@@ -758,13 +830,25 @@ class TestWitnessBitIdentity:
     @example((1.0, 0.18352734933459244, 0.05320530938513346, 0.0))
     # the closed form's point has residual 1.98e-10, between the two bounds
     @example((62.18405961560278, 24.55849812734293, 24.558498082097245, -36.229585738926005))
+    # the float cross-ratio reads below 3, the exact one is above it
+    @example((0.75, 0.24999999999999806, -0.25000000000000194, -0.75))
     @settings(max_examples=400, deadline=None)
     def test_euclid_matches_object_path(self, heights):
         cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
-        assert _bits(_run(cross_ratio_euclid, cfg)) == _bits(_run(witness_path.cross_ratio_euclid, cfg))
-        assert _run(exists_euclid, cfg) == _run(witness_path.exists_euclid, cfg)
+        old_ratio = witness_path.cross_ratio_euclid(cfg)
         old = _run(witness_path.find_witness_euclid, cfg)
         new = _run(find_witness_euclid, cfg)
+        if fp._BAND_LO <= old_ratio <= fp._BAND_HI:
+            # inside the float filter's band existence is exact, where the
+            # old path's float test could read either side
+            assert exists_euclid(cfg) == _exists_exactly(heights, False)
+            if exists_euclid(cfg):
+                assert isinstance(new, (Witness, WitnessSearchError)), new
+            else:
+                assert new is None
+            return
+        assert _bits(_run(cross_ratio_euclid, cfg)) == _bits(old_ratio)
+        assert _run(exists_euclid, cfg) == _run(witness_path.exists_euclid, cfg)
         if not exists_euclid(cfg):
             assert old is None and new is None
             return
@@ -847,7 +931,9 @@ class TestHyperbolicDistances:
             witness = find_witness_hyper(cfg)
         except WitnessSearchError as exc:
             assert exists_hyper(cfg)
-            assert str(exc).startswith(f"existence holds (cross-ratio {cross_ratio:.6g} < 3) but ")
+            # where the cross-ratio prints as 3, the margin gives the digits
+            text = f"{cross_ratio:.6g}"
+            assert str(exc).startswith(f"existence holds (cross-ratio {text if text != '3' else '3 - '}")
             return
         assert (witness is not None) == exists_hyper(cfg)
         if witness is not None:
