@@ -1,4 +1,4 @@
-"""Errors, the value record, the flat angle residual and the scaled and exact forms of heights that every layer shares.
+"""Errors, the value record, the flat residuals, the scaling exponent and the exact heights that every layer shares.
 
 Kept apart from the geometry modules so that each CLI subcommand imports,
 and so compiles, only the modules it runs: classify needs TripleConfig's
@@ -73,6 +73,9 @@ class _Record:
         return f"{type(self).__qualname__}({fields})"
 
 
+_atan2 = math.atan2
+
+
 def _flat_residual(x: float, y: float, h1: float, h2: float, h3: float) -> float:
     """Flat angle(h1 p h2) - angle(h2 p h3) at p = (x, y), for heights h1 > h2 > h3.
 
@@ -83,25 +86,28 @@ def _flat_residual(x: float, y: float, h1: float, h2: float, h3: float) -> float
     lose digits in the subnormals or overflow.
     """
     ax = abs(x)
-    t2 = math.atan2(h2 - y, ax)
-    return (math.atan2(h1 - y, ax) - t2) - (t2 - math.atan2(h3 - y, ax))
+    t2 = _atan2(h2 - y, ax)
+    return (_atan2(h1 - y, ax) - t2) - (t2 - _atan2(h3 - y, ax))
 
 
-def _unit_copy(*heights: float) -> tuple[list[float], int]:
-    """The heights divided by 2^k, the power of two that puts max(|first|, |last|) in [0.5, 1), and k.
+def _flat_residuals(x: float, y: float, a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """(_flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d)), bit for bit, from four ray directions."""
+    ax = abs(x)
+    tb, tc = _atan2(b - y, ax), _atan2(c - y, ax)
+    # the angle (b p c) closes the first residual and opens the second
+    middle = tb - tc
+    return (_atan2(a - y, ax) - tb) - middle, middle - (tc - _atan2(d - y, ax))
 
-    For heights ordered first > last. Exact, and the copy's gaps, products
-    and squares stay finite, but heights far below the largest can round
-    into the subnormals or to 0: each caller checks the copy it needs.
+
+def _unit_exponent(first: float, last: float) -> int:
+    """The k that puts max(|first|, |last|) / 2^k in [0.5, 1), for heights ordered first > last.
+
+    Each caller divides its heights by 2^k with ldexp (2^-k itself can
+    overflow): exact, and the copy's gaps, products and squares stay finite,
+    but heights far below the largest can round into the subnormals or to
+    0, so each caller checks the copy it needs.
     """
-    first, last = heights[0], heights[-1]
-    k = math.frexp(first if first >= -last else -last)[1]
-    # ldexp per height, as 2^-k itself can overflow; a loop, as on the
-    # witness path a comprehension's own frame costs more
-    unit = []
-    for h in heights:
-        unit.append(math.ldexp(h, -k))
-    return unit, k
+    return math.frexp(first if first >= -last else -last)[1]
 
 
 def _integers(*values: float) -> tuple[list[int], int]:

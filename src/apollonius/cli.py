@@ -49,6 +49,9 @@ from ._base import GeometryError, WitnessSearchError
 # ratios searched by prob ph --calibrate
 _CALIBRATION_BRACKET = (1.01, 1000.0)
 
+# the options that take a float, each of which must be finite
+_FLOAT_FLAGS = ("-a", "-b", "-c", "-d", "--eps", "--ratio", "--calibrate")
+
 
 class ValidationError(Exception):
     """Bad flag values; maps to exit code 2."""
@@ -265,6 +268,41 @@ def _cmd_dioph(args) -> int:
     return 0
 
 
+def _attach_negative_floats(argv: list[str]) -> list[str]:
+    """argv with each float flag and a following negative value, such as -d -1e-3, joined as -d=-1e-3.
+
+    argparse reads a separate token that starts with "-" as an option
+    unless its own negative-number pattern, which is private and not the
+    same in every CPython release, matches it: -1e-3 and -inf do not. A
+    value joined by "=" is taken as given. Tokens after "--" are left as
+    they are, since argparse reads them as positional.
+    """
+    tokens = []
+    for i, token in enumerate(argv):
+        if token == "--":
+            return tokens + list(argv[i:])
+        if tokens and _is_float_flag(tokens[-1]) and token.startswith("-") and _reads_as_float(token):
+            tokens[-1] += "=" + token
+        else:
+            tokens.append(token)
+    return tokens
+
+
+def _is_float_flag(token: str) -> bool:
+    """Whether token names a float option: in full, or a long one by a prefix, as argparse takes it."""
+    if token in _FLOAT_FLAGS:
+        return True
+    return len(token) > 2 and token[:2] == "--" and any(flag.startswith(token) for flag in _FLOAT_FLAGS)
+
+
+def _reads_as_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apollonius",
@@ -327,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_floats(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        for name in ("a", "b", "c", "d", "eps", "ratio", "calibrate"):
-            value = getattr(args, name, None)
+        for flag in _FLOAT_FLAGS:
+            value = getattr(args, flag.lstrip("-"), None)
             if value is not None and not math.isfinite(value):
-                raise ValidationError(f"-{name if len(name) == 1 else '-' + name} must be finite")
+                raise ValidationError(f"{flag} must be finite")
         return args.handler(args)
     except (ValidationError, GeometryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

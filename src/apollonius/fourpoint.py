@@ -63,7 +63,7 @@ import enum
 import math
 import sys
 
-from ._base import GeometryError, OrderingError, WitnessSearchError, _flat_residual, _integers, _Record, _unit_copy
+from ._base import GeometryError, OrderingError, WitnessSearchError, _flat_residuals, _integers, _Record, _unit_exponent
 from .halfplane import _axis_residuals
 
 __all__ = [
@@ -99,6 +99,7 @@ class Geometry(enum.Enum):
 _EUCLIDEAN = Geometry.EUCLIDEAN
 _HYPERBOLIC = Geometry.HYPERBOLIC
 _INF = math.inf
+_ldexp = math.ldexp
 
 
 class FourConfig(_Record):
@@ -242,8 +243,8 @@ def exists_hyper(cfg: FourConfig) -> bool:
 def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
-    The closed-form point of _flat_witness on the heights divided by a
-    power of two (_unit_copy), scaled back, with its two angle residuals,
+    The closed-form point of _flat_witness on the heights divided by 2^k
+    (_unit_exponent), scaled back, with its two angle residuals,
     each within EUCLID_WITNESS_TOL. Else WitnessSearchError names the cause:
     heights that collapse in the copy, the residual, a divisor or coordinate
     that rounds to 0, or a point scaled back out of the normal floats.
@@ -251,12 +252,15 @@ def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     ratio = _ratio_euclid(cfg)
     if not ratio[1] > 0.0:
         return None
-    (a, b, c, d), k = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+    # the heights, read from __dict__ as in _ratio_euclid, divided by 2^k
+    fields = cfg.__dict__
+    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
+    k = _unit_exponent(a, d)
+    a, b, c, d = _ldexp(a, -k), _ldexp(b, -k), _ldexp(c, -k), _ldexp(d, -k)
     if not a > b > c > d:
-        heights = (cfg.a, cfg.b, cfg.c, cfg.d)
-        raise _search_error(ratio, f"the heights {heights} span more than float64 holds below the largest")
+        raise _search_error(ratio, _span_cause(cfg))
     x, y = _flat_witness(b, a - b, b - c, c - d, ratio)
-    res1, res2 = _flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d)
+    res1, res2 = _flat_residuals(x, y, a, b, c, d)
     # chained comparisons, false for nan
     if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
         worst = max(abs(res1), abs(res2))
@@ -300,8 +304,8 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
 
     The square map (module docstring) carries the problem to the flat one
     for -d^2 > -c^2 > -b^2 > -a^2, whose witness (x_e, y_e), read as
-    W = y_e + i x_e, gives P = sqrt(W), x > 0: on the heights divided by a
-    power of two (_unit_copy), with flat gaps (p - q)(p + q), which keep the
+    W = y_e + i x_e, gives P = sqrt(W), x > 0: on the heights divided by
+    2^k (_unit_exponent), with flat gaps (p - q)(p + q), which keep the
     gaps of close heights. The judge, halfplane._axis_residuals, gives
     equal_angle_residual's residuals for (a, b, c) and (b, c, d) there, bit
     for bit while the scaled values stay normal. Else WitnessSearchError
@@ -310,10 +314,12 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     ratio = _ratio_hyper(cfg)
     if not ratio[1] > 0.0:
         return None
-    (a, b, c, d), k = _unit_copy(cfg.a, cfg.b, cfg.c, cfg.d)
+    fields = cfg.__dict__
+    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
+    k = _unit_exponent(a, d)
+    a, b, c, d = _ldexp(a, -k), _ldexp(b, -k), _ldexp(c, -k), _ldexp(d, -k)
     if not a > b > c > d > 0.0:
-        heights = (cfg.a, cfg.b, cfg.c, cfg.d)
-        raise _search_error(ratio, f"the heights {heights} span more than float64 holds below the largest")
+        raise _search_error(ratio, _span_cause(cfg))
     lower, middle, upper = (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b)
     if not (lower and middle and upper):
         name = "(c-d)(c+d)" if not lower else "(b-c)(b+c)" if not middle else "(a-b)(a+b)"
@@ -327,6 +333,11 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
         raise _search_error(ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
     return _scaled_witness(x, y, k, (res1, res2), ratio)
+
+
+def _span_cause(cfg: FourConfig) -> str:
+    """The cause of a search whose heights collapse in the unit copy."""
+    return f"the heights {(cfg.a, cfg.b, cfg.c, cfg.d)} span more than float64 holds below the largest"
 
 
 def _search_error(ratio: tuple[float, float], cause: str) -> WitnessSearchError:

@@ -142,6 +142,8 @@ def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) ->
 # shorter than 2^-479, so that products of two of them leave the normal
 # floats and lose digits
 _SHORT_TANGENTS = 2.0**-480
+# bound once: the judge of every witness calls them on each height
+_atan2, _frexp, _ldexp = math.atan2, math.frexp, math.ldexp
 
 
 def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[float]:
@@ -158,14 +160,15 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
         raise OnAxisError("the equal-angle locus excludes points on the y-axis")
     # divide everything by the power of two of the largest magnitude: exact,
     # angle-preserving, and the tangents' squared coordinates stay normal
-    k = -math.frexp(max(abs(x), y, heights[0]))[1]
-    sx, sy = math.ldexp(x, k), math.ldexp(y, k)
-    _check_upper(sy)
+    k = -_frexp(max(abs(x), y, heights[0]))[1]
+    sx, sy = _ldexp(x, k), _ldexp(y, k)
+    if sy <= 0.0:
+        _check_upper(sy)
     # every tangent is at least 2 |x| y long; where that is tiny, the point
     # and the heights span more than one scale can hold, so each tangent is
     # scaled on its own
     short = abs(sx) * sy < _SHORT_TANGENTS
-    upper = math.ldexp(heights[0], k)
+    upper = _ldexp(heights[0], k)
     if short:
         u = _rescaled_tangent(x, y, 0.0, heights[0])
     else:
@@ -176,7 +179,7 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
     residuals = []
     previous = None
     for h in heights[1:]:
-        lower = math.ldexp(h, k)
+        lower = _ldexp(h, k)
         if not (lower > 0.0 and lower != upper and sx != 0.0):
             # values far below the largest can round to zero or merge: the
             # checks of an HPoint and of hyp_angle, in the order the angles
@@ -191,7 +194,7 @@ def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[floa
             # _unsigned_angle((tx, uy), (tx, vy)), operation for operation:
             # abs(cross) too, since atan2(-0.0, dot < 0) is -pi
             vy = dxdx - (sy - lower) * (sy + lower)
-            angle = math.atan2(abs(tx * vy - uy * tx), txtx + uy * vy)
+            angle = _atan2(abs(tx * vy - uy * tx), txtx + uy * vy)
             uy = vy
         if previous is not None:
             residuals.append(previous - angle)

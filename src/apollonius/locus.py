@@ -44,7 +44,7 @@ from ._base import (
     _flat_residual,
     _integers,
     _Record,
-    _unit_copy,
+    _unit_exponent,
 )
 
 __all__ = [
@@ -247,9 +247,13 @@ def classify(cfg: TripleConfig, eps: float = 1e-12) -> LocusClass:
     return LocusClass.BELOW_HARMONIC
 
 
-def _ordered_unit_copy(a: float, b: float, c: float, floor: float) -> tuple[list[float], int]:
-    """_unit_copy of the heights, where gamma and uv stay normal; GeometryError where it is not ordered above floor."""
-    unit, k = _unit_copy(a, b, c)
+def _ordered_unit_copy(a: float, b: float, c: float, floor: float) -> tuple[tuple[float, float, float], int]:
+    """The heights divided by 2^k (_unit_exponent), where gamma and uv stay normal, and k.
+
+    GeometryError where the copy is not ordered above floor.
+    """
+    k = _unit_exponent(a, c)
+    unit = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k)
     if not unit[0] > unit[1] > unit[2] > floor:
         raise GeometryError(f"heights ({a!r}, {b!r}, {c!r}) span more than float64 holds below the largest")
     return unit, k

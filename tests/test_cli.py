@@ -251,14 +251,49 @@ class TestValidation:
         assert flagged.read_bytes() == plain.read_bytes()
 
     def test_negative_exponent_form_takes_the_equals_sign(self, capsys):
-        # argparse reads a separate -1e-5 as an option, as it does not look
-        # like a negative number to it; -d=-1e-5 passes it as the value
         argv = ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "0.5", "-c", "0.25"]
         assert run([*argv, "-d=-1e-5"]) == 0
         out = capsys.readouterr().out
         assert '"d": -1.0000000000000001e-05' in out
         assert run([*argv, "-d", "-0.00001"]) == 0
         assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize(
+        "argv,flag,value",
+        [
+            (["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "0.5", "-c", "0.25"], "-d", "-1e-3"),
+            (["euclid-locus", "-a", "1", "-b", "0.5"], "-c", "-1e-3"),
+            (["classify", "-a", "35", "-b", "25", "-c", "5"], "--eps", "-1E-12"),
+            (["prob", "ph"], "--calibrate", "-1e-3"),
+            (["prob", "ph"], "--cal", "-1e-3"),
+        ],
+        ids=["fourpoint", "euclid-locus", "classify", "calibrate", "calibrate-prefix"],
+    )
+    def test_negative_exponent_form_as_its_own_token(self, argv, flag, value, capsys):
+        # argparse on its own reads a separate -1e-3 as an option and exits 2
+        # with "argument -d: expected one argument"
+        joined = run([*argv, f"{flag}={value}"]), capsys.readouterr()
+        assert run([*argv, flag, value]) == joined[0]
+        assert capsys.readouterr() == joined[1]
+        assert "expected one argument" not in joined[1].err
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan"])
+    def test_negative_non_finite_as_its_own_token_exits_2(self, value, capsys):
+        argv = ["fourpoint", "--geometry", "euclid", "-a", "1", "-b", "0.5", "-c", "0.25", "-d", value]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == "error: -d must be finite\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["classify", "-a", "4", "-b", "2", "-c", "-o", "out.json"], "argument -c: expected one argument"),
+            (["prob", "ph", "--", "--cal", "-1e-3"], "unrecognized arguments: --cal -1e-3"),
+        ],
+        ids=["option", "after-separator"],
+    )
+    def test_tokens_other_than_a_flags_negative_value_stay_apart(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestDeterminism:

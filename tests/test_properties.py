@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import apollonius.fourpoint as fp
+from apollonius._base import _flat_residual, _flat_residuals, _unit_exponent
 from apollonius.fourpoint import (
     EUCLID_WITNESS_TOL,
     HYPER_WITNESS_TOL,
@@ -61,6 +62,8 @@ from _scalar_sampler import scaled, shifted
 
 finite_coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 height = st.floats(min_value=0.01, max_value=100.0, allow_nan=False)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+_LARGEST = sys.float_info.max
 
 
 @st.composite
@@ -1032,3 +1035,35 @@ class TestOneJudge:
         (ux, uy), (vx, vy) = toward(q1), toward(q2)
         expected = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
         assert abs(hyp_angle(p, q1, q2) - expected) <= 1e-13
+
+
+class TestScalingAndFlatResiduals:
+    """The one exponent rule of the unit copies, and the two flat residuals from four ray directions."""
+
+    @given(finite, finite)
+    @example(_LARGEST, -_LARGEST)
+    @example(_LARGEST, _LARGEST / 2.0)
+    @example(-_LARGEST / 2.0, -_LARGEST)
+    @example(5e-324, 0.0)
+    @example(0.0, -5e-324)
+    @example(2.2250738585072014e-308, 2.225073858507201e-308)
+    @settings(max_examples=500)
+    def test_exponent_puts_the_largest_magnitude_in_half_to_one(self, first, last):
+        first, last = max(first, last), min(first, last)
+        largest = max(abs(first), abs(last))
+        assume(first > last and largest > 0.0)
+        k = _unit_exponent(first, last)
+        unit = math.ldexp(largest, -k)
+        assert 0.5 <= unit < 1.0
+        # exact: a power of two moves only the exponent
+        assert math.ldexp(unit, k) == largest
+
+    @given(finite, finite, st.lists(finite, min_size=4, max_size=4, unique=True))
+    @example(1e-300, 0.5, [4.0, 3.0, 2.0, 1.0])
+    @example(-1.0, _LARGEST, [_LARGEST, 1.0, -1.0, -_LARGEST])
+    @example(5e-324, 0.0, [2e-323, 1.5e-323, 1e-323, 5e-324])
+    @settings(max_examples=500)
+    def test_residuals_are_two_flat_residuals_bit_for_bit(self, x, y, heights):
+        a, b, c, d = sorted(heights, reverse=True)
+        expected = (_flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d))
+        assert [r.hex() for r in _flat_residuals(x, y, a, b, c, d)] == [r.hex() for r in expected]
