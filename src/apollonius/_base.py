@@ -103,9 +103,11 @@ def _unit_exponent(first: float, last: float) -> int:
     """The k that puts max(|first|, |last|) / 2^k in [0.5, 1), for heights ordered first > last.
 
     Each caller divides its heights by 2^k with ldexp (2^-k itself can
-    overflow): exact, and the copy's gaps, products and squares stay finite,
-    but heights far below the largest can round into the subnormals or to
-    0, so each caller checks the copy it needs.
+    overflow): exact where the quotient stays normal. The locus passes its
+    outer heights, so the copy's gaps, products and squares stay finite but
+    heights far below the largest can round into the subnormals or to 0;
+    the witness searches pass the middle pair, so heights far outside it
+    can overflow instead. Each caller checks the copy it needs.
     """
     return math.frexp(first if first >= -last else -last)[1]
 

@@ -27,10 +27,13 @@ _SPLIT = 134217729.0
 _TIE = 0.5 - 1e-6
 # layout codes: sign (2) x shape (21) x digits up to the last nonzero one (18)
 _SHAPES, _ENDS = 21, 18
-# values formatted per block, so a long column's temporaries stay small:
-# the block's (6, _BLOCK) word array, 96 KiB, stays below glibc's 128 KiB
-# mmap threshold, so a freed block is reused from the heap rather than
-# returned to the system and faulted in again by the next one
+# values formatted per block, so a long column's temporaries stay small.
+# The block's (6, _BLOCK) word array, 96 KiB, lies below glibc's initial
+# 128 KiB mmap threshold and comes from the heap, but glibc trims the top
+# of the heap once 128 KiB there are free, so the pages of freed blocks
+# still go back to the system and are faulted in again. A larger block
+# faults more; only a raised trim threshold (glibc raises it after an
+# mmapped chunk of a few MiB is freed) keeps them
 _BLOCK = 1 << 11
 
 _tables = None

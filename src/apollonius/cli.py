@@ -49,6 +49,12 @@ from ._base import GeometryError, WitnessSearchError
 # ratios searched by prob ph --calibrate
 _CALIBRATION_BRACKET = (1.01, 1000.0)
 
+# the largest sample -n and dioph pair count (m values times n values):
+# each run holds all of its rows in memory, about 160 and 210 MB at these
+# caps, and a larger value exits 2 before anything is allocated
+_MAX_SAMPLE_N = 1_000_000
+_MAX_DIOPH_PAIRS = 1_000_000
+
 # the options that take a float, each of which must be finite
 _FLOAT_FLAGS = ("-a", "-b", "-c", "-d", "--eps", "--ratio", "--calibrate")
 
@@ -121,8 +127,8 @@ def _cmd_sample(args) -> int:
     from .locus import TripleConfig, sample_curve, samples_to_csv
 
     cfg = TripleConfig(*_heights(args, "abc"))
-    if args.n < 2:
-        raise ValidationError(f"-n must be at least 2, got {args.n}")
+    if not 2 <= args.n <= _MAX_SAMPLE_N:
+        raise ValidationError(f"-n must lie in [2, {_MAX_SAMPLE_N}], got {args.n}")
     curve = sample_curve(cfg, args.n)
     if not len(curve):
         sys.stderr.write(
@@ -253,6 +259,9 @@ def _cmd_dioph(args) -> int:
     }[args.family]
     m_range = _parse_range(args.m_range, "--m-range")
     n_range = _parse_range(args.n_range, "--n-range")
+    pairs = len(m_range) * len(n_range)
+    if pairs > _MAX_DIOPH_PAIRS:
+        raise ValidationError(f"--m-range and --n-range give {pairs} pairs, more than {_MAX_DIOPH_PAIRS}")
     lines = ["m,n,a,b,c,kind,verified"]
     for m in m_range:
         for n in n_range:

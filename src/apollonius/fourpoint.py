@@ -38,12 +38,33 @@ the witness is
     y = b + v(v + w)(u - v) / (2D),
     x = v sqrt((v + w)(u + v)(3 - cr)uw) / (2|D|),
 
-real and off the axis exactly when cr < 3 (D = 0 forces cr >= 3). The
-hyperbolic witness is the principal square root of the flat witness of
-the squared, negated heights: with that witness at (x_e, y_e) seeing
+real and off the axis exactly when cr < 3 (D = 0 forces cr >= 3). It is
+taken with u and w only as the ratios p = v/u and q = v/w, so that an
+outer gap any distance above v (or past the float range, a ratio of 0)
+overflows nothing: cr = p + q + pq and m = 3 - cr, so p, q < 3 and
+pq < 1 wherever m > 0. Divided through by uw, the witness is
+
+    y = b + v(1 + q)(p - 1) / e,    x = v sqrt((1 + q)(1 + p) m) / e,
+
+with e = -2D/uw = 2(1 - pq) = m - (p - 1)(q - 1) > 0. Taken from the
+exact m, e keeps its digits where p and q are near 1 and 2(1 - pq)
+cancels, and reads m, not 0, where floats cannot tell the gaps apart
+(p = q = 1).
+The hyperbolic witness is the principal square root of the flat witness
+of the squared, negated heights: with that witness at (x_e, y_e) seeing
 points on the y-axis, W = y_e + i x_e and P = sqrt(W), which lies in
 the upper half-plane because x_e > 0. This map is the one place where
 heights are squared.
+
+Both searches work on one copy: the heights divided by the power of two
+of the middle pair, max(|b|, |c|). There v stays a normal float, and so,
+hyperbolic, do (b - c)(b + c) and (c - d)(c + d), since b < 2c wherever
+m > 0; an outer height past the copy's float range is infinite there.
+The Euclidean search mirrors the config to (-d, -c, -b, -a) where p < q,
+so that its larger outer gap is cd. The point is scaled back; the
+hyperbolic judge, which scales by the largest height itself, judges it
+on the heights as given, the Euclidean one in the copy, where the ray
+direction of an infinite height is its limit +-pi/2.
 
 Existence is decided exactly, once per geometry (_ratio_euclid,
 _ratio_hyper), as the sign of m = 3 - cr, which every function here reads
@@ -243,60 +264,56 @@ def exists_hyper(cfg: FourConfig) -> bool:
 def find_witness_euclid(cfg: FourConfig) -> Witness | None:
     """The Euclidean witness with x > 0, or None when the cross-ratio is not below 3.
 
-    The closed-form point of _flat_witness on the heights divided by 2^k
-    (_unit_exponent), scaled back, with its two angle residuals,
-    each within EUCLID_WITNESS_TOL. Else WitnessSearchError names the cause:
-    heights that collapse in the copy, the residual, a divisor or coordinate
-    that rounds to 0, or a point scaled back out of the normal floats.
+    The closed form of _flat_witness on the heights divided by 2^k, k the
+    exponent of the middle pair (_unit_exponent of b and c), mirrored to
+    (-d, -c, -b, -a) where a - b is the larger outer gap, so that cd is.
+    An outer height past the copy's float range is infinite there: its ray
+    direction is the limit +-pi/2 and its gap ratio 0. The point is judged
+    in the copy, each residual within EUCLID_WITNESS_TOL, and scaled back.
+    Else WitnessSearchError names the cause: the residual, the divisor, or
+    a point scaled back out of the normal floats.
     """
     ratio = _ratio_euclid(cfg)
     if not ratio[1] > 0.0:
         return None
     # the heights, read from __dict__ as in _ratio_euclid, divided by 2^k
     fields = cfg.__dict__
-    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
-    k = _unit_exponent(a, d)
-    a, b, c, d = _ldexp(a, -k), _ldexp(b, -k), _ldexp(c, -k), _ldexp(d, -k)
-    if not a > b > c > d:
-        raise _search_error(ratio, _span_cause(cfg))
-    x, y = _flat_witness(b, a - b, b - c, c - d, ratio)
+    k = _unit_exponent(fields["b"], fields["c"])
+    a, b, c, d = _copy(fields["a"], k), _ldexp(fields["b"], -k), _ldexp(fields["c"], -k), _copy(fields["d"], k)
+    bc = b - c
+    p, q = bc / (a - b), bc / (c - d)
+    if p < q:
+        x, y = _flat_witness(-c, bc, q, p, ratio)
+        y = -y
+    else:
+        x, y = _flat_witness(b, bc, p, q, ratio)
     res1, res2 = _flat_residuals(x, y, a, b, c, d)
     # chained comparisons, false for nan
     if not (-EUCLID_WITNESS_TOL <= res1 <= EUCLID_WITNESS_TOL and -EUCLID_WITNESS_TOL <= res2 <= EUCLID_WITNESS_TOL):
         worst = max(abs(res1), abs(res2))
         raise _search_error(ratio, f"the loci meet at residual {worst:.3e} > {EUCLID_WITNESS_TOL}")
-    return _scaled_witness(x, y, k, (res1, res2), ratio)
+    x, y = _scaled_back(x, y, k, ratio)
+    return Witness(x, y, (res1, res2))
 
 
-def _flat_witness(b: float, ab: float, bc: float, cd: float, ratio: tuple[float, float]) -> tuple[float, float]:
-    """(x, y) of the flat witness of heights a > b > c > d, from b and the gaps a-b, b-c, c-d.
+def _flat_witness(b: float, bc: float, p: float, q: float, ratio: tuple[float, float]) -> tuple[float, float]:
+    """(x, y) of the flat witness of heights a > b > c > d, from b, bc = b - c and the gap ratios p = bc/ab, q = bc/cd.
 
-    ratio is the caller's (cr, m), with m = 3 - cr > 0 under the square
-    root. Where that product of m and four gaps is not normal, the gaps are
-    scaled by the power of two that brings their product near 1, and x and
-    y - b back: exact. Where it still underflows (m below about 1e-307), the
-    divisor rounds to 0, or x to 0, WitnessSearchError names the cause.
+    ratio is the caller's (cr, m), with m = 3 - cr > 0: the closed form
+    of the module docstring, with e = m - (p - 1)(q - 1). Where m is
+    subnormal, its exponent folds into the square root and into e, exactly.
+    WitnessSearchError where e, positive for exact p and q, is not.
     """
-    bd, ac = bc + cd, ab + bc
-    product = bd * ac * (ratio[1] * ab * cd)
-    if product < _FLOAT_MIN:
-        # the mean binary exponent of the four factors
-        k = (math.frexp(bd)[1] + math.frexp(ac)[1] + math.frexp(ab)[1] + math.frexp(cd)[1]) // 4
-        if not k:
-            raise _search_error(ratio, "the margin 3 - cr leaves the closed form's product below the normal floats")
-        x, offset = _flat_witness(0.0, math.ldexp(ab, -k), math.ldexp(bc, -k), math.ldexp(cd, -k), ratio)
-        x = math.ldexp(x, k)
-        if x == 0.0:
-            raise _search_error(ratio, "the closed form's x underflows to 0")
-        return x, b + math.ldexp(offset, k)
-    divisor = 2.0 * (bc * bc - ab * cd)
-    if divisor == 0.0:
-        raise _search_error(ratio, "the divisor (b-c)^2 - (a-b)(c-d) rounds to 0")
-    y = b + bc * bd * (ab - bc) / divisor
-    x = bc * math.sqrt(product) / abs(divisor)
-    if x == 0.0:
-        raise _search_error(ratio, "the closed form's x underflows to 0")
-    return x, y
+    margin = ratio[1]
+    s = 1.0 + q
+    e = margin - (p - 1.0) * (q - 1.0)
+    if not e > 0.0:
+        raise _search_error(ratio, "the divisor m - (p-1)(q-1) rounds to 0 or below")
+    y = b + bc * s * (p - 1.0) / e
+    if margin < _FLOAT_MIN:
+        # sqrt(m 2^1074) / (e 2^537) = sqrt(m) / e, with m 2^1074 normal
+        margin, e = _ldexp(margin, 1074), _ldexp(e, 537)
+    return bc * math.sqrt(s * (1.0 + p) * margin) / e, y
 
 
 def find_witness_hyper(cfg: FourConfig) -> Witness | None:
@@ -305,39 +322,47 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     The square map (module docstring) carries the problem to the flat one
     for -d^2 > -c^2 > -b^2 > -a^2, whose witness (x_e, y_e), read as
     W = y_e + i x_e, gives P = sqrt(W), x > 0: on the heights divided by
-    2^k (_unit_exponent), with flat gaps (p - q)(p + q), which keep the
-    gaps of close heights. The judge, halfplane._axis_residuals, gives
-    equal_angle_residual's residuals for (a, b, c) and (b, c, d) there, bit
-    for bit while the scaled values stay normal. Else WitnessSearchError
-    names the cause, as in find_witness_euclid, or a flat gap of 0.
+    2^k, k the exponent of the middle pair (_unit_exponent of b and c),
+    with flat gaps such as (b - c)(b + c), which keep the gaps of close
+    heights. The point is scaled back and judged on the heights as given
+    by the half-plane judge, halfplane._axis_residuals, which gives
+    equal_angle_residual's residuals for (a, b, c) and (b, c, d). Else
+    WitnessSearchError names the cause, as in find_witness_euclid, or
+    heights the judge cannot hold at one scale.
     """
     ratio = _ratio_hyper(cfg)
     if not ratio[1] > 0.0:
         return None
     fields = cfg.__dict__
     a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
-    k = _unit_exponent(a, d)
-    a, b, c, d = _ldexp(a, -k), _ldexp(b, -k), _ldexp(c, -k), _ldexp(d, -k)
-    if not a > b > c > d > 0.0:
-        raise _search_error(ratio, _span_cause(cfg))
-    lower, middle, upper = (c - d) * (c + d), (b - c) * (b + c), (a - b) * (a + b)
-    if not (lower and middle and upper):
-        name = "(c-d)(c+d)" if not lower else "(b-c)(b+c)" if not middle else "(a-b)(a+b)"
-        raise _search_error(ratio, f"the flat gap {name} rounds to 0")
-    x_e, y_e = _flat_witness(-c * c, lower, middle, upper, ratio)
+    k = _unit_exponent(b, c)
+    sa, sb, sc, sd = _copy(a, k), _ldexp(b, -k), _ldexp(c, -k), _ldexp(d, -k)
+    middle = (sb - sc) * (sb + sc)
+    p, q = middle / ((sc - sd) * (sc + sd)), middle / ((sa - sb) * (sa + sb))
+    x_e, y_e = _flat_witness(-sc * sc, middle, p, q, ratio)
     root = cmath.sqrt(complex(y_e, x_e))
     x, y = abs(root.real), root.imag
     if y <= 0.0:
         raise _search_error(ratio, "the mapped witness lies on the boundary axis")
-    res1, res2 = _axis_residuals(x, y, (a, b, c, d))
+    x, y = _scaled_back(x, y, k, ratio)
+    try:
+        res1, res2 = _axis_residuals(x, y, (a, b, c, d))
+    except GeometryError:
+        # the judge divides by the power of two of a (or of x or y), where
+        # d or y can round to 0 and two heights can merge
+        cause = f"the heights {(a, b, c, d)} span more than float64 holds below the largest"
+        raise _search_error(ratio, cause) from None
     if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
         raise _search_error(ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
-    return _scaled_witness(x, y, k, (res1, res2), ratio)
+    return Witness(x, y, (res1, res2))
 
 
-def _span_cause(cfg: FourConfig) -> str:
-    """The cause of a search whose heights collapse in the unit copy."""
-    return f"the heights {(cfg.a, cfg.b, cfg.c, cfg.d)} span more than float64 holds below the largest"
+def _copy(height: float, k: int) -> float:
+    """height / 2^k, or inf of its sign past the float range, where math.ldexp raises: its gap ratio is then 0."""
+    try:
+        return _ldexp(height, -k)
+    except OverflowError:
+        return math.copysign(_INF, height)
 
 
 def _search_error(ratio: tuple[float, float], cause: str) -> WitnessSearchError:
@@ -349,17 +374,17 @@ def _search_error(ratio: tuple[float, float], cause: str) -> WitnessSearchError:
     return WitnessSearchError(f"existence holds (cross-ratio {text} < 3) but {cause}")
 
 
-def _scaled_witness(x: float, y: float, k: int, residuals: tuple[float, float], ratio: tuple[float, float]) -> Witness:
-    """The witness (x, y) of the unit copy, judged there with these residuals, scaled back by 2^k."""
+def _scaled_back(x: float, y: float, k: int, ratio: tuple[float, float]) -> tuple[float, float]:
+    """The witness (x, y) of the copy scaled back by 2^k; WitnessSearchError where it leaves the normal floats."""
     try:
-        x, y = math.ldexp(x, k), math.ldexp(y, k)
+        x, y = _ldexp(x, k), _ldexp(y, k)
     except OverflowError:
-        # scaled back past the float range, the judged witness has no float form
+        # scaled back past the float range, the witness has no float form
         raise _search_error(ratio, f"the witness scaled by 2^{k} lies past the float range") from None
     if x < _FLOAT_MIN:
         # scaled back into the subnormals, x keeps too few bits to stand for it
         raise _search_error(ratio, f"the witness x = {x:.6g} lies in the subnormal range (below {_FLOAT_MIN:.6g})")
-    return Witness(x, y, residuals)
+    return x, y
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None) -> dict:

@@ -27,6 +27,9 @@ GOLDEN_CASES = {
     "fourpoint_hyper_8_4_2_1.json": [
         "fourpoint", "--geometry", "hyper", "-a", "8", "-b", "4", "-c", "2", "-d", "1", "--witness",
     ],
+    "fourpoint_hyper_1e300_3_2_1.json": [
+        "fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3", "-c", "2", "-d", "1", "--witness",
+    ],
     "prob_pe_n10000_seed7.json": ["prob", "pe", "-n", "10000", "--seed", "7"],
     "prob_ph_n10000_seed7_ratio2.json": [
         "prob", "ph", "-n", "10000", "--seed", "7", "--ratio", "2",

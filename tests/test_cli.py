@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from apollonius.probability import HyperProbSetup, ph_quadrature
 from apollonius.serialize import render_json
 from apollonius.svg import render_svg
 
+from _exact_residuals import exact_residuals
 from _regen_goldens import GOLDEN, GOLDEN_CASES, SVG_CASES
 
 
@@ -386,19 +388,84 @@ SPANNING_ARGS = ["-a", "1e300", "-b", "3e-300", "-c", "2e-300", "-d", "1e-300"]
 
 @pytest.mark.parametrize("geometry", ["euclid", "hyper"])
 def test_heights_spanning_past_the_unit_copy_are_decided(geometry, capsys):
-    # ordered heights whose unit copy collapses: every variant exited 2 with
+    # ordered heights that collapse in a copy divided by the largest: every
+    # variant exited 2 with
     # "heights must satisfy a > b > c > d, got (0.7466108948025751, 0.0, 0.0, 0.0)"
     argv = ["fourpoint", "--geometry", geometry, *SPANNING_ARGS]
     assert run(argv) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["exists"] is True and math.isfinite(record["cross_ratio"])
-    assert run(argv + ["--witness"]) == 3
+
+
+def test_hyper_witness_past_the_judge_span_exits_3(capsys):
+    # the witness lies near 1e-300; the half-plane judge divides by the power
+    # of two of a = 1e300, where d rounds to 0
+    assert run(["fourpoint", "--geometry", "hyper", *SPANNING_ARGS, "--witness"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("search failure: existence holds (cross-ratio ")
-    assert captured.err.endswith(
+    assert captured.err == (
+        "search failure: existence holds (cross-ratio 1.66667 < 3) "
         "but the heights (1e+300, 3e-300, 2e-300, 1e-300) span more than float64 holds below the largest\n"
     )
+
+
+@pytest.mark.parametrize(
+    "geometry, heights",
+    [
+        # the squared outer gap overflows: it enters as the ratio 0
+        ("hyper", ("1e159", "3", "2", "1")),
+        ("hyper", ("1e200", "3", "2", "1")),
+        ("hyper", ("1e300", "3", "2", "1")),
+        # the squares of b, c and d underflow to 0 in a copy scaled by a
+        ("hyper", ("1", "2.5e-300", "2e-300", "1e-300")),
+        # b, c and d collapse in a copy scaled by a, or a, b and c by -d
+        ("euclid", tuple(SPANNING_ARGS[1::2])),
+        ("euclid", ("3e-300", "2e-300", "1e-300", "-1e300")),
+        # the exact cross-ratio is 3 - 1e-323: the float gaps are equal, and
+        # the divisor is the margin itself, so the witness lies near 6e161
+        ("euclid", ("3", "2", "1", "-5e-324")),
+    ],
+    ids=lambda value: value if isinstance(value, str) else ",".join(value),
+)
+def test_witness_of_the_middle_pair_copy_exits_0(geometry, heights, capsys):
+    # each of these exited 3 with "existence holds" and a failure of the
+    # copy scaled by the largest height
+    argv = ["fourpoint", "--geometry", geometry]
+    for flag, value in zip(("-a", "-b", "-c", "-d"), heights):
+        argv += [flag, value]
+    assert run(argv + ["--witness"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["exists"] is True
+    witness = record["witness"]
+    flat = geometry == "euclid"
+    exact = exact_residuals(witness["x"], witness["y"], [float(h) for h in heights], flat=flat)
+    assert max(map(abs, exact)) <= (1e-10 if flat else 1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sample", "-a", "4", "-b", "2", "-c", "1", "-n", "1000001"], "-n must lie in [2, 1000000], got 1000001"),
+        (
+            ["dioph", "--family", "quadratic", "--m-range", "0:0", "--n-range", "0:1000000"],
+            "--m-range and --n-range give 1000001 pairs, more than 1000000",
+        ),
+    ],
+    ids=["sample", "dioph"],
+)
+def test_size_past_its_cap_exits_2_before_allocating(argv, message, tmp_path, capsys):
+    # sample -n 10**9 asked numpy for 8 GB arrays, and dioph holds every row
+    # in memory: one past each cap exits 2 naming the flag, having
+    # allocated a few kB, not the ~160 MB that the rows at the cap take
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert run(argv + ["-o", str(out)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert peak < 4 << 20 and not out.exists()
 
 
 # the float cross-ratio reads below 3, the exact one above it
@@ -553,10 +620,15 @@ def test_hyper_cross_ratio_far_below_one_exits_0(capsys):
     assert (record["cross_ratio"], record["exists"]) == (4.0, False)
 
 
-def test_hyper_witness_through_underflowing_squares_exits_3_naming_the_cross_ratio(capsys):
-    # the cross-ratio is 0.75 (it read 0.750329 from the squares); the
-    # witness still goes through the square map, whose flat gaps near 1e-320
-    # keep too few bits for a point within the contract
+def test_hyper_witness_through_underflowing_squares_exits_0(capsys):
+    # the cross-ratio is 0.75 (it read 0.750329 from the squares); the flat
+    # gaps of the squares, near 1e-320 in a copy scaled by a, kept too few
+    # bits for a point within the contract and this exited 3. Scaled by the
+    # middle pair they are normal floats
+    heights = (1.0, 2.5e-160, 2e-160, 1e-160)
     argv = ["fourpoint", "--geometry", "hyper", "-a", "1", "-b", "2.5e-160", "-c", "2e-160", "-d", "1e-160"]
-    assert run(argv + ["--witness"]) == 3
-    assert capsys.readouterr().err.startswith("search failure: existence holds (cross-ratio 0.75 < 3) but ")
+    assert run(argv + ["--witness"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["cross_ratio"] == 0.75
+    witness = record["witness"]
+    assert max(map(abs, exact_residuals(witness["x"], witness["y"], heights))) <= 1e-15

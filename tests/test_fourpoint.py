@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,11 +79,13 @@ class TestFourConfig:
                     assert str(caught.value) == f"operation expects a {expected.value}-tagged config"
 
 
-# heights that collapse in the unit copy (divided by the power of two of
-# the largest), where a copy built at construction once raised
-# OrderingError or GeometryError naming the copy's values: each config is
-# decided exactly, with a cross-ratio within the filter's bound, and the
-# witness search returns None or names the span
+# heights that collapse in a copy divided by the power of two of the
+# largest, where a copy built at construction once raised OrderingError or
+# GeometryError naming the copy's values: each config is decided exactly,
+# with a cross-ratio within the filter's bound. The witness searches divide
+# by the power of two of the middle pair, where the Euclidean copy holds
+# these heights; the half-plane judge divides by the largest itself, so
+# the hyperbolic search names the span
 SPANNING = [
     ((2.0**1000, 1.0, 2.0**-1000, 2.0**-1020), Geometry.HYPERBOLIC),
     ((2.0**1000, 1.0, 2.0**-1000, 2.0**-1020), Geometry.EUCLIDEAN),
@@ -111,19 +114,27 @@ def test_heights_collapsing_in_the_unit_copy_are_decided_exactly(heights, geomet
     if exact >= 3:
         assert find(cfg) is None
         return
+    if geometry is Geometry.EUCLIDEAN:
+        # (1e-300, 2e-300): this named the span of the copy scaled by a
+        w = find(cfg)
+        assert max(map(abs, exact_residuals(w.x, w.y, heights, flat=True))) <= EUCLID_WITNESS_TOL
+        return
     span = f"but the heights {heights} span more than float64 holds below the largest"
     with pytest.raises(WitnessSearchError, match=re.escape(span) + "$"):
         find(cfg)
 
 
 def test_heights_whose_squares_underflow_are_decided_without_them():
-    # the copy holds, its squares collapse: both configs were OrderingErrors
-    # naming the squares, (0.25, 0.0, 0.0, 0.0) and (0.5625, 0.25, 0.0, 0.0)
-    # gaps of one subnormal step: the exact cross-ratio is 5/3, and the
-    # witness would need the flat gaps (c-d)(c+d) and (b-c)(b+c), both 0
+    # both configs were OrderingErrors naming the squares of a copy scaled by
+    # a, (0.25, 0.0, 0.0, 0.0) and (0.5625, 0.25, 0.0, 0.0). Gaps of one
+    # subnormal step: the exact cross-ratio is 5/3, and the flat gaps
+    # (c-d)(c+d) and (b-c)(b+c), both 0 in that copy, are normal in the copy
+    # scaled by b, which a overflows (a ratio of 0). The witness x, scaled
+    # back, is the smallest subnormal, which stands for no judged point
     cfg = hyper(0.5, 1.5e-323, 1e-323, 5e-324)
     assert cross_ratio_hyper(cfg) == 5 / 3 and exists_hyper(cfg)
-    with pytest.raises(WitnessSearchError, match=r"\(cross-ratio 1\.66667 < 3\) but the flat gap \(c-d\)\(c\+d\) rounds to 0$"):
+    subnormal = "(cross-ratio 1.66667 < 3) but the witness x = 4.94066e-324 lies in the subnormal range (below 2.22507e-308)"
+    with pytest.raises(WitnessSearchError, match=re.escape(subnormal) + "$"):
         find_witness_hyper(cfg)
     # the exact cross-ratio is about 1e645, past the float range
     cfg = hyper(1.5, 1.0, 1.5e-323, 1e-323)
@@ -346,17 +357,39 @@ class TestFindWitnessEuclid:
         assert cross_ratio_euclid(cfg) == 3.0 and not exists_euclid(cfg)
         assert find_witness_euclid(cfg) is None
 
-    def test_margin_below_the_floats_is_named_in_the_search_failure(self):
-        # the exact cross-ratio is 3 - 1e-323 (it rounds to 3): a witness
-        # exists, and the message gives the margin, not "cross-ratio 3 < 3".
-        # The closed form's product stays subnormal after its rescaling,
-        # which once recursed without end
-        cfg = euclid(3.0, 2.0, 1.0, -5e-324)
-        assert 3 - exact_cross_ratio_euclid((3.0, 2.0, 1.0, -5e-324)) == Fraction(2, 2**1074 + 1)
+    @pytest.mark.parametrize(
+        "heights, margin, point",
+        [
+            # p = q = 1 in floats: the divisor 2(1 - pq) read 0, and is the
+            # margin itself, so the witness lies far out, at 2 / sqrt(m)
+            ((3.0, 2.0, 1.0, -5e-324), "9.9e-324", (6.362424904190393e161, 2.0)),
+            # p = 2, q = 1/3: the divisor is 2/3, and the witness is
+            # (6 sqrt(m), 12), next to the axis
+            ((9.0, 8.0, 6.0, -5e-324), "4.9e-324", (1.3336552496910463e-161, 12.0)),
+        ],
+        ids=["far", "near-axis"],
+    )
+    def test_margin_below_the_floats_gives_a_witness(self, heights, margin, point):
+        # the exact cross-ratio is 3 - m with m subnormal (it rounds to 3):
+        # this named "the margin 3 - cr leaves the closed form's product
+        # below the normal floats", after a rescaling that once recursed
+        # without end. m folds its exponent into the square root
+        cfg = euclid(*heights)
+        assert 0 < 3 - exact_cross_ratio_euclid(heights) < Fraction(sys.float_info.min)
         assert cross_ratio_euclid(cfg) == 3.0 and exists_euclid(cfg)
-        message = "existence holds (cross-ratio 3 - 9.9e-324 < 3) but the margin 3 - cr leaves the closed form's product"
-        with pytest.raises(WitnessSearchError, match="^" + re.escape(message)):
-            find_witness_euclid(cfg)
+        w = find_witness_euclid(cfg)
+        assert (w.x, w.y) == point
+        assert exact_residuals(w.x, w.y, heights, flat=True) == w.residuals == (0.0, 0.0)
+        # a failure there names the margin, not "cross-ratio 3 < 3"
+        error = fp._search_error(fp._ratio_euclid(cfg), "cause")
+        assert str(error) == f"existence holds (cross-ratio 3 - {margin} < 3) but cause"
+
+    def test_divisor_below_zero_is_a_search_failure(self):
+        # e = m - (p-1)(q-1) = 2(1 - pq) is positive for the exact ratios of
+        # a config with m > 0; ratios that contradict m leave it below 0
+        cause = "(cross-ratio 2.25 < 3) but the divisor m - (p-1)(q-1) rounds to 0 or below"
+        with pytest.raises(WitnessSearchError, match=re.escape(cause) + "$"):
+            fp._flat_witness(0.0, 1.0, 0.5, 0.5, (2.25, 0.1))
 
     def test_witness_far_below_one_is_found(self):
         # the product of gaps under the square root, about 4e-400, underflowed

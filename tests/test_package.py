@@ -180,6 +180,7 @@ SUBCOMMAND_MODULES = {
     "classify_35_25_5.json": "_base cli locus serialize",
     "euclid_locus_9_4_1.json": "_base cli locus serialize",
     "fourpoint_hyper_10_6_5_1.json": "_base cli fourpoint halfplane serialize",
+    "fourpoint_hyper_1e300_3_2_1.json": "_base cli fourpoint halfplane serialize",
     "dioph_quadratic.csv": "_base cli diophantine",
     "prob_ph_calibrate_reference.json": "_base cli probability serialize",
     "sample_4_2_1_n64.svg": "_base _fmt17 cli locus serialize svg",
@@ -193,12 +194,24 @@ NUMPY_FREE_CASES = [
         "fourpoint_hyper_10_6_5_1.json",
         ["fourpoint", "--geometry", "hyper", "-a", "10", "-b", "6", "-c", "5", "-d", "1", "--witness"],
     ),
+    (
+        "fourpoint_hyper_1e300_3_2_1.json",
+        ["fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3", "-c", "2", "-d", "1", "--witness"],
+    ),
     ("dioph_quadratic.csv", ["dioph", "--family", "quadratic", "--m-range", "0:3", "--n-range", "1:2"]),
     ("prob_ph_calibrate_reference.json", ["prob", "ph", "--calibrate", "0.4201514931601543", "-n", "1"]),
 ]
 
 
-@pytest.mark.parametrize("golden_name,argv", NUMPY_FREE_CASES, ids=[c[1][0] for c in NUMPY_FREE_CASES])
+def _case_ids(cases):
+    """Each case's subcommand, or its golden file's stem where an earlier case runs the same subcommand."""
+    ids = []
+    for name, argv in cases:
+        ids.append(name.rsplit(".", 1)[0] if argv[0] in ids else argv[0])
+    return ids
+
+
+@pytest.mark.parametrize("golden_name,argv", NUMPY_FREE_CASES, ids=_case_ids(NUMPY_FREE_CASES))
 def test_subcommand_loads_no_numpy(golden_name, argv, tmp_path):
     out = tmp_path / golden_name
     loaded = fresh_python(RUN_CLI, *argv, "-o", str(out))

@@ -722,7 +722,7 @@ class TestExactExistence:
     @given(near_threshold_heights(hyperbolic=False))
     # the float cross-ratio reads below 3, the exact one is above it
     @example((0.75, 0.24999999999999806, -0.25000000000000194, -0.75))
-    # 1e-300 .. 1e300: the unit copy collapses
+    # 1e-300 .. 1e300: a copy divided by the largest height collapses
     @example((1e300, 3e-300, 2e-300, 1e-300))
     @settings(max_examples=300, deadline=None)
     def test_euclid(self, heights):
@@ -941,6 +941,88 @@ class TestHyperbolicDistances:
         assert (witness is not None) == exists_hyper(cfg)
         if witness is not None:
             assert max(map(abs, exact_residuals(witness.x, witness.y, heights))) <= HYPER_WITNESS_TOL
+
+
+@st.composite
+def hyper_spread_heights(draw):
+    # c at any scale, b within (c, 2c) (where b >= 2c no witness exists),
+    # a and d log-uniform up to 2^1000 above and below it
+    c = math.ldexp(draw(st.floats(min_value=0.5, max_value=1.0, exclude_max=True)), draw(st.integers(-40, 20)))
+    b = c * 2.0 ** draw(st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+    a = b * 2.0 ** draw(st.floats(min_value=1e-6, max_value=1000.0))
+    d = c * 2.0 ** -draw(st.floats(min_value=1e-6, max_value=1000.0))
+    assume(a > b > c > d > 0.0)
+    return a, b, c, d
+
+
+@st.composite
+def euclid_spread_heights(draw):
+    # the middle pair anywhere about 0, one outer gap within a few times the
+    # middle one, the other up to 2^1000 times it, on either side
+    v = math.ldexp(1.0, draw(st.integers(-40, 20)))
+    b = v * draw(st.floats(min_value=-4.0, max_value=4.0))
+    near = v * 2.0 ** draw(st.floats(min_value=-1.5, max_value=2.0))
+    far = v * 2.0 ** draw(st.floats(min_value=0.0, max_value=1000.0))
+    upper, lower = (far, near) if draw(st.booleans()) else (near, far)
+    heights = (b + upper, b, b - v, b - v - lower)
+    assume(heights[0] > heights[1] > heights[2] > heights[3])
+    return heights
+
+
+def _judge_holds(heights):
+    """Whether d divided by the power of two of a, as the half-plane judge divides it, stays normal."""
+    return math.ldexp(heights[3], -math.frexp(heights[0])[1]) >= sys.float_info.min
+
+
+class TestMiddlePairCopy:
+    """The witness searches divide by the power of two of the middle pair, so an outer height any distance out is a ratio.
+
+    Every witness that exists is returned within its contract, by the exact
+    rational residuals: in the flat plane at any spread of one outer gap,
+    in the half-plane wherever the judge, which divides by the power of two
+    of a, holds d. Past that span the search names it.
+    """
+
+    @given(hyper_spread_heights())
+    # the squared gap (a-b)(a+b) overflows: this exited 3 from a = 1e159
+    @example((1e159, 3.0, 2.0, 1.0))
+    @example((1.0, 2.5e-300, 2e-300, 1e-300))
+    # d divided by the power of two of a rounds to 0 in the judge
+    @example((2.0**1000, 3.0, 2.0, 2.0**-1000))
+    @settings(max_examples=300, deadline=None)
+    def test_hyper(self, heights):
+        cfg = FourConfig(*heights, Geometry.HYPERBOLIC)
+        try:
+            witness = find_witness_hyper(cfg)
+        except WitnessSearchError as exc:
+            # d subnormal or 0 in the judge's copy
+            assert not _judge_holds(heights) and str(exc).endswith("span more than float64 holds below the largest")
+            return
+        assert (witness is not None) == exists_hyper(cfg)
+        if witness is not None:
+            assert max(map(abs, exact_residuals(witness.x, witness.y, heights))) <= HYPER_WITNESS_TOL
+
+    @given(euclid_spread_heights())
+    @example((1e300, 3e-300, 2e-300, 1e-300))
+    @example((3e-300, 2e-300, 1e-300, -1e300))
+    # both outer gaps past the float range of the copy
+    @example((1e300, 1e-300, 0.0, -1e300))
+    # c - d overflows, and is 1.85 times b - c
+    @example((1.75e308, 0.9e308, 0.1e308, -1.75e308))
+    @settings(max_examples=300, deadline=None)
+    def test_euclid(self, heights):
+        cfg = FourConfig(*heights, Geometry.EUCLIDEAN)
+        witness = find_witness_euclid(cfg)
+        assert (witness is not None) == exists_euclid(cfg)
+        if witness is not None:
+            assert max(map(abs, exact_residuals(witness.x, witness.y, heights, flat=True))) <= EUCLID_WITNESS_TOL
+
+    def test_outer_height_past_the_squares_gives_one_witness(self):
+        # (a-b)(a+b) overflows the copy, a ratio q of 0, and the margin
+        # m = 3 - 5/3 is the same float for each a: one witness, bit for bit
+        configs = [FourConfig(a, 3.0, 2.0, 1.0, Geometry.HYPERBOLIC) for a in (1e160, 1e200, 1e300, 1.7e308)]
+        witnesses = {(w.x.hex(), w.y.hex()) for w in map(find_witness_hyper, configs)}
+        assert len(witnesses) == 1
 
 
 @st.composite
