@@ -62,9 +62,10 @@ hyperbolic, do (b - c)(b + c) and (c - d)(c + d), since b < 2c wherever
 m > 0; an outer height past the copy's float range is infinite there.
 The Euclidean search mirrors the config to (-d, -c, -b, -a) where p < q,
 so that its larger outer gap is cd. The point is scaled back; the
-hyperbolic judge, which scales by the largest height itself, judges it
-on the heights as given, the Euclidean one in the copy, where the ray
-direction of an infinite height is its limit +-pi/2.
+hyperbolic judge, which scales the heights by the point's own power of
+two, judges it on the heights as given, the Euclidean one in the copy.
+In both, the ray direction of a height infinite at that scale is its
+limit +-pi/2.
 
 Existence is decided exactly, once per geometry (_ratio_euclid,
 _ratio_hyper), as the sign of m = 3 - cr, which every function here reads
@@ -326,9 +327,9 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     with flat gaps such as (b - c)(b + c), which keep the gaps of close
     heights. The point is scaled back and judged on the heights as given
     by the half-plane judge, halfplane._axis_residuals, which gives
-    equal_angle_residual's residuals for (a, b, c) and (b, c, d). Else
-    WitnessSearchError names the cause, as in find_witness_euclid, or
-    heights the judge cannot hold at one scale.
+    equal_angle_residual's residuals for (a, b, c) and (b, c, d) at any
+    spread of the heights. Else WitnessSearchError names the cause, as in
+    find_witness_euclid.
     """
     ratio = _ratio_hyper(cfg)
     if not ratio[1] > 0.0:
@@ -341,17 +342,10 @@ def find_witness_hyper(cfg: FourConfig) -> Witness | None:
     p, q = middle / ((sc - sd) * (sc + sd)), middle / ((sa - sb) * (sa + sb))
     x_e, y_e = _flat_witness(-sc * sc, middle, p, q, ratio)
     root = cmath.sqrt(complex(y_e, x_e))
-    x, y = abs(root.real), root.imag
+    x, y = _scaled_back(abs(root.real), root.imag, k, ratio)
     if y <= 0.0:
         raise _search_error(ratio, "the mapped witness lies on the boundary axis")
-    x, y = _scaled_back(x, y, k, ratio)
-    try:
-        res1, res2 = _axis_residuals(x, y, (a, b, c, d))
-    except GeometryError:
-        # the judge divides by the power of two of a (or of x or y), where
-        # d or y can round to 0 and two heights can merge
-        cause = f"the heights {(a, b, c, d)} span more than float64 holds below the largest"
-        raise _search_error(ratio, cause) from None
+    res1, res2 = _axis_residuals(x, y, (a, b, c, d))
     if not (-HYPER_WITNESS_TOL <= res1 <= HYPER_WITNESS_TOL and -HYPER_WITNESS_TOL <= res2 <= HYPER_WITNESS_TOL):
         raise _search_error(ratio, f"the mapped witness has residuals ({res1:.3e}, {res2:.3e})")
     return Witness(x, y, (res1, res2))

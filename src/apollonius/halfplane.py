@@ -10,12 +10,15 @@ P = (x, y) and an axis point (0, h) is the circle centered at
 and the hyperbolic angle between two geodesics at P equals the
 Euclidean angle between the corresponding radius vectors. Multiplied
 by 2x, the radius vector is (x^2 - y^2 + h^2, 2xy), the complex number
-P^2 + h^2, so the angle at P between the geodesics to two axis points
-is the angle between two such vectors, with no center, no division and
-no unit vectors: atan2(|cross|, dot) needs none. The equal-angle
-residual built on this, equal_angle_residual, is the independent judge
-of every hyperbolic witness, and everything downstream (locus
-sampling, witness search) is checked against it. The module builds no
+P^2 + h^2. These vectors share their second component, so each has one
+direction, and the angle at P between the geodesics to two axis points
+is the difference of two directions, with no center, no division and no
+unit vectors. The equal-angle residual built on this,
+equal_angle_residual, a second difference of three directions, is the
+independent judge of every hyperbolic witness, and everything
+downstream (locus sampling, witness search) is checked against it.
+hyp_angle, between geodesics to any two points, takes atan2(|cross|,
+dot) of two tangents instead. The module builds no
 geodesic and measures no distance: the circle through two points and
 the hyperbolic distance survive only as the test reference
 tests/_geodesics.py.
@@ -138,10 +141,6 @@ def equal_angle_residual(p: HPoint, a: AxisPoint, b: AxisPoint, c: AxisPoint) ->
     return AngleResidual(*_axis_residuals(p.x, p.y, (a.h, b.h, c.h)))
 
 
-# |x| y, after the scaling of _axis_residuals, below which a tangent can be
-# shorter than 2^-479, so that products of two of them leave the normal
-# floats and lose digits
-_SHORT_TANGENTS = 2.0**-480
 # bound once: the judge of every witness calls them on each height
 _atan2, _frexp, _ldexp = math.atan2, math.frexp, math.ldexp
 
@@ -149,56 +148,38 @@ _atan2, _frexp, _ldexp = math.atan2, math.frexp, math.ldexp
 def _axis_residuals(x: float, y: float, heights: tuple[float, ...]) -> list[float]:
     """Residuals angle(h0 p h1) - angle(h1 p h2), angle(h1 p h2) - angle(h2 p h3), ... at p = (x, y).
 
-    The heights decrease strictly and y > 0 (the callers check both). One
-    tangent per height, _oriented_tangent toward (0, h), which is
-    (-2xy, x^2 - (y - h)(y + h)), and one angle per adjacent pair. These
-    tangents share their first component and x^2, which are formed once,
-    so each height adds one scalar; each angle takes the float operations
-    of _unsigned_angle on two such tangents.
+    The heights decrease strictly and y > 0 (the callers check both). The
+    tangent toward (0, h), _oriented_tangent's (-2xy, x^2 - (y - h)(y + h)),
+    has the same first component for every h. So, mirrored to x > 0, each
+    has the direction atan2(x^2 - (y - h)(y + h), 2|x|y), which lies in
+    (-pi/2, pi/2) and grows with h; each angle is a difference of two
+    directions and each residual a second difference, as in
+    _base._flat_residuals.
     """
     if x == 0.0:
         raise OnAxisError("the equal-angle locus excludes points on the y-axis")
-    # divide everything by the power of two of the largest magnitude: exact,
-    # angle-preserving, and the tangents' squared coordinates stay normal
-    k = -_frexp(max(abs(x), y, heights[0]))[1]
-    sx, sy = _ldexp(x, k), _ldexp(y, k)
-    if sy <= 0.0:
-        _check_upper(sy)
-    # every tangent is at least 2 |x| y long; where that is tiny, the point
-    # and the heights span more than one scale can hold, so each tangent is
-    # scaled on its own
-    short = abs(sx) * sy < _SHORT_TANGENTS
-    upper = _ldexp(heights[0], k)
-    if short:
-        u = _rescaled_tangent(x, y, 0.0, heights[0])
-    else:
-        dx = 0.0 - sx
-        tx = 2.0 * sy * dx
-        txtx, dxdx = tx * tx, dx * dx
-        uy = dxdx - (sy - upper) * (sy + upper)
+    # divide the point and the heights by the power of two of the point's
+    # own scale: the point keeps every bit and its squares stay finite. A
+    # height whose quotient overflows is infinite, with direction exactly
+    # pi/2, and one that underflows gives its limit: both directions are
+    # correct to within 2^-1000
+    k = -_frexp(max(abs(x), y))[1]
+    sx, sy = _ldexp(abs(x), k), _ldexp(y, k)
+    xx, first = sx * sx, 2.0 * sx * sy
     residuals = []
-    previous = None
-    for h in heights[1:]:
-        lower = _ldexp(h, k)
-        if not (lower > 0.0 and lower != upper and sx != 0.0):
-            # values far below the largest can round to zero or merge: the
-            # checks of an HPoint and of hyp_angle, in the order the angles
-            # meet them
-            _check_upper(lower)
-            _check_angle_points(sx, sy, 0.0, upper, 0.0, lower)
-        if short:
-            v = _rescaled_tangent(x, y, 0.0, h)
-            angle = _unsigned_angle(u, v)
-            u = v
-        else:
-            # _unsigned_angle((tx, uy), (tx, vy)), operation for operation:
-            # abs(cross) too, since atan2(-0.0, dot < 0) is -pi
-            vy = dxdx - (sy - lower) * (sy + lower)
-            angle = _atan2(abs(tx * vy - uy * tx), txtx + uy * vy)
-            uy = vy
-        if previous is not None:
-            residuals.append(previous - angle)
-        previous, upper = angle, lower
+    upper = previous = None
+    for h in heights:
+        try:
+            sh = _ldexp(h, k)
+        except OverflowError:
+            sh = math.inf
+        lower = _atan2(xx - (sy - sh) * (sy + sh), first)
+        if upper is not None:
+            angle = upper - lower
+            if previous is not None:
+                residuals.append(previous - angle)
+            previous = angle
+        upper = lower
     return residuals
 
 

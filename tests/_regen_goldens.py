@@ -1,9 +1,10 @@
 """The golden CLI cases, and a script that regenerates their files under tests/golden/.
 
-tests/test_cli.py checks every case against its file. Run manually after
-an intentional output-format change:
+tests/test_cli.py checks every case against its file. Run manually from
+the repository root after an intentional output-format change (the
+package is imported from src/, not an installed copy):
 
-    python tests/_regen_goldens.py
+    PYTHONPATH=src python tests/_regen_goldens.py
 """
 
 from pathlib import Path
@@ -29,6 +30,9 @@ GOLDEN_CASES = {
     ],
     "fourpoint_hyper_1e300_3_2_1.json": [
         "fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3", "-c", "2", "-d", "1", "--witness",
+    ],
+    "fourpoint_hyper_1e300_3em300_2em300_1em300.json": [
+        "fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3e-300", "-c", "2e-300", "-d", "1e-300", "--witness",
     ],
     "prob_pe_n10000_seed7.json": ["prob", "pe", "-n", "10000", "--seed", "7"],
     "prob_ph_n10000_seed7_ratio2.json": [

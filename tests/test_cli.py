@@ -397,18 +397,6 @@ def test_heights_spanning_past_the_unit_copy_are_decided(geometry, capsys):
     assert record["exists"] is True and math.isfinite(record["cross_ratio"])
 
 
-def test_hyper_witness_past_the_judge_span_exits_3(capsys):
-    # the witness lies near 1e-300; the half-plane judge divides by the power
-    # of two of a = 1e300, where d rounds to 0
-    assert run(["fourpoint", "--geometry", "hyper", *SPANNING_ARGS, "--witness"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "search failure: existence holds (cross-ratio 1.66667 < 3) "
-        "but the heights (1e+300, 3e-300, 2e-300, 1e-300) span more than float64 holds below the largest\n"
-    )
-
-
 @pytest.mark.parametrize(
     "geometry, heights",
     [

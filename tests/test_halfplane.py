@@ -22,14 +22,10 @@ from _geodesics import Arc, VerticalRay, axis_center, geodesic_through, hyp_dist
 
 LN4 = 1.3862943611198906
 
-# natural logs of magnitudes within e^±60: divided by the largest, every
-# coordinate, height, square and product of the judge stays a normal float,
-# and no tangent is short
-log_magnitude = st.floats(min_value=-60.0, max_value=60.0)
-
-
-def _decreasing(logs):
-    return tuple(math.exp(v) for v in sorted(logs, reverse=True))
+# positive floats of every binary exponent from -1074 to 1023, subnormals
+# included: against the point's own scale, heights overflow to inf or
+# vanish, and either coordinate can round to 0
+magnitude = st.builds(math.ldexp, st.floats(min_value=1.0, max_value=2.0, exclude_max=True), st.integers(-1074, 1023))
 
 
 class TestPointTypes:
@@ -234,10 +230,12 @@ class TestEqualAngleResidual:
         assert len(readings) == 1
         assert max(map(abs, readings.pop())) <= 1e-15
 
-    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
+    @pytest.mark.parametrize("k", [-1020, -1000, -600, 600, 1000, 1020])
     def test_scale_invariant_at_extreme_scales(self, k):
         # squared coordinates over- or underflow at these scales; 2^600
-        # raised "Arc radius must be positive, got nan", 2^-600 read (0, 0)
+        # raised "Arc radius must be positive, got nan", 2^-600 read (0, 0).
+        # The judge divides by the power of two of the point itself, so the
+        # readings are the same bits at every scale
         x, y = 1.0792433161247985, 5.4730721524183039
 
         def readings(s):
@@ -259,29 +257,34 @@ class TestEqualAngleResidual:
 
 class TestAxisResiduals:
     @given(
-        heights=st.lists(log_magnitude, min_size=4, max_size=4)
-        .map(_decreasing)
+        heights=st.lists(magnitude, min_size=4, max_size=4)
+        .map(lambda h: tuple(sorted(h, reverse=True)))
         .filter(lambda h: h[0] > h[1] > h[2] > h[3]),
-        x=st.builds(lambda sign, v: sign * math.exp(v), st.sampled_from((1.0, -1.0)), log_magnitude),
-        y=log_magnitude.map(math.exp),
+        x=st.builds(lambda sign, v: sign * v, st.sampled_from((1.0, -1.0)), magnitude),
+        y=magnitude,
     )
-    # the point lies 2^-617 below the largest value, so its x scales to 0 and
-    # the short-tangent branch judges it; a judge that read the sign of the
-    # cross product instead of its absolute value gave -pi for +pi here
+    # x lies more than 2^1074 below y and scales to 0: the directions to
+    # the heights above and below y are +-pi/2, so the first angle is pi; a
+    # judge that read the sign of a cross product instead of its absolute
+    # value gave -pi here
     @example(heights=(2.719426523221848e185, 2.0, 1.0), x=1.2089454884261312e-138, y=2.7194265232218475e185)
-    # short tangents with every value a normal float: hyp_angle, when it
-    # scaled each pair by one power of two, lost the first angle to underflow
+    # every value a normal float, the point 2^600 below the largest height:
+    # scaled by that height, the tangents were about 2^-1200 long, and
+    # products of two of them underflowed
     @example(heights=(1.0, 2.0**-599, 2.0**-601, 2.0**-620), x=2.0**-600, y=2.0**-600)
+    # heights whose quotients by the point's scale overflow: their
+    # directions are exactly pi/2
+    @example(heights=(1e308, 1e300, 2.0**-999, 2.0**-1001), x=2.0**-1000, y=2.0**-1000)
+    # heights that vanish below the point's scale: their directions are
+    # the limit at h = 0
+    @example(heights=(2.0**1001, 2.0**999, 2.0**-1000, 2.0**-1070), x=2.0**1000, y=0.75 * 2.0**1000)
+    # y more than 2^1074 below |x| scales to 0: every direction is pi/2
+    @example(heights=(2e300, 1e300, 1.0, 1e-300), x=-1e300, y=1e-300)
     @settings(max_examples=300, deadline=None)
-    def test_matches_hyp_angle_and_exact_residuals(self, heights, x, y):
+    def test_matches_exact_residuals(self, heights, x, y):
         residuals = _axis_residuals(x, y, heights)
         for got, exact in zip(residuals, exact_residuals(x, y, heights), strict=True):
             assert abs(got - exact) <= 1e-15, (residuals, exact)
-        # bit for bit the differences of hyp_angle over adjacent pairs
-        p, targets = HPoint(x, y), [HPoint(0.0, h) for h in heights]
-        angles = [hyp_angle(p, q1, q2) for q1, q2 in zip(targets, targets[1:])]
-        expected = [first - second for first, second in zip(angles, angles[1:])]
-        assert [r.hex() for r in residuals] == [e.hex() for e in expected]
 
 
 class TestHypDistance:

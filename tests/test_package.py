@@ -181,6 +181,7 @@ SUBCOMMAND_MODULES = {
     "euclid_locus_9_4_1.json": "_base cli locus serialize",
     "fourpoint_hyper_10_6_5_1.json": "_base cli fourpoint halfplane serialize",
     "fourpoint_hyper_1e300_3_2_1.json": "_base cli fourpoint halfplane serialize",
+    "fourpoint_hyper_1e300_3em300_2em300_1em300.json": "_base cli fourpoint halfplane serialize",
     "dioph_quadratic.csv": "_base cli diophantine",
     "prob_ph_calibrate_reference.json": "_base cli probability serialize",
     "sample_4_2_1_n64.svg": "_base _fmt17 cli locus serialize svg",
@@ -197,6 +198,10 @@ NUMPY_FREE_CASES = [
     (
         "fourpoint_hyper_1e300_3_2_1.json",
         ["fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3", "-c", "2", "-d", "1", "--witness"],
+    ),
+    (
+        "fourpoint_hyper_1e300_3em300_2em300_1em300.json",
+        ["fourpoint", "--geometry", "hyper", "-a", "1e300", "-b", "3e-300", "-c", "2e-300", "-d", "1e-300", "--witness"],
     ),
     ("dioph_quadratic.csv", ["dioph", "--family", "quadratic", "--m-range", "0:3", "--n-range", "1:2"]),
     ("prob_ph_calibrate_reference.json", ["prob", "ph", "--calibrate", "0.4201514931601543", "-n", "1"]),
