@@ -33,7 +33,10 @@ no submodule, so besides this module and _base a subcommand loads only:
 
 That matters where no bytecode cache is written (PYTHONDONTWRITEBYTECODE
 set, or a checkout the interpreter cannot write to): each module loaded
-is then compiled from source on every run, 0.3-1.8 ms apiece.
+is then compiled from source on every run: 0.2-3 ms apiece, the least
+of 30 compile() calls of each module's source (Python 3.11, one core of
+a 2-vCPU Xeon), from 0.2 ms for __init__ to 2.5-2.9 ms each for
+fourpoint, probability, locus and cli.
 """
 
 from __future__ import annotations

@@ -67,9 +67,10 @@ two, judges it on the heights as given, the Euclidean one in the copy.
 In both, the ray direction of a height infinite at that scale is its
 limit +-pi/2.
 
-Existence is decided exactly, once per geometry (_ratio_euclid,
-_ratio_hyper), as the sign of m = 3 - cr, which every function here reads
-and the witness takes. A float filter (Shewchuk, DCG 18, 1997) decides
+Existence is decided exactly, once per config, when FourConfig builds it
+(_decide_euclid or _decide_hyper, by its geometry tag), as the sign of
+m = 3 - cr; the config keeps (cr, m), which every function here reads and
+the witness takes. A float filter (Shewchuk, DCG 18, 1997) decides
 almost every config: the float cr of the heights as given rounds 7 times
 (flat) or 15 (hyperbolic), so where each quotient and product is a finite
 normal float (a difference or sum in the subnormals is exact) it is within
@@ -125,24 +126,32 @@ _ldexp = math.ldexp
 
 
 class FourConfig(_Record):
-    """Ordered heights a > b > c > d with a geometry tag.
+    """Ordered heights a > b > c > d with a geometry tag, decided once, when built.
 
     Hyperbolic configs need all heights positive; Euclidean ones only
-    the strict ordering (d, even c, may be nonpositive).
+    the strict ordering (d, even c, may be nonpositive). The tag must be
+    a Geometry member.
 
     Validity is decided once, by one chained comparison (finite, ordered
     and, hyperbolic, positive); _check_heights runs only where it fails,
     to name the failure, so each error keeps its class, text and order.
-    Every valid config is decided from its heights as given, at any spread.
+    Existence is decided once too, from the heights as given at any
+    spread: the pair (cr, m) of _decide_euclid or _decide_hyper, by the tag,
+    kept in the private _ratio, which every function of that geometry
+    reads. _ratio is not a field: repr, == and hash read the five fields,
+    and a copy or pickle carries only them and is rebuilt by __init__,
+    which validates and decides again.
     """
 
     _fields = ("a", "b", "c", "d", "geometry")
 
     def __init__(self, a: float, b: float, c: float, d: float, geometry: Geometry):
-        # converts, validates and stores in one pass; the fields go straight
-        # into __dict__, since the record's __setattr__ refuses every store
+        # converts, validates, decides and stores in one pass; the values go
+        # straight into __dict__, since the record's __setattr__ refuses every store
         a, b, c, d = float(a), float(b), float(c), float(d)
         hyperbolic = geometry is _HYPERBOLIC
+        if not (hyperbolic or geometry is _EUCLIDEAN):
+            raise GeometryError(f"geometry must be a Geometry member, got {geometry!r}")
         # nan fails every comparison, and an infinite height the outer ones;
         # on a failure the checks name it, in their order
         if not _INF > a > b > c > d > (0.0 if hyperbolic else -_INF):
@@ -153,6 +162,14 @@ class FourConfig(_Record):
         fields["c"] = c
         fields["d"] = d
         fields["geometry"] = geometry
+        fields["_ratio"] = _decide_hyper(a, b, c, d) if hyperbolic else _decide_euclid(a, b, c, d)
+
+    def __getstate__(self):
+        fields = self.__dict__
+        return {name: fields[name] for name in self._fields}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 def _check_heights(a: float, b: float, c: float, d: float, hyperbolic: bool) -> None:
@@ -186,13 +203,8 @@ class Witness(_Record):
             raise GeometryError(f"witness residual {abs(bad):.3e} exceeds {HYPER_WITNESS_TOL}")
 
 
-def _ratio_euclid(cfg: FourConfig) -> tuple[float, float]:
+def _decide_euclid(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """(cr, m): the flat cross-ratio ((b-c)/(a-b)) / ((c-d)/(a-d)) and the margin m = 3 - cr (module docstring)."""
-    # read from __dict__, which FourConfig fills: faster than four attribute loads
-    fields = cfg.__dict__
-    if fields["geometry"] is not _EUCLIDEAN:
-        raise GeometryError("operation expects a euclid-tagged config")
-    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
     # 0 where a - d overflows, which would divide by 0 below
     lower = (c - d) / (a - d)
     if lower >= _FLOAT_MIN:
@@ -203,12 +215,8 @@ def _ratio_euclid(cfg: FourConfig) -> tuple[float, float]:
     return _exact_ratio(a, b, c, d, False)
 
 
-def _ratio_hyper(cfg: FourConfig) -> tuple[float, float]:
+def _decide_hyper(a: float, b: float, c: float, d: float) -> tuple[float, float]:
     """(cr, m): the hyperbolic cross-ratio and the margin m = 3 - cr (module docstring)."""
-    fields = cfg.__dict__
-    if fields["geometry"] is not _HYPERBOLIC:
-        raise GeometryError("operation expects a hyper-tagged config")
-    a, b, c, d = fields["a"], fields["b"], fields["c"], fields["d"]
     first = (b - c) / (c - d)
     partial = first * ((a - d) / (a - b) * ((a + d) / (a + b)))
     cross_ratio = partial * ((b + c) / (c + d))
@@ -240,6 +248,23 @@ def _exact_ratio(a: float, b: float, c: float, d: float, hyperbolic: bool) -> tu
     if margin == 0.0 and excess:
         margin = 5e-324 if excess > 0 else -5e-324
     return cross_ratio, margin
+
+
+def _ratio_euclid(cfg: FourConfig) -> tuple[float, float]:
+    """The (cr, m) of a euclid-tagged cfg, which _decide_euclid took when cfg was built."""
+    # read from __dict__, which FourConfig fills: faster than attribute loads
+    fields = cfg.__dict__
+    if fields["geometry"] is not _EUCLIDEAN:
+        raise GeometryError("operation expects a euclid-tagged config")
+    return fields["_ratio"]
+
+
+def _ratio_hyper(cfg: FourConfig) -> tuple[float, float]:
+    """The (cr, m) of a hyper-tagged cfg, which _decide_hyper took when cfg was built."""
+    fields = cfg.__dict__
+    if fields["geometry"] is not _HYPERBOLIC:
+        raise GeometryError("operation expects a hyper-tagged config")
+    return fields["_ratio"]
 
 
 def cross_ratio_euclid(cfg: FourConfig) -> float:
@@ -382,13 +407,13 @@ def _scaled_back(x: float, y: float, k: int, ratio: tuple[float, float]) -> tupl
 
 
 def fourpoint_report(cfg: FourConfig, witness: Witness | None) -> dict:
-    """JSON-ready record of cfg's existence test, read from its geometry's one decision, and optional witness.
+    """JSON-ready record of cfg's existence test, read from the decision cfg took when built, and optional witness.
 
     A cross-ratio past the float range (inf, where a gap underflows against
     the others) has no JSON number, so it is reported as null.
     """
     hyperbolic = cfg.geometry is _HYPERBOLIC
-    cross_ratio, margin = _ratio_hyper(cfg) if hyperbolic else _ratio_euclid(cfg)
+    cross_ratio, margin = cfg._ratio
     return {
         "geometry": "hyperbolic" if hyperbolic else "euclidean",
         "a": cfg.a,

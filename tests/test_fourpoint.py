@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 import re
+import struct
 import sys
 from fractions import Fraction
 
@@ -77,6 +78,48 @@ class TestFourConfig:
                         function(cfg)
                     assert type(caught.value) is GeometryError, function.__name__
                     assert str(caught.value) == f"operation expects a {expected.value}-tagged config"
+
+    @pytest.mark.parametrize("tag", ["hyper", "euclid", None, 1])
+    def test_geometry_tag_must_be_a_member(self, tag):
+        # a string tag once constructed, and was decided by no geometry:
+        # exists_hyper on FourConfig(4, 3, 2, 1, "hyper") then raised the
+        # operation's tag error
+        with pytest.raises(GeometryError) as caught:
+            FourConfig(4, 3, 2, 1, tag)
+        assert type(caught.value) is GeometryError
+        assert str(caught.value) == f"geometry must be a Geometry member, got {tag!r}"
+
+
+# in the float filter's band, where _exact_ratio decides: the float
+# cross-ratio of the Euclidean config reads below 3 and the exact one is
+# above it; that of the hyperbolic one reads 3.0 and the exact one is below
+BAND = [
+    ((0.75, 0.24999999999999806, -0.25000000000000194, -0.75), Geometry.EUCLIDEAN),
+    ((4.0, 3.1835132202904335, 2.2811530619349782, 1.0), Geometry.HYPERBOLIC),
+]
+
+
+@pytest.mark.parametrize("heights,geometry", BAND, ids=[g.value for _, g in BAND])
+def test_each_config_is_decided_once(monkeypatch, heights, geometry):
+    # counted, not timed: building the config takes the one exact decision,
+    # and every function of its geometry reads it
+    calls = []
+    exact_ratio = fp._exact_ratio
+
+    def counted(*args):
+        calls.append(args)
+        return exact_ratio(*args)
+
+    monkeypatch.setattr(fp, "_exact_ratio", counted)
+    cfg = FourConfig(*heights, geometry)
+    if geometry is Geometry.EUCLIDEAN:
+        cross_ratio, exists, find = cross_ratio_euclid, exists_euclid, find_witness_euclid
+    else:
+        cross_ratio, exists, find = cross_ratio_hyper, exists_hyper, find_witness_hyper
+    cross_ratio(cfg)
+    exists(cfg)
+    fp.fourpoint_report(cfg, find(cfg))
+    assert len(calls) == 1
 
 
 # heights that collapse in a copy divided by the power of two of the
@@ -184,15 +227,26 @@ class TestConfigCopies:
     ]
 
     def test_holds_only_the_fields(self):
-        # no unit copy or other derived value is stored
+        # the fields and the one decision (cr, m) taken when built, which
+        # repr, == and hash leave out; no unit copy is stored
         cfg = hyper(10, 6, 5, 1)
-        assert cfg.__dict__ == {"a": 10.0, "b": 6.0, "c": 5.0, "d": 1.0, "geometry": Geometry.HYPERBOLIC}
+        fields = {"a": 10.0, "b": 6.0, "c": 5.0, "d": 1.0, "geometry": Geometry.HYPERBOLIC}
+        assert cfg.__dict__ == {**fields, "_ratio": (1089 / 1536, 3 - 1089 / 1536)}
         assert repr(cfg) == "FourConfig(a=10.0, b=6.0, c=5.0, d=1.0, geometry=<Geometry.HYPERBOLIC: 'hyper'>)"
         assert hash(cfg) == hash((10.0, 6.0, 5.0, 1.0, Geometry.HYPERBOLIC))
 
     def test_pickles_hold_only_the_fields(self):
         cfg = hyper(10, 6, 5, 1)
         assert cfg.__reduce_ex__(2)[2] == {"a": 10.0, "b": 6.0, "c": 5.0, "d": 1.0, "geometry": Geometry.HYPERBOLIC}
+
+    def test_pickles_are_rebuilt_through_the_constructor(self):
+        # a pickle whose a reads 0.5 once loaded into an unordered config,
+        # whose existence test held and whose witness search then failed
+        data = pickle.dumps(hyper(10, 6, 5, 1), 2)
+        field = b"G" + struct.pack(">d", 10.0)
+        assert data.count(field) == 1
+        with pytest.raises(OrderingError, match=re.escape("got (0.5, 6.0, 5.0, 1.0)")):
+            pickle.loads(data.replace(field, b"G" + struct.pack(">d", 0.5)))
 
     @pytest.mark.parametrize("cfg", CONFIGS, ids=repr)
     def test_copies_and_pickles_search_like_a_fresh_config(self, cfg):
