@@ -21,12 +21,12 @@ import sys as _sys
 _LAZY = {
     name: module
     for module, names in {
-        "_base": "DegenerateInputError GeometryError OnAxisError OrderingError WitnessSearchError",
+        "_base": "GeometryError OnAxisError OrderingError WitnessSearchError",
         "diophantine": "FamilyKind IntTriple geometric_family normalize_triple pythagorean_family "
         "quadratic_form_family verify_identity",
         "fourpoint": "FourConfig Geometry Witness cross_ratio_euclid cross_ratio_hyper exists_euclid "
         "exists_hyper find_witness_euclid find_witness_hyper",
-        "halfplane": "AngleResidual AxisPoint HPoint equal_angle_residual hyp_angle",
+        "halfplane": "AngleResidual AxisPoint HPoint equal_angle_residual",
         "locus": "AxisCircle Curve EuclideanLocus HorizontalLine LocusClass QuarticCoeffs TripleConfig "
         "classify coefficients euclidean_equal_angle_residual euclidean_locus eval_quartic sample_curve "
         "samples_to_csv solve_r2 theta_grid",

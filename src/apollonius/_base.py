@@ -15,10 +15,6 @@ class GeometryError(ValueError):
     """Base class for domain errors raised by the geometry layer."""
 
 
-class DegenerateInputError(GeometryError):
-    """Two points that must be distinct coincide."""
-
-
 class OnAxisError(GeometryError):
     """An operation that excludes the y-axis received a point with x = 0."""
 
@@ -76,22 +72,16 @@ class _Record:
 _atan2 = math.atan2
 
 
-def _flat_residual(x: float, y: float, h1: float, h2: float, h3: float) -> float:
-    """Flat angle(h1 p h2) - angle(h2 p h3) at p = (x, y), for heights h1 > h2 > h3.
+def _flat_residuals(x: float, y: float, a: float, b: float, c: float, d: float) -> tuple[float, float]:
+    """Flat angle(a p b) - angle(b p c) and angle(b p c) - angle(c p d) at p = (x, y), for heights a > b > c > d.
 
     The ray from p to the axis point (0, h) has the direction
     atan2(h - y, |x|), which lies in (-pi/2, pi/2) and decreases with h.
-    So each angle is a difference of two directions and the residual a
+    So each angle is a difference of two directions and each residual a
     second difference: no product of coordinates is formed, which could
-    lose digits in the subnormals or overflow.
+    lose digits in the subnormals or overflow. The first residual does
+    not read d.
     """
-    ax = abs(x)
-    t2 = _atan2(h2 - y, ax)
-    return (_atan2(h1 - y, ax) - t2) - (t2 - _atan2(h3 - y, ax))
-
-
-def _flat_residuals(x: float, y: float, a: float, b: float, c: float, d: float) -> tuple[float, float]:
-    """(_flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d)), bit for bit, from four ray directions."""
     ax = abs(x)
     tb, tc = _atan2(b - y, ax), _atan2(c - y, ax)
     # the angle (b p c) closes the first residual and opens the second

@@ -41,7 +41,7 @@ from ._base import (
     OnAxisError,
     OrderingError,
     _check_finite,
-    _flat_residual,
+    _flat_residuals,
     _integers,
     _Record,
     _unit_exponent,
@@ -370,7 +370,7 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
     """Euclidean equal-angle locus of axis heights a > b > c.
 
     Heights may be nonpositive here: the flat-plane statement needs only
-    the ordering.
+    finite heights in order.
 
     The circle meets the axis at b and at b + 2uv/(u + v), with u = a - b
     and v = c - b. Working in these offsets from b keeps full relative
@@ -397,17 +397,22 @@ def euclidean_locus(a: float, b: float, c: float) -> EuclideanLocus:
 
 
 def _check_descending(a: float, b: float, c: float) -> None:
+    _check_finite("a", a)
+    _check_finite("b", b)
+    _check_finite("c", c)
     if not (a > b > c):
         raise OrderingError(f"heights must satisfy a > b > c, got ({a}, {b}, {c})")
 
 
 def euclidean_equal_angle_residual(p: tuple[float, float], a: float, b: float, c: float) -> float:
-    """Euclidean angle(a p b) - angle(b p c) at a point off the y-axis."""
+    """Euclidean angle(a p b) - angle(b p c) at a finite point off the y-axis."""
     _check_descending(a, b, c)
     x, y = p
+    _check_finite("x", x)
+    _check_finite("y", y)
     if x == 0.0:
         raise OnAxisError("the Euclidean locus predicate excludes the y-axis")
-    return _flat_residual(x, y, a, b, c)
+    return _flat_residuals(x, y, a, b, c, c)[0]
 
 
 def samples_to_csv(curve: Curve) -> str:

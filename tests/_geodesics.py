@@ -6,8 +6,9 @@ build them: the geodesic through two points is a vertical ray or the
 semicircle centered where the perpendicular bisector of the two points
 meets the boundary axis (Beardon, The Geometry of Discrete Groups, 1983,
 section 7), and its tangent at a point is the radius vector turned a
-quarter turn. Tests hold hyp_angle to the angle between those tangents,
-and cross_ratio_hyper to its definition from hyp_distance.
+quarter turn. Tests hold the judge equal_angle_residual to the angles
+between those tangents, and cross_ratio_hyper to its definition from
+hyp_distance.
 """
 
 from __future__ import annotations
@@ -15,7 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from apollonius.halfplane import DegenerateInputError, GeometryError, HPoint
+from apollonius.halfplane import GeometryError, HPoint
+
+
+class DegenerateInputError(GeometryError):
+    """Two points that must be distinct coincide."""
+
 
 # Abscissa gap, relative to the larger abscissa, at or below which
 # geodesic_through returns a vertical ray; the arc center diverges as the

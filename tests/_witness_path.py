@@ -32,7 +32,6 @@ from apollonius.fourpoint import (
 from apollonius.halfplane import (
     AngleResidual,
     AxisPoint,
-    DegenerateInputError,
     GeometryError,
     HPoint,
     OnAxisError,
@@ -40,7 +39,7 @@ from apollonius.halfplane import (
 )
 from apollonius.locus import HorizontalLine, euclidean_equal_angle_residual, euclidean_locus
 
-from _geodesics import VERTICAL_EPS, Arc, VerticalRay
+from _geodesics import VERTICAL_EPS, Arc, DegenerateInputError, VerticalRay
 from _scalar_sampler import scaled
 
 # ------------------------------------------------------------ half-plane oracle

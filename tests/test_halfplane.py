@@ -1,4 +1,4 @@
-"""Half-plane primitives: angles and the judge, and the test reference's geodesics, tangents and distance."""
+"""Half-plane primitives: the points and the judge, and the test reference's geodesics, tangents and distance."""
 
 import math
 
@@ -7,18 +7,24 @@ from hypothesis import example, given, settings, strategies as st
 
 from apollonius.halfplane import (
     AxisPoint,
-    DegenerateInputError,
     GeometryError,
     HPoint,
     OnAxisError,
     OrderingError,
     equal_angle_residual,
-    hyp_angle,
     _axis_residuals,
 )
 
-from _exact_residuals import exact_angle, exact_residuals
-from _geodesics import Arc, VerticalRay, axis_center, geodesic_through, hyp_distance, tangent_direction
+from _exact_residuals import exact_residuals
+from _geodesics import (
+    Arc,
+    DegenerateInputError,
+    VerticalRay,
+    axis_center,
+    geodesic_through,
+    hyp_distance,
+    tangent_direction,
+)
 
 LN4 = 1.3862943611198906
 
@@ -121,67 +127,6 @@ class TestTangentDirection:
         assert math.hypot(*t) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 
-class TestHypAngle:
-    def test_opposite_directions_along_vertical(self):
-        angle = hyp_angle(HPoint(0, 2), HPoint(0, 4), HPoint(0, 1))
-        assert angle == pytest.approx(math.pi, abs=1e-15)
-
-    def test_same_direction_zero(self):
-        angle = hyp_angle(HPoint(0, 2), HPoint(0, 4), HPoint(0, 8))
-        assert angle == 0.0
-
-    def test_coincident_targets_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            hyp_angle(HPoint(2, 2), HPoint(0, 1), HPoint(0, 1))
-
-    def test_vertex_equal_target_rejected(self):
-        with pytest.raises(DegenerateInputError):
-            hyp_angle(HPoint(2, 2), HPoint(2, 2), HPoint(0, 1))
-
-    def test_matches_center_construction(self):
-        # angle at P=(sqrt3,1) between geodesics to (0,4) and (0,1) equals the
-        # Euclidean angle between the radius vectors from the arc centers
-        p = HPoint(math.sqrt(3), 1)
-        expected = 0.6669463445036642  # frozen from the center-formula oracle
-        for h1, h2 in ((4.0, 1.0),):
-            m1 = axis_center(p.x, p.y, h1)
-            m2 = axis_center(p.x, p.y, h2)
-            v1 = (p.x - m1, p.y)
-            v2 = (p.x - m2, p.y)
-            cross = v1[0] * v2[1] - v1[1] * v2[0]
-            dot = v1[0] * v2[0] + v1[1] * v2[1]
-            oracle = math.atan2(abs(cross), dot)
-            assert oracle == pytest.approx(expected, abs=1e-15)
-        got = hyp_angle(p, HPoint(0, 4), HPoint(0, 1))
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("k", [-1000, -600, 600, 1000])
-    def test_scale_invariant_at_extreme_scales(self, k):
-        # the tangents square coordinate differences, which leave the float
-        # range at 2^±600 unless the coordinates are first divided by a
-        # power of two
-        s = math.ldexp(1.0, k)
-        p, q1, q2 = (1.5, 0.8), (0.0, 5.0), (-2.0, 0.5)
-        scaled = hyp_angle(*(HPoint(x * s, y * s) for x, y in (p, q1, q2)))
-        assert scaled == hyp_angle(*(HPoint(x, y) for x, y in (p, q1, q2)))
-
-    def test_short_tangents_keep_their_angle(self):
-        # the tangents are about 2^-1200 long: scaled by one power of two for
-        # the pair, their products underflowed and the angle read 0.0
-        p, q1, q2 = (2.0**-600, 2.0**-600), (0.0, 1.0), (0.0, 2.0**-599)
-        angle = hyp_angle(HPoint(*p), HPoint(*q1), HPoint(*q2))
-        assert angle == exact_angle(*p, q1[1], q2[1])
-        assert angle == pytest.approx(0.4636476090008061, abs=1e-15)
-
-    def test_additivity_through_middle_point(self):
-        # orientation convention makes angle(a,c) = angle(a,b) + angle(b,c)
-        p = HPoint(1.5, 0.8)
-        a, b, c = HPoint(0, 5), HPoint(0, 2), HPoint(0, 0.5)
-        total = hyp_angle(p, a, c)
-        parts = hyp_angle(p, a, b) + hyp_angle(p, b, c)
-        assert total == pytest.approx(parts, abs=1e-12)
-
-
 class TestEqualAngleResidual:
     def test_zero_on_geometric_circle(self):
         # b^2 = ac makes the locus the semicircle r = b
@@ -244,6 +189,29 @@ class TestEqualAngleResidual:
             return equal_angle_residual(p, a, b, c).value, equal_angle_residual(p, b, c, d).value
 
         assert readings(math.ldexp(1.0, k)) == readings(1.0)
+
+    def test_matches_center_construction(self):
+        # the angle at P between the geodesics to (0, h1) and (0, h2) is the
+        # Euclidean angle between the radius vectors from the arcs' centers
+        p = HPoint(math.sqrt(3), 1)
+
+        def angle(h1, h2):
+            (ux, uy), (vx, vy) = ((p.x - axis_center(p.x, p.y, h), p.y) for h in (h1, h2))
+            return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+        assert angle(4, 1) == pytest.approx(0.6669463445036642, abs=1e-15)  # frozen from the center formula
+        residual = equal_angle_residual(p, AxisPoint(4), AxisPoint(3), AxisPoint(1)).value
+        assert abs(residual) > 1e-3
+        assert residual == pytest.approx(angle(4, 3) - angle(3, 1), abs=1e-12)
+
+    @pytest.mark.parametrize("heights,expected", [((4.0, 1.0, 0.5), math.pi), ((8.0, 4.0, 1.0), -math.pi)])
+    def test_angles_open_to_pi_at_the_axis(self, heights, expected):
+        # next to the axis the geodesics to heights above y leave straight
+        # up and those below straight down: two heights on one side of y
+        # span an angle near 0, two on either side one near pi
+        p = HPoint(1e-9, 2.0)
+        residual = equal_angle_residual(p, *map(AxisPoint, heights)).value
+        assert residual == pytest.approx(expected, abs=1e-8)
 
     def test_center_order_reversal(self):
         # heights a > b > c map to centers a' < b' < c' for x > 0

@@ -433,6 +433,9 @@ class TestSampleCurve:
         assert np.sin(theta).tolist() == [math.sin(t) for t in angles]
 
 
+RESIDUAL = euclidean_equal_angle_residual
+
+
 class TestEuclideanLocus:
     def test_circle_4_2_1(self):
         locus = euclidean_locus(4, 2, 1)
@@ -491,3 +494,25 @@ class TestEuclideanLocus:
     def test_residual_on_axis_rejected(self):
         with pytest.raises(OnAxisError):
             euclidean_equal_angle_residual((0.0, 5.0), 4, 2, 1)
+
+    @pytest.mark.parametrize(
+        "function,args,message",
+        [
+            # the limit as a grows is the circle of center 1 and radius 1,
+            # not the line at height inf
+            pytest.param(euclidean_locus, (math.inf, 2, 1), "a must be finite, got inf", id="locus-a-inf"),
+            pytest.param(euclidean_locus, (3, math.nan, 1), "b must be finite, got nan", id="locus-b-nan"),
+            pytest.param(euclidean_locus, (3, 2, -math.inf), "c must be finite, got -inf", id="locus-c-neg-inf"),
+            # the residual read 0.0 at each infinite coordinate, a point on the locus
+            pytest.param(RESIDUAL, ((math.inf, 1.0), 3, 2, 1), "x must be finite, got inf", id="residual-x-inf"),
+            pytest.param(RESIDUAL, ((1.0, math.inf), 3, 2, 1), "y must be finite, got inf", id="residual-y-inf"),
+            pytest.param(RESIDUAL, ((1.0, -math.inf), 3, 2, 1), "y must be finite, got -inf", id="residual-y-neg-inf"),
+            pytest.param(RESIDUAL, ((math.nan, 1.0), 3, 2, 1), "x must be finite, got nan", id="residual-x-nan"),
+            pytest.param(RESIDUAL, ((1.0, 1.0), math.inf, 2, 1), "a must be finite, got inf", id="residual-a-inf"),
+        ],
+    )
+    def test_rejects_nonfinite_input(self, function, args, message):
+        with pytest.raises(GeometryError) as caught:
+            function(*args)
+        assert type(caught.value) is GeometryError
+        assert str(caught.value) == message

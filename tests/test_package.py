@@ -16,7 +16,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # what `from apollonius import *` binds: the public names of the package
 # with every submodule imported, as they were when all were imported eagerly
 STAR_NAMES = """
-    AngleResidual AxisCircle AxisPoint Curve DegenerateInputError EuclideanLocus
+    AngleResidual AxisCircle AxisPoint Curve EuclideanLocus
     FamilyKind FourConfig Geometry GeometryError HPoint HorizontalLine
     HyperProbSetup IntTriple LocusClass OnAxisError OrderingError
     ProbEstimate QuarticCoeffs SampleStream TripleConfig Witness
@@ -24,7 +24,7 @@ STAR_NAMES = """
     cross_ratio_euclid cross_ratio_hyper diophantine equal_angle_residual estimate_pe
     estimate_ph euclidean_equal_angle_residual euclidean_locus eval_quartic
     exists_euclid exists_hyper find_witness_euclid find_witness_hyper fourpoint
-    geometric_family halfplane hyp_angle locus
+    geometric_family halfplane locus
     normalize_triple pe_quadrature ph_quadrature ph_reference_constant
     probability pythagorean_family quadratic_form_family render_svg rng
     sample_curve samples_to_csv serialize
@@ -88,20 +88,25 @@ class TestNamespace:
         halfplane = importlib.import_module("apollonius.halfplane")
         assert halfplane.__all__ == [
             "GeometryError",
-            "DegenerateInputError",
             "OnAxisError",
             "OrderingError",
             "HPoint",
             "AxisPoint",
             "AngleResidual",
-            "hyp_angle",
             "equal_angle_residual",
         ]
-        removed = "Arc VerticalRay Geodesic geodesic_through tangent_direction axis_center hyp_distance OffCurveError"
+        removed = (
+            "Arc VerticalRay Geodesic geodesic_through tangent_direction axis_center hyp_distance OffCurveError "
+            "hyp_angle DegenerateInputError _oriented_tangent _unsigned_angle _check_angle_points _rescaled_tangent "
+            "_check_upper"
+        )
         for name in removed.split():
             assert not hasattr(halfplane, name), name
             with pytest.raises(AttributeError, match=f"'{name}'"):
                 getattr(apollonius, name)
+        # nor does _base keep the error, or a second flat judge beside _flat_residuals
+        for name in "DegenerateInputError _flat_residual".split():
+            assert not hasattr(importlib.import_module("apollonius._base"), name), name
 
     def test_probability_keeps_no_scalar_sampling_path(self):
         # the scalar samplers, the indicator streams and the config rescalers
@@ -123,7 +128,6 @@ class TestSharedBase:
     # re-export theirs
     NAMES = (
         "GeometryError",
-        "DegenerateInputError",
         "OnAxisError",
         "OrderingError",
         "WitnessSearchError",
@@ -139,7 +143,7 @@ class TestSharedBase:
                     assert getattr(module, name) is getattr(base, name), (module.__name__, name)
         assert apollonius.halfplane.GeometryError is apollonius.locus.GeometryError is apollonius.GeometryError
         assert apollonius.fourpoint.WitnessSearchError is apollonius.WitnessSearchError
-        assert set(self.NAMES[:4]) <= set(apollonius.halfplane.__all__)
+        assert {"GeometryError", "OnAxisError", "OrderingError"} <= set(apollonius.halfplane.__all__)
         assert "WitnessSearchError" in apollonius.fourpoint.__all__
 
     def test_geometry_error_from_a_module_without_halfplane_exits_2(self):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import apollonius.fourpoint as fp
-from apollonius._base import _flat_residual, _flat_residuals, _unit_exponent
+from apollonius._base import _flat_residuals, _unit_exponent
 from apollonius.fourpoint import (
     EUCLID_WITNESS_TOL,
     HYPER_WITNESS_TOL,
@@ -32,7 +32,6 @@ from apollonius.halfplane import (
     HPoint,
     OrderingError,
     equal_angle_residual,
-    hyp_angle,
 )
 from apollonius.locus import (
     LocusClass,
@@ -213,29 +212,6 @@ class TestGeodesicProperties:
 
 
 class TestIsometryInvariance:
-    @given(
-        hpoints(),
-        st.floats(min_value=0.05, max_value=20.0),
-        st.floats(min_value=1.0, max_value=80.0),
-        st.floats(min_value=0.1, max_value=0.9),
-        st.floats(min_value=-50.0, max_value=50.0),
-    )
-    @settings(max_examples=60)
-    def test_angle_under_scaling_and_translation(self, p, lam, top, mid_frac, shift):
-        q1 = HPoint(p.x + 1.3, top)
-        q2 = HPoint(p.x - 2.1, top * mid_frac)
-        base = hyp_angle(p, q1, q2)
-        scaled = hyp_angle(
-            HPoint(lam * p.x, lam * p.y),
-            HPoint(lam * q1.x, lam * q1.y),
-            HPoint(lam * q2.x, lam * q2.y),
-        )
-        moved = hyp_angle(
-            HPoint(p.x + shift, p.y), HPoint(q1.x + shift, q1.y), HPoint(q2.x + shift, q2.y)
-        )
-        assert scaled == pytest.approx(base, rel=1e-10, abs=1e-10)
-        assert moved == pytest.approx(base, rel=1e-10, abs=1e-10)
-
     @given(distinct_hpoint_pairs(), st.floats(min_value=0.05, max_value=20.0))
     @settings(max_examples=60)
     def test_distance_under_scaling(self, pair, lam):
@@ -243,6 +219,15 @@ class TestIsometryInvariance:
         base = hyp_distance(p, q)
         scaled = hyp_distance(HPoint(lam * p.x, lam * p.y), HPoint(lam * q.x, lam * q.y))
         assert scaled == pytest.approx(base, rel=1e-10, abs=1e-12)
+
+
+    @given(triples(), st.floats(min_value=0.1, max_value=40.0), height, st.floats(min_value=0.05, max_value=20.0))
+    @settings(max_examples=60)
+    def test_residual_under_scaling(self, cfg, x, y, lam):
+        heights = (cfg.a, cfg.b, cfg.c)
+        base = equal_angle_residual(HPoint(x, y), *map(AxisPoint, heights)).value
+        scaled = equal_angle_residual(HPoint(lam * x, lam * y), *(AxisPoint(lam * h) for h in heights)).value
+        assert scaled == pytest.approx(base, rel=1e-10, abs=1e-10)
 
 
 class TestResidualProperties:
@@ -254,6 +239,24 @@ class TestResidualProperties:
             equal_angle_residual(HPoint(-x, y), a, b, c).value
             == equal_angle_residual(HPoint(x, y), a, b, c).value
         )
+
+    @given(
+        st.lists(st.floats(min_value=0.05, max_value=100.0), min_size=4, max_size=4, unique=True),
+        st.floats(min_value=-40.0, max_value=40.0),
+        height,
+    )
+    @settings(max_examples=100)
+    def test_angles_add_through_a_middle_height(self, heights, x, y):
+        # each residual is angle(i p j) - angle(j p k); angles that add
+        # through a middle height make r(abd) + r(acd) = 2 (r(abc) + r(bcd))
+        assume(x != 0.0)
+        p = HPoint(x, y)
+        a, b, c, d = map(AxisPoint, sorted(heights, reverse=True))
+
+        def r(*points):
+            return equal_angle_residual(p, *points).value
+
+        assert r(a, b, d) + r(a, c, d) == pytest.approx(2.0 * (r(a, b, c) + r(b, c, d)), abs=1e-13)
 
     @given(triples())
     @settings(max_examples=40)
@@ -1064,21 +1067,8 @@ class TestCrossRatioDefinition:
         assert abs(value - reference) <= bound * reference, (value, reference, bound)
 
 
-@st.composite
-def geodesic_targets(draw, p):
-    # straight above or below p, or at least 0.5 across from it: there
-    # geodesic_through's center is good to ~1e-14 and its vertical ray exact
-    qy = draw(st.floats(min_value=0.5, max_value=4.0))
-    if draw(st.booleans()):
-        assume(qy != p.y)
-        return HPoint(p.x, qy)
-    qx = draw(st.floats(min_value=-4.0, max_value=4.0))
-    assume(abs(qx - p.x) >= 0.5)
-    return HPoint(qx, qy)
-
-
 class TestOneJudge:
-    """The witness search and the oracle share one judge; hyp_angle measures the tangents its directions come from."""
+    """The witness search and the oracle share one judge, whose angles are those between the geodesics' tangents."""
 
     @given(st.one_of(wide_heights(), near_boundary_heights(-12.0, -1.0, log_d=(-30.0, 0.0))))
     @settings(max_examples=200, deadline=None)
@@ -1097,22 +1087,31 @@ class TestOneJudge:
         lower = equal_angle_residual(p, b, c, d).value
         assert _bits(witness)[2:] == (upper.hex(), lower.hex())
 
-    @given(st.data())
+    @given(
+        st.floats(min_value=0.5, max_value=4.0),
+        st.booleans(),
+        st.floats(min_value=0.5, max_value=4.0),
+        st.lists(st.floats(min_value=0.5, max_value=4.0), min_size=3, max_size=3, unique=True),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_hyp_angle_matches_geodesic_tangents(self, data):
-        p = HPoint(data.draw(st.floats(min_value=-4.0, max_value=4.0)), data.draw(st.floats(min_value=0.5, max_value=4.0)))
-        q1, q2 = data.draw(geodesic_targets(p)), data.draw(geodesic_targets(p))
-        assume(q1 != q2)
+    def test_judge_matches_geodesic_tangents(self, x, mirrored, y, heights):
+        # at least 0.5 across from the axis: there geodesic_through's center
+        # is good to ~1e-14, and each angle between its tangents to 1e-13
+        p = HPoint(-x if mirrored else x, y)
+        a, b, c = sorted(heights, reverse=True)
 
-        def toward(q):
-            tx, ty = tangent_direction(geodesic_through(p, q), p)
-            if tx * (q.x - p.x) + ty * (q.y - p.y) < 0.0:
+        def toward(h):
+            tx, ty = tangent_direction(geodesic_through(p, HPoint(0.0, h)), p)
+            if tx * -p.x + ty * (h - p.y) < 0.0:
                 tx, ty = -tx, -ty
             return tx, ty
 
-        (ux, uy), (vx, vy) = toward(q1), toward(q2)
-        expected = math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
-        assert abs(hyp_angle(p, q1, q2) - expected) <= 1e-13
+        def angle(h1, h2):
+            (ux, uy), (vx, vy) = toward(h1), toward(h2)
+            return math.atan2(abs(ux * vy - uy * vx), ux * vx + uy * vy)
+
+        residual = equal_angle_residual(p, AxisPoint(a), AxisPoint(b), AxisPoint(c)).value
+        assert abs(residual - (angle(a, b) - angle(b, c))) <= 2e-13
 
 
 class TestScalingAndFlatResiduals:
@@ -1142,6 +1141,8 @@ class TestScalingAndFlatResiduals:
     @example(5e-324, 0.0, [2e-323, 1.5e-323, 1e-323, 5e-324])
     @settings(max_examples=500)
     def test_residuals_are_two_flat_residuals_bit_for_bit(self, x, y, heights):
+        # the public predicate refuses points on the y-axis
+        assume(x != 0.0)
         a, b, c, d = sorted(heights, reverse=True)
-        expected = (_flat_residual(x, y, a, b, c), _flat_residual(x, y, b, c, d))
+        expected = (euclidean_equal_angle_residual((x, y), a, b, c), euclidean_equal_angle_residual((x, y), b, c, d))
         assert [r.hex() for r in _flat_residuals(x, y, a, b, c, d)] == [r.hex() for r in expected]
